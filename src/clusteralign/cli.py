@@ -134,6 +134,15 @@ def _fail(errors):
     raise ConfigError("\n".join(errors))
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false are not counts or seeds.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def resolve_config(raw: dict) -> dict:
     """Apply scenario defaults and validate every documented key."""
     errors = []
@@ -151,11 +160,11 @@ def resolve_config(raw: dict) -> dict:
 
     seeds = raw.get("seeds", [0, 1, 2])
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
+            or not all(_is_int(s) for s in seeds)):
         errors.append("seeds: must be a non-empty list of integers")
 
     eval_every = raw.get("eval_every", 500)
-    if not isinstance(eval_every, int) or eval_every < 1:
+    if not _is_int(eval_every) or eval_every < 1:
         errors.append("eval_every: must be a positive integer")
 
     ablation = raw.get("ablation", [])
@@ -187,11 +196,15 @@ def resolve_config(raw: dict) -> dict:
             errors.append(f"train.{key}: unknown key")
         else:
             train[key] = value
-    if not 0.0 <= float(train["threshold"]) <= 1.0:
-        errors.append("train.threshold: must lie in [0, 1]")
-    if float(train["margin"]) <= 0:
-        errors.append("train.margin: must be positive")
-    if int(train["pretrain_iters"]) >= int(train["total_iters"]):
+    if not _is_number(train["threshold"]) or not 0.0 <= train["threshold"] <= 1.0:
+        errors.append("train.threshold: must be a number in [0, 1]")
+    if not _is_number(train["margin"]) or not train["margin"] > 0:
+        errors.append("train.margin: must be a positive number")
+    pretrain, total = train["pretrain_iters"], train["total_iters"]
+    for key in ("pretrain_iters", "total_iters"):
+        if not _is_int(train[key]):
+            errors.append(f"train.{key}: must be an integer")
+    if _is_int(pretrain) and _is_int(total) and pretrain >= total:
         errors.append("train.pretrain_iters: must be smaller than train.total_iters")
 
     if errors:
@@ -393,3 +406,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -1,147 +1,21 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
+"""Hot numeric kernels in Gram form: one BLAS matmul per call.
 
-The backend is fixed at import time from the CLUSTERALIGN_BACKEND
-environment variable:
-
-    auto   - use numba when importable, numpy otherwise (default)
-    numba  - require the jitted kernels, fail if numba is missing
-    numpy  - force the vectorized fallbacks
-
-Both backends compute the same quantities; summation order differs, so
-results may disagree in the last few ulps. Within one backend everything
-is bit-reproducible.
+Squared distances come from ||a||^2 + ||b||^2 - 2 a.b, clamped at zero
+(the cancellation guard of scikit-learn's euclidean_distances), so each
+pair's squared distance carries an absolute error of a few ulps of
+||a||^2 + ||b||^2. Where that is too coarse, the exact quantity is taken
+from explicit differences: near-duplicate pairs under the euclidean
+metric, whose gradient weight 1/dist would amplify it, and the k-means
+inertia. Results are bit-reproducible for a given numpy and BLAS build.
 """
-
-import os
 
 import numpy as np
 
-_CHOICE = os.environ.get("CLUSTERALIGN_BACKEND", "auto").lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        "CLUSTERALIGN_BACKEND must be one of auto, numba, numpy; got %r" % _CHOICE
-    )
+BACKEND = "numpy"
 
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-# Keeps the (chunk x n x d) temporaries of the numpy fallback around 30 MB.
-_CHUNK_BUDGET = 2_000_000
-
-
-def _pairwise_margin_numpy(features, labels, margin, squared):
-    """Pairwise pull/push loss over all ordered pairs, vectorized."""
-    n, d = features.shape
-    loss = 0.0
-    grad = np.zeros_like(features)
-    chunk = max(1, _CHUNK_BUDGET // max(n * d, 1))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = features[start:stop, None, :] - features[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        same = labels[start:stop, None] == labels[None, :]
-        if squared:
-            dist = sq
-            ddist = 2.0 * diff
-        else:
-            dist = np.sqrt(sq)
-            safe = np.where(dist > 0.0, dist, 1.0)
-            ddist = diff / safe[:, :, None]
-        active = (~same) & (dist < margin)
-        loss += dist[same].sum() + (margin - dist[active]).sum()
-        # coef is d(term)/d(dist): +1 on same-class pairs, -1 on active margins.
-        coef = same.astype(np.float64) - active.astype(np.float64)
-        contrib = coef[:, :, None] * ddist
-        grad[start:stop] += contrib.sum(axis=1)
-        grad -= contrib.sum(axis=0)
-    inv = 1.0 / float(n * n)
-    return loss * inv, grad * inv
-
-
-def _kmeans_assign_numpy(points, centers):
-    """Nearest-center assignment and total squared distance."""
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assign = np.argmin(d2, axis=1).astype(np.int64)
-    inertia = float(d2[np.arange(points.shape[0]), assign].sum())
-    return assign, inertia
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pairwise_margin_numba(features, labels, margin, squared):
-        n, d = features.shape
-        loss = 0.0
-        grad = np.zeros((n, d))
-        for i in range(n):
-            for j in range(n):
-                sq = 0.0
-                for k in range(d):
-                    t = features[i, k] - features[j, k]
-                    sq += t * t
-                if squared:
-                    dist = sq
-                else:
-                    dist = np.sqrt(sq)
-                if labels[i] == labels[j]:
-                    coef = 1.0
-                    loss += dist
-                elif dist < margin:
-                    coef = -1.0
-                    loss += margin - dist
-                else:
-                    continue
-                if squared:
-                    scale = 2.0 * coef
-                elif dist > 0.0:
-                    scale = coef / dist
-                else:
-                    scale = 0.0
-                for k in range(d):
-                    g = scale * (features[i, k] - features[j, k])
-                    grad[i, k] += g
-                    grad[j, k] -= g
-        inv = 1.0 / (n * n)
-        return loss * inv, grad * inv
-
-    @njit(cache=True)
-    def _kmeans_assign_numba(points, centers):
-        n, d = points.shape
-        k = centers.shape[0]
-        assign = np.zeros(n, dtype=np.int64)
-        inertia = 0.0
-        for i in range(n):
-            best = 0
-            best_d2 = np.inf
-            for c in range(k):
-                d2 = 0.0
-                for j in range(d):
-                    t = points[i, j] - centers[c, j]
-                    d2 += t * t
-                if d2 < best_d2:
-                    best_d2 = d2
-                    best = c
-            assign[i] = best
-            inertia += best_d2
-        return assign, inertia
-
-
-IMPLEMENTATIONS = {"numpy": (_pairwise_margin_numpy, _kmeans_assign_numpy)}
-if _HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = (_pairwise_margin_numba, _kmeans_assign_numba)
-
-_pairwise_impl, _assign_impl = IMPLEMENTATIONS[BACKEND]
+# Under the euclidean metric, pairs whose Gram-form squared distance is at
+# most this fraction of ||a||^2 + ||b||^2 use explicit differences.
+_NEAR = 1e-6
 
 
 def pairwise_margin_loss(features, labels, margin, squared=True):
@@ -153,7 +27,59 @@ def pairwise_margin_loss(features, labels, margin, squared=True):
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    return _pairwise_impl(features, labels, float(margin), bool(squared))
+    margin = float(margin)
+    n = features.shape[0]
+
+    # Two n x n buffers do all the work, in place: page faults on fresh
+    # temporaries dominate at evaluation sizes. The diagonal of dist comes
+    # out as an exact zero.
+    dist = features @ features.T
+    norms = dist.diagonal().copy()
+    dist *= -2.0
+    dist += norms[:, None]
+    dist += norms[None, :]
+    np.maximum(dist, 0.0, out=dist)
+    buf = np.empty_like(dist)
+    if not squared:
+        np.add.outer(norms, norms, out=buf)
+        buf *= _NEAR
+        near = dist <= buf
+        near.flat[:: n + 1] = False
+        pairs = np.flatnonzero(near)
+        rows, cols = np.divmod(pairs, n)
+        diff = features[rows] - features[cols]
+        dist.flat[pairs] = np.einsum("ij,ij->i", diff, diff)
+        np.sqrt(dist, out=dist)
+    same = labels[:, None] == labels[None, :]
+
+    # buf holds the hinge, then each pair's loss term, then its weight.
+    hinge = np.subtract(margin, dist, out=buf)
+    np.maximum(hinge, 0.0, out=hinge)
+    # Active hinges: different labels, inside the margin (True > False).
+    active = hinge > 0.0
+    np.greater(active, same, out=active)
+    np.copyto(hinge, dist, where=same)
+    loss = float(hinge.sum())
+
+    # coef is d(term)/d(dist): +1 on same-label pairs, -1 on active hinges.
+    coef = np.subtract(same, active, out=buf, dtype=np.float64)
+    # w[i, j] * (f_i - f_j) is pair (i, j)'s gradient on f_i. w is
+    # symmetric up to rounding, so both orderings together give
+    # 2 * (rowsum(w) f - w f).
+    if squared:
+        w = np.multiply(coef, 2.0, out=coef)
+    else:
+        w = np.divide(coef, dist, out=coef, where=dist > 0.0)
+    w.flat[:: n + 1] = 0.0
+    grad = np.zeros_like(features)
+    if not squared:
+        # w = 1/dist is large at near pairs, where w @ f would cancel
+        # f_i - f_j away: they take the exact differences instead.
+        np.add.at(grad, rows, (2.0 * w.flat[pairs])[:, None] * diff)
+        w.flat[pairs] = 0.0
+    grad += 2.0 * (w.sum(axis=1)[:, None] * features - w @ features)
+    inv = 1.0 / float(n * n)
+    return loss * inv, grad * inv
 
 
 def kmeans_assign(points, centers):
@@ -164,4 +90,9 @@ def kmeans_assign(points, centers):
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
-    return _assign_impl(points, centers)
+    # ||p||^2 is the same for every center of a row, so it is left out.
+    scores = np.einsum("ij,ij->i", centers, centers) - 2.0 * (points @ centers.T)
+    assign = np.argmin(scores, axis=1).astype(np.int64)
+    diff = points - centers[assign]
+    inertia = float((diff * diff).sum(axis=1).sum())
+    return assign, inertia

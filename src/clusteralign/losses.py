@@ -117,25 +117,30 @@ def alignment_loss(source: PseudoLabeledBatch, target: PseudoLabeledBatch):
     """
     if source.num_classes != target.num_classes:
         raise ValueError("batches must share the class count")
-    d_src = np.zeros_like(source.features)
-    d_tgt = np.zeros_like(target.features)
-    present = []
-    for k in range(source.num_classes):
-        src_mask = source.labels == k
-        tgt_mask = target.labels == k
-        if src_mask.any() and tgt_mask.any():
-            present.append((k, src_mask, tgt_mask))
-    if not present:
-        return 0.0, d_src, d_tgt
+    k = source.num_classes
+    src_counts = np.bincount(source.labels, minlength=k)
+    tgt_counts = np.bincount(target.labels, minlength=k)
+    present = (src_counts > 0) & (tgt_counts > 0)
+    n_present = int(present.sum())
+    if not n_present:
+        return 0.0, np.zeros_like(source.features), np.zeros_like(target.features)
 
-    inv_classes = 1.0 / len(present)
-    loss = 0.0
-    for _, src_mask, tgt_mask in present:
-        gap = source.features[src_mask].mean(axis=0) - target.features[tgt_mask].mean(axis=0)
-        loss += float(gap @ gap)
-        d_src[src_mask] += (2.0 * inv_classes / src_mask.sum()) * gap
-        d_tgt[tgt_mask] -= (2.0 * inv_classes / tgt_mask.sum()) * gap
-    return loss * inv_classes, d_src, d_tgt
+    src_n = np.maximum(src_counts, 1)[:, None]
+    tgt_n = np.maximum(tgt_counts, 1)[:, None]
+    gap = _class_sums(source, k) / src_n - _class_sums(target, k) / tgt_n
+    gap[~present] = 0.0
+    inv_classes = 1.0 / n_present
+    loss = float((gap * gap).sum()) * inv_classes
+    # Each sample moves its own class mean by 1/count of its domain.
+    d_src = (2.0 * inv_classes / src_n * gap)[source.labels]
+    d_tgt = (-2.0 * inv_classes / tgt_n * gap)[target.labels]
+    return loss, d_src, d_tgt
+
+
+def _class_sums(batch: PseudoLabeledBatch, k: int):
+    """Per-class feature sums, one row per class id."""
+    onehot = batch.labels[None, :] == np.arange(k)[:, None]
+    return onehot.astype(np.float64) @ batch.features
 
 
 def domain_adversarial_loss(source_critic_out, target_critic_out, target_confidences,

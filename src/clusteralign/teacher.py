@@ -67,12 +67,20 @@ def temporal_update(state: TeacherState, indices, probabilities) -> TeacherState
     return TeacherState(state.mode, ensemble, counts, state.decay)
 
 
-def corrected_probabilities(state: TeacherState) -> np.ndarray:
-    """Bias-corrected ensemble rows; never-updated rows stay all zero."""
-    probs = np.zeros_like(state.ensemble)
-    seen = state.step_counts > 0
-    corr = 1.0 - state.decay ** state.step_counts[seen]
-    probs[seen] = state.ensemble[seen] / corr[:, None]
+def corrected_probabilities(state: TeacherState, indices=None) -> np.ndarray:
+    """Bias-corrected ensemble rows; never-updated rows stay all zero.
+
+    With indices, only those rows are read (in that order, repeats
+    allowed); the result equals the full table indexed the same way.
+    """
+    ensemble, counts = state.ensemble, state.step_counts
+    if indices is not None:
+        idx = np.asarray(indices, dtype=np.int64)
+        ensemble, counts = ensemble[idx], counts[idx]
+    probs = np.zeros_like(ensemble)
+    seen = counts > 0
+    corr = 1.0 - state.decay ** counts[seen]
+    probs[seen] = ensemble[seen] / corr[:, None]
     return probs
 
 

@@ -209,34 +209,43 @@ def schedule_weights(cfg: TrainConfig, iteration: int):
     return alpha, lam
 
 
+def _noise_seed(net: Network, cfg: TrainConfig, it: int, slot: int) -> int:
+    """The dropout seed of one train-mode pass, derived only when the
+    network draws a mask (forward ignores the seed otherwise)."""
+    if net.spec.dropout_rate > 0.0:
+        return derive_seed(cfg.seed, it, slot)
+    return 0
+
+
 def _teacher_batch_view(state: TrainState, cfg: TrainConfig, batch: BatchPair,
-                        student_target_probs, noise_seed):
+                        student_target_probs):
     """Teacher probabilities for the target batch, read before any update."""
     if cfg.self_teacher:
         return student_target_probs
     if cfg.teacher_mode == "pi":
-        return pi_predict(state.student, batch.target_x, noise_seed)
-    return corrected_probabilities(state.teacher)[batch.target_indices]
+        return pi_predict(state.student, batch.target_x,
+                          _noise_seed(state.student, cfg, state.iteration, 3))
+    return corrected_probabilities(state.teacher, batch.target_indices)
 
 
 def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
-    """One optimization step; returns the advanced state and its losses."""
+    """One optimization step; returns the advanced state and its losses.
+
+    The parameters are checked on entry and the losses after the update;
+    the parameters a step produces are checked when the next step, a
+    snapshot or the end of the run reads them.
+    """
+    _check_parameters(state)
     it = state.iteration
-    for net, name in ((state.student, "student"), (state.critic, "critic")):
-        if not all(np.all(np.isfinite(w)) for w in net.weights + net.biases):
-            raise TrainingAbort(
-                f"non-finite {name} parameters entering iteration {it}",
-                {"iteration": it, "parameter_set": name},
-            )
     alpha, lam = schedule_weights(cfg, it)
     lr = lr_schedule(it / cfg.total_iters, cfg.lr_base)
 
-    trace_src = forward(state.student, batch.source_x, "train", derive_seed(cfg.seed, it, 1))
-    trace_tgt = forward(state.student, batch.target_x, "train", derive_seed(cfg.seed, it, 2))
+    trace_src = forward(state.student, batch.source_x, "train",
+                        _noise_seed(state.student, cfg, it, 1))
+    trace_tgt = forward(state.student, batch.target_x, "train",
+                        _noise_seed(state.student, cfg, it, 2))
 
-    teacher_probs = _teacher_batch_view(
-        state, cfg, batch, trace_tgt.probabilities, derive_seed(cfg.seed, it, 3)
-    )
+    teacher_probs = _teacher_batch_view(state, cfg, batch, trace_tgt.probabilities)
     new_teacher = state.teacher
     if cfg.teacher_mode == "temporal" and not cfg.self_teacher:
         new_teacher = temporal_update(
@@ -257,8 +266,10 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
     l_c = l_c_src + l_c_tgt
     l_a, g_a_src, g_a_tgt = alignment_loss(src_batch, tgt_batch)
 
-    critic_src = forward(state.critic, trace_src.features, "train", derive_seed(cfg.seed, it, 4))
-    critic_tgt = forward(state.critic, trace_tgt.features, "train", derive_seed(cfg.seed, it, 5))
+    critic_src = forward(state.critic, trace_src.features, "train",
+                         _noise_seed(state.critic, cfg, it, 4))
+    critic_tgt = forward(state.critic, trace_tgt.features, "train",
+                         _noise_seed(state.critic, cfg, it, 5))
     l_d, d_out_src, d_out_tgt, selected = domain_adversarial_loss(
         critic_src.probabilities[:, 0], critic_tgt.probabilities[:, 0],
         tgt_conf, cfg.threshold,
@@ -298,7 +309,7 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
         critic_grads=critic_grads,
         selection_count=selected,
     )
-    _check_finite(bundle, new_student, new_critic, it)
+    _check_losses(bundle, it)
 
     new_state = TrainState(
         student=new_student,
@@ -312,14 +323,19 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
     return new_state, bundle
 
 
-def _check_finite(bundle, student, critic, iteration):
-    values = (bundle.l_y, bundle.l_c, bundle.l_a, bundle.l_d)
-    finite = all(math.isfinite(v) for v in values)
-    finite = finite and all(np.all(np.isfinite(w)) for w in student.weights + student.biases)
-    finite = finite and all(np.all(np.isfinite(w)) for w in critic.weights + critic.biases)
-    if not finite:
+def _check_parameters(state: TrainState):
+    for net, name in ((state.student, "student"), (state.critic, "critic")):
+        if not all(np.isfinite(p).all() for p in net.weights + net.biases):
+            raise TrainingAbort(
+                f"non-finite {name} parameters at iteration {state.iteration}",
+                {"iteration": state.iteration, "parameter_set": name},
+            )
+
+
+def _check_losses(bundle, iteration):
+    if not all(math.isfinite(v) for v in (bundle.l_y, bundle.l_c, bundle.l_a, bundle.l_d)):
         raise TrainingAbort(
-            f"non-finite loss or parameter at iteration {iteration}",
+            f"non-finite loss at iteration {iteration}",
             {
                 "iteration": iteration,
                 "l_y": bundle.l_y,
@@ -332,6 +348,7 @@ def _check_finite(bundle, student, critic, iteration):
 
 
 def _snapshot(state: TrainState, cfg: TrainConfig, ds: DomainDataset) -> RunMetrics:
+    _check_parameters(state)
     return snapshot(
         iteration=state.iteration,
         student=state.student,
@@ -366,6 +383,7 @@ def run_training(cfg: TrainConfig, ds: DomainDataset, eval_every: int):
             if state.iteration % eval_every == 0:
                 state.metrics.append(_snapshot(state, cfg, ds))
         epoch += 1
+    _check_parameters(state)
     return state, list(state.metrics)
 
 

@@ -61,6 +61,37 @@ def brute_force_clustering(features, labels, margin, squared=True):
     return total / (n * n)
 
 
+def brute_force_clustering_grad(features, labels, margin, squared=True):
+    """Literal double loop over all ordered pairs, loss and gradient; the
+    kernel oracle. Each pair adds d(term)/d(dist) * d(dist)/d(f_i) to f_i
+    and its negation to f_j."""
+    n, d = features.shape
+    loss = 0.0
+    grad = np.zeros((n, d))
+    for i in range(n):
+        for j in range(n):
+            diff = features[i] - features[j]
+            sq = float(diff @ diff)
+            dist = sq if squared else float(np.sqrt(sq))
+            if labels[i] == labels[j]:
+                coef = 1.0
+                loss += dist
+            elif dist < margin:
+                coef = -1.0
+                loss += margin - dist
+            else:
+                continue
+            if squared:
+                scale = 2.0 * coef
+            elif dist > 0.0:
+                scale = coef / dist
+            else:
+                scale = 0.0
+            grad[i] += scale * diff
+            grad[j] -= scale * diff
+    return loss / (n * n), grad / (n * n)
+
+
 def brute_force_alignment(src_feats, src_labels, tgt_feats, tgt_labels, num_classes):
     """Per-class mean gaps recomputed by hand; the alignment oracle."""
     terms = []

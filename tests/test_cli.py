@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import clusteralign
 
 from clusteralign.cli import (
     ConfigError,
@@ -63,6 +69,18 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="dataset.source_images"):
             resolve_config({"scenario": "idx_digits"})
 
+    @pytest.mark.parametrize("field, raw", [
+        ("seeds", {"seeds": [True]}),
+        ("eval_every", {"eval_every": True}),
+        ("train.threshold", {"train": {"threshold": "abc"}}),
+        ("train.margin", {"train": {"margin": "3"}}),
+        ("train.pretrain_iters", {"train": {"pretrain_iters": "10"}}),
+        ("train.total_iters", {"train": {"total_iters": None}}),
+    ])
+    def test_wrong_type_named(self, field, raw):
+        with pytest.raises(ConfigError, match=field):
+            resolve_config(dict({"scenario": "multimode"}, **raw))
+
     def test_defaults_are_seed_independent_hash(self):
         a = config_hash(resolve_config({"scenario": "multimode"}))
         b = config_hash(resolve_config({"scenario": "multimode"}))
@@ -99,6 +117,18 @@ class TestValidateCommand:
         path = write_config(tmp_path, tiny_raw(train={"margin": -1}))
         assert main(["validate", path]) == 2
         assert "train.margin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, raw", [
+        ("seeds", {"seeds": [True]}),
+        ("eval_every", {"eval_every": True}),
+        ("train.threshold", {"train": {"threshold": "abc"}}),
+    ])
+    def test_wrong_type_exits_2(self, tmp_path, capsys, field, raw):
+        path = write_config(tmp_path, tiny_raw(**raw))
+        assert main(["validate", path]) == 2
+        assert field in capsys.readouterr().err
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/config.json"]) == 2
@@ -157,3 +187,17 @@ class TestRunCommand:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
         assert "broken.json" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_main(tmp_path):
+    src = str(Path(clusteralign.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    path = write_config(tmp_path, tiny_raw())
+    ok = subprocess.run([sys.executable, "-m", "clusteralign.cli", "validate", path],
+                        capture_output=True, text=True, env=env)
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["seeds"] == [0]
+    bad = subprocess.run([sys.executable, "-m", "clusteralign.cli", "validate",
+                          str(tmp_path / "missing.json")], capture_output=True, text=True, env=env)
+    assert bad.returncode == 2

@@ -85,6 +85,19 @@ class TestTemporalEnsemble:
         seen = state.step_counts > 0
         assert np.all(np.abs(probs[seen].sum(axis=1) - 1.0) < 1e-6)
 
+    def test_indexed_read_equals_full_table_rows(self):
+        rng = seeded_rng(53)
+        state = init_teacher("temporal", 10, 3, decay=0.6)
+        for _ in range(6):
+            rows = rng.uniform(size=(3, 3))
+            rows /= rows.sum(axis=1, keepdims=True)
+            state = temporal_update(state, rng.choice(8, 3, replace=False), rows)
+        # Rows 8 and 9 are never updated; 2 and 8 repeat.
+        idx = np.array([9, 2, 8, 0, 2, 5, 8, 1])
+        assert np.array_equal(corrected_probabilities(state, idx),
+                              corrected_probabilities(state)[idx])
+        assert np.all(corrected_probabilities(state, idx)[[0, 2, 6]] == 0.0)
+
     def test_only_batch_rows_update(self):
         state = init_teacher("temporal", 3, 2, decay=0.6)
         state = temporal_update(state, [1], np.array([[0.5, 0.5]]))
