@@ -42,7 +42,6 @@ from clusteralign.losses import (
     clustering_loss,
     cross_entropy,
     domain_adversarial_loss,
-    total_objective,
 )
 from clusteralign.teacher import (
     TeacherState,
@@ -64,10 +63,8 @@ from clusteralign.trainer import (
 )
 from clusteralign.evaluate import (
     RunMetrics,
-    accuracy,
     cluster_accuracy,
     jsd_proxy,
-    kmeans,
     selection_rate,
 )
 

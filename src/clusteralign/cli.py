@@ -8,37 +8,49 @@ Config files are JSON with two sections plus a few top-level keys::
       "output_dir": "runs/example",
       "eval_every": 500,
       "ablation": [],                        # subset of ABLATION_FLAGS
-      "dataset": { ... scenario knobs ... },
-      "train":   { ... TrainConfig knobs ... }
+      "dataset": { ... scenario loader parameters ... },
+      "train":   { ... TrainConfig fields ... }
     }
 
-Every omitted key takes its preset default; `validate` prints the fully
-resolved config. Each seed writes metrics_<seed>.csv, features_<seed>.csv
-and dataset_<seed>.csv, then summary.json aggregates the final target
+The schema is the code's own: the `train` keys and defaults are the
+TrainConfig fields (with the scenario's preset overrides), the `dataset`
+keys and defaults are the parameters of the scenario's loader, and each
+value must have the type of its default. Ranges are checked by building
+what the first seed's run builds. `validate` prints the fully resolved
+config. Each seed writes metrics_<seed>.csv, features_<seed>.csv and
+dataset_<seed>.csv, then summary.json aggregates the final target
 accuracies (population std, Table-style "mean ± std" cell).
 """
 
 import argparse
 import hashlib
+import inspect
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from clusteralign.data import (
     DomainDataset,
     dump_dataset_csv,
-    load_idx,
+    load_idx_domains,
     make_imbalanced_gaussians,
     make_multimode_domains,
 )
 from clusteralign.evaluate import teacher_view
 from clusteralign.network import forward
 from clusteralign.seeding import derive_seed
-from clusteralign.trainer import TrainConfig, TrainingAbort, run_training
+from clusteralign.trainer import TrainConfig, TrainingAbort, init_train_state, run_training
 
-SCENARIOS = ("imbalanced_gaussians", "multimode", "idx_digits")
+LOADERS = {
+    "imbalanced_gaussians": make_imbalanced_gaussians,
+    "multimode": make_multimode_domains,
+    "idx_digits": load_idx_domains,
+}
+SCENARIOS = tuple(LOADERS)
 ABLATION_FLAGS = (
     "no_Lc",
     "no_La",
@@ -52,56 +64,8 @@ METRICS_HEADER = (
     "selection_rate,l_y,l_c,l_a,l_d"
 )
 
-_DATASET_DEFAULTS = {
-    "imbalanced_gaussians": {
-        "n_major": 1000,
-        "n_minor": 100,
-        "source_means": [[-2.0, 0.0], [2.0, 0.0]],
-        "target_means": [[-2.0, 2.0], [2.0, 2.0]],
-        "sigma": 0.35,
-    },
-    "multimode": {
-        "modes_per_class": 2,
-        "rotation_deg": 36.0,
-        "n_per_mode": 100,
-        "sigma": 0.30,
-        "extra_mode": True,
-        "ring_radius": 3.0,
-        "extra_radius": 6.5,
-    },
-    "idx_digits": {
-        "source_images": None,
-        "source_labels": None,
-        "target_images": None,
-        "target_labels": None,
-        "source_subsample": 2000,
-        "target_subsample": 1800,
-    },
-}
-
-_TRAIN_DEFAULTS = {
-    "total_iters": 5000,
-    "pretrain_iters": 500,
-    "batch_source": 64,
-    "batch_target": 64,
-    "margin": 3.0,
-    "threshold": 0.9,
-    "alpha_schedule": "logistic",
-    "alpha_max": 1.0,
-    "lambda_schedule": "same_as_alpha",
-    "lambda_max": 1.0,
-    "ramp_length": 0,
-    "lr_base": 0.01,
-    "momentum": 0.9,
-    "teacher_mode": "temporal",
-    "decay": 0.6,
-    "critic_hidden": 16,
-    "hidden_layers": [16, 16],
-    "activation": "relu",
-    "dropout_rate": 0.1,
-    "feature_tap": "",
-    "metric": "sq_euclidean",
-}
+# TrainConfig fields set from the seed and the ablation flags, not config keys.
+_FLAG_FIELDS = ("seed", "use_clustering", "use_alignment", "self_teacher")
 
 # Margins pair with the feature tap: logit features take the large margin
 # tuned on the synthetic tasks, penultimate features keep the small one.
@@ -125,6 +89,9 @@ _TRAIN_PRESET_OVERRIDES = {
     },
 }
 
+# The default of a loader parameter that has none: a required path.
+_REQUIRED = inspect.Parameter.empty
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
@@ -139,12 +106,63 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type of a parameter's default."""
+    if default is _REQUIRED:
+        return isinstance(value, str) and value != ""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return _is_int(value)
+    if isinstance(default, float):
+        return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(default, (tuple, list)):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
+def _kind(default) -> str:
+    if default is _REQUIRED:
+        return "a non-empty path string"
+    if isinstance(default, (tuple, list)):
+        return f"a list like {json.dumps(default)}"
+    return {bool: "true or false", int: "an integer", float: "a finite number",
+            str: "a string"}[type(default)]
+
+
+def _section(raw: dict, name: str, defaults: dict, errors: list) -> dict:
+    """One config section merged over its defaults, keys and types checked."""
+    given = raw.get(name, {})
+    if not isinstance(given, dict):
+        errors.append(f"{name}: must be a JSON object")
+        given = {}
+    merged = dict(defaults)
+    for key, value in given.items():
+        if key not in defaults:
+            errors.append(f"{name}.{key}: unknown key")
+        elif not _fits(value, defaults[key]):
+            errors.append(f"{name}.{key}: must be {_kind(defaults[key])}; got {value!r}")
+        else:
+            merged[key] = value
+    for key, default in defaults.items():
+        if default is _REQUIRED and key not in given:
+            errors.append(f"{name}.{key}: required for scenario {raw['scenario']}")
+    return merged
+
+
+def _field_message(section: str, exc: Exception, keys) -> str:
+    """A constructor's message under its section, as section.field when it
+    leads with a parameter name."""
+    message = str(exc)
+    if message.split(" ", 1)[0] in keys:
+        return f"{section}.{message}"
+    return f"{section}: {message}"
 
 
 def resolve_config(raw: dict) -> dict:
-    """Apply scenario defaults and validate every documented key."""
+    """Apply scenario defaults, check every key's type, and check the
+    values by building the dataset, TrainConfig and training state of
+    the first seed."""
     errors = []
     if not isinstance(raw, dict):
         _fail(["config: top level must be a JSON object"])
@@ -159,9 +177,12 @@ def resolve_config(raw: dict) -> dict:
             errors.append(f"{key}: unknown top-level key")
 
     seeds = raw.get("seeds", [0, 1, 2])
-    if (not isinstance(seeds, list) or not seeds
-            or not all(_is_int(s) for s in seeds)):
-        errors.append("seeds: must be a non-empty list of integers")
+    if not (_fits(seeds, [0]) and seeds and min(seeds) >= 0):
+        errors.append("seeds: must be a non-empty list of nonnegative integers")
+
+    output_dir = raw.get("output_dir", os.path.join("runs", scenario))
+    if not isinstance(output_dir, str) or not output_dir:
+        errors.append("output_dir: must be a non-empty string")
 
     eval_every = raw.get("eval_every", 500)
     if not _is_int(eval_every) or eval_every < 1:
@@ -175,50 +196,41 @@ def resolve_config(raw: dict) -> dict:
         if flag not in ABLATION_FLAGS:
             errors.append(f"ablation: unknown flag {flag!r}")
 
-    dataset = dict(_DATASET_DEFAULTS[scenario])
-    for key, value in raw.get("dataset", {}).items():
-        if key not in dataset:
-            errors.append(f"dataset.{key}: unknown key for scenario {scenario}")
-        else:
-            dataset[key] = value
-    if scenario == "idx_digits":
-        for key in ("source_images", "source_labels", "target_images", "target_labels"):
-            if not dataset[key]:
-                errors.append(f"dataset.{key}: required for scenario idx_digits")
-    else:
-        if not isinstance(dataset.get("sigma"), (int, float)) or dataset["sigma"] <= 0:
-            errors.append("dataset.sigma: must be a positive number")
-
-    train = dict(_TRAIN_DEFAULTS)
-    train.update(_TRAIN_PRESET_OVERRIDES.get(scenario, {}))
-    for key, value in raw.get("train", {}).items():
-        if key not in train:
-            errors.append(f"train.{key}: unknown key")
-        else:
-            train[key] = value
-    if not _is_number(train["threshold"]) or not 0.0 <= train["threshold"] <= 1.0:
-        errors.append("train.threshold: must be a number in [0, 1]")
-    if not _is_number(train["margin"]) or not train["margin"] > 0:
-        errors.append("train.margin: must be a positive number")
-    pretrain, total = train["pretrain_iters"], train["total_iters"]
-    for key in ("pretrain_iters", "total_iters"):
-        if not _is_int(train[key]):
-            errors.append(f"train.{key}: must be an integer")
-    if _is_int(pretrain) and _is_int(total) and pretrain >= total:
-        errors.append("train.pretrain_iters: must be smaller than train.total_iters")
+    loader_params = inspect.signature(LOADERS[scenario]).parameters.values()
+    dataset = _section(raw, "dataset", {
+        p.name: p.default for p in loader_params if p.name != "seed"
+    }, errors)
+    train_defaults = {
+        f.name: f.default for f in fields(TrainConfig) if f.name not in _FLAG_FIELDS
+    }
+    train = _section(raw, "train",
+                     dict(train_defaults, **_TRAIN_PRESET_OVERRIDES[scenario]), errors)
 
     if errors:
         _fail(errors)
 
-    return {
+    # The JSON round trip turns tuple defaults into lists and copies the
+    # caller's values.
+    resolved = json.loads(json.dumps({
         "scenario": scenario,
-        "seeds": list(seeds),
-        "output_dir": raw.get("output_dir", os.path.join("runs", scenario)),
+        "seeds": seeds,
+        "output_dir": output_dir,
         "eval_every": eval_every,
         "ablation": sorted(ablation),
         "dataset": dataset,
         "train": train,
-    }
+    }))
+    try:
+        ds = build_dataset(resolved, seeds[0])
+    except (ValueError, OSError) as exc:
+        _fail([_field_message("dataset", exc, dataset)])
+    # Built without the ablation flags, which overwrite threshold and
+    # alpha_max with valid values and would hide a bad one.
+    try:
+        init_train_state(build_train_config(dict(resolved, ablation=[]), seeds[0]), ds)
+    except ValueError as exc:
+        _fail([_field_message("train", exc, train)])
+    return resolved
 
 
 def config_hash(resolved: dict) -> str:
@@ -228,7 +240,6 @@ def config_hash(resolved: dict) -> str:
 
 def build_train_config(resolved: dict, seed: int) -> TrainConfig:
     train = dict(resolved["train"])
-    train["hidden_layers"] = tuple(train["hidden_layers"])
     flags = resolved["ablation"]
     if "no_Lc" in flags:
         train["use_clustering"] = False
@@ -244,28 +255,7 @@ def build_train_config(resolved: dict, seed: int) -> TrainConfig:
 
 
 def build_dataset(resolved: dict, seed: int) -> DomainDataset:
-    params = dict(resolved["dataset"])
-    data_seed = derive_seed(seed, 1)
-    scenario = resolved["scenario"]
-    if scenario == "imbalanced_gaussians":
-        return make_imbalanced_gaussians(seed=data_seed, **params)
-    if scenario == "multimode":
-        return make_multimode_domains(seed=data_seed, **params)
-    src_x, src_y = load_idx(
-        params["source_images"], params["source_labels"],
-        params["source_subsample"], derive_seed(data_seed, 0),
-    )
-    tgt_x, tgt_y = load_idx(
-        params["target_images"], params["target_labels"],
-        params["target_subsample"], derive_seed(data_seed, 1),
-    )
-    if src_x.shape[1] != tgt_x.shape[1]:
-        raise ConfigError(
-            f"dataset: image dims differ between domains "
-            f"({src_x.shape[1]} vs {tgt_x.shape[1]}); re-encode to a shared size"
-        )
-    num_classes = int(max(src_y.max(), tgt_y.max())) + 1
-    return DomainDataset(src_x, src_y, tgt_x, tgt_y, num_classes)
+    return LOADERS[resolved["scenario"]](seed=derive_seed(seed, 1), **resolved["dataset"])
 
 
 def _fmt(value) -> str:
@@ -357,6 +347,13 @@ def _load_config(path):
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
+def _parse_seeds(text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError("--seed-override: expected comma-separated integers")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="clusteralign",
@@ -375,7 +372,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        resolved = resolve_config(_load_config(args.config))
+        raw = _load_config(args.config)
+        if args.command == "run" and args.seed_override and isinstance(raw, dict):
+            raw["seeds"] = _parse_seeds(args.seed_override)
+        resolved = resolve_config(raw)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
@@ -384,19 +384,9 @@ def main(argv=None) -> int:
         print(json.dumps(resolved, indent=2, sort_keys=True))
         return 0
 
-    if args.seed_override:
-        try:
-            resolved["seeds"] = [int(s) for s in args.seed_override.split(",")]
-        except ValueError:
-            print("invalid --seed-override: expected comma-separated integers", file=sys.stderr)
-            return 2
     output_dir = args.output_dir or resolved["output_dir"]
-
     try:
         summary = run_experiment(resolved, output_dir)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
     except (TrainingAbort, OSError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from clusteralign.network import as_matrix
-from clusteralign.seeding import seeded_rng
+from clusteralign.seeding import derive_seed, seeded_rng
 
 
 class FormatError(ValueError):
@@ -63,14 +63,16 @@ def make_imbalanced_gaussians(
     same-class source cluster, so matching the marginals mass-for-mass
     must drag the large target cluster onto the wrong class.
     """
-    if n_major < 1 or n_minor < 1:
-        raise ValueError("class counts must be at least 1")
+    for name, count in (("n_major", n_major), ("n_minor", n_minor)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     source_means = np.asarray(source_means, dtype=np.float64)
     target_means = np.asarray(target_means, dtype=np.float64)
-    if source_means.shape != (2, 2) or target_means.shape != (2, 2):
-        raise ValueError("means must be two 2-D points per domain")
+    for name, means in (("source_means", source_means), ("target_means", target_means)):
+        if means.shape != (2, 2):
+            raise ValueError(f"{name} must be two 2-D points")
 
     rng = seeded_rng(seed)
     dim = source_means.shape[1]
@@ -104,13 +106,13 @@ def _rotate(points, degrees):
 
 def make_multimode_domains(
     modes_per_class: int = 2,
-    rotation_deg: float = 30.0,
+    rotation_deg: float = 36.0,
     n_per_mode: int = 100,
-    sigma: float = 0.35,
+    sigma: float = 0.30,
     seed: int = 0,
     extra_mode: bool = True,
     ring_radius: float = 3.0,
-    extra_radius: float = 5.5,
+    extra_radius: float = 6.5,
 ) -> DomainDataset:
     """Two classes spread over several spatial modes per class.
 
@@ -248,9 +250,31 @@ def load_idx(images_path, labels_path, subsample: int, seed: int):
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels"
         )
     if not 1 <= subsample <= images.shape[0]:
-        raise ValueError("subsample must lie in [1, number of images]")
+        raise ValueError(f"subsample {subsample} must lie in [1, {images.shape[0]}], "
+                         f"the image count of {images_path}")
     picked = seeded_rng(seed).choice(images.shape[0], size=subsample, replace=False)
     return images[picked], labels[picked]
+
+
+def load_idx_domains(source_images, source_labels, target_images, target_labels,
+                     source_subsample: int = 2000, target_subsample: int = 1800,
+                     seed: int = 0) -> DomainDataset:
+    """Source and target domains from two IDX image/label pairs.
+
+    Both domains must share the image size; the class count covers the
+    labels of either domain.
+    """
+    src_x, src_y = load_idx(source_images, source_labels, source_subsample,
+                            derive_seed(seed, 0))
+    tgt_x, tgt_y = load_idx(target_images, target_labels, target_subsample,
+                            derive_seed(seed, 1))
+    if src_x.shape[1] != tgt_x.shape[1]:
+        raise ValueError(
+            f"image dims differ between domains "
+            f"({src_x.shape[1]} vs {tgt_x.shape[1]}); re-encode to a shared size"
+        )
+    num_classes = int(max(src_y.max(), tgt_y.max())) + 1
+    return DomainDataset(src_x, src_y, tgt_x, tgt_y, num_classes)
 
 
 def dump_dataset_csv(ds: DomainDataset, path):

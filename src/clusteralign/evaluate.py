@@ -16,7 +16,7 @@ from clusteralign.losses import (
     cross_entropy,
     domain_adversarial_loss,
 )
-from clusteralign.network import Network, forward
+from clusteralign.network import forward
 from clusteralign.seeding import derive_seed, seeded_rng
 from clusteralign.teacher import TeacherState, pi_predict, pseudo_labels
 
@@ -35,13 +35,6 @@ class RunMetrics:
     l_c: float
     l_a: float
     l_d: float
-
-
-def accuracy(net: Network, x, y) -> float:
-    """Fraction of eval-mode argmax predictions matching y."""
-    probs = forward(net, x, mode="eval").probabilities
-    predicted = np.argmax(probs, axis=1)
-    return float(np.mean(predicted == np.asarray(y)))
 
 
 def _kmeans_pp_centers(features, k, rng):
@@ -85,15 +78,6 @@ def _lloyd(features, k, seed, max_iters):
     return assignments, inertia
 
 
-def kmeans(features, k: int, seed: int, max_iters: int = 100):
-    """Lloyd's algorithm with k-means++ seeding; returns assignments."""
-    features = np.asarray(features, dtype=np.float64)
-    if k < 1 or k > features.shape[0]:
-        raise ValueError("k must lie in [1, number of points]")
-    assignments, _ = _lloyd(features, k, seed, max_iters)
-    return assignments
-
-
 def kmeans_best(features, k: int, seed: int, restarts: int = 5, max_iters: int = 100):
     """Lowest-inertia assignments over several seeded restarts."""
     features = np.asarray(features, dtype=np.float64)
@@ -132,18 +116,6 @@ def selection_rate(confidences, threshold: float) -> float:
     if conf.size == 0:
         return 0.0
     return float(np.mean(conf > threshold))
-
-
-def clustering_report(source_features, target_features, source_labels, target_labels,
-                      k: int, seed: int):
-    """Clustering accuracy on combined features and per domain."""
-    combined = np.vstack([source_features, target_features])
-    labels = np.concatenate([source_labels, target_labels])
-    return {
-        "combined": cluster_accuracy(kmeans_best(combined, k, derive_seed(seed, 0)), labels),
-        "source": cluster_accuracy(kmeans_best(source_features, k, derive_seed(seed, 1)), source_labels),
-        "target": cluster_accuracy(kmeans_best(target_features, k, derive_seed(seed, 2)), target_labels),
-    }
 
 
 def teacher_view(student, teacher: TeacherState, target_x, self_teacher: bool, seed: int):

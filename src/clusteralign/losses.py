@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from clusteralign.kernels import pairwise_margin_loss
-from clusteralign.network import GradientSet
 
 _EPS = 1e-12
+METRICS = ("sq_euclidean", "euclidean")
 
 # Counts how often a probability had to be clamped before a log. Purely a
 # monitoring aid; reset at will.
@@ -58,16 +58,12 @@ class PseudoLabeledBatch:
 
 @dataclass(frozen=True)
 class LossBundle:
-    """Scalar losses plus the gradients applied in one training step."""
+    """Scalar losses and the target selection count of one training step."""
 
     l_y: float
     l_c: float
     l_a: float
     l_d: float
-    d_logits_source: np.ndarray
-    d_features_source: np.ndarray
-    d_features_target: np.ndarray
-    critic_grads: GradientSet
     selection_count: int
 
 
@@ -99,7 +95,7 @@ def clustering_loss(batch: PseudoLabeledBatch, margin: float, metric: str = "sq_
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
-    if metric not in ("sq_euclidean", "euclidean"):
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     loss, grad = pairwise_margin_loss(
         batch.features, batch.labels, margin, squared=metric == "sq_euclidean"
@@ -171,15 +167,3 @@ def domain_adversarial_loss(source_critic_out, target_critic_out, target_confide
         loss += float(np.log(1.0 - c_tgt[selected]).sum() / n_sel)
         d_tgt[selected] = -1.0 / (n_sel * (1.0 - c_tgt[selected]))
     return loss, d_src, d_tgt, n_sel
-
-
-def total_objective(l_y, l_c, l_a, l_d, alpha: float, lam: float) -> float:
-    """The scalar the student descends: l_y + alpha*(l_c + l_a) + lam*l_d.
-
-    The adversarial term carries a positive sign here because the student
-    minimizes the discrepancy while the critic maximizes it; reporting
-    only, gradient composition lives in the trainer.
-    """
-    if alpha < 0 or lam < 0:
-        raise ValueError("alpha and lam must be nonnegative")
-    return float(l_y + alpha * (l_c + l_a) + lam * l_d)

@@ -68,11 +68,13 @@ class NetworkSpec:
         if any(s < 1 for s in sizes):
             raise ValueError("layer sizes must be positive")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"activation must be one of {', '.join(ACTIVATIONS)}; "
+                             f"got {self.activation!r}")
         if self.feature_tap not in FEATURE_TAPS:
-            raise ValueError(f"unknown feature_tap {self.feature_tap!r}")
+            raise ValueError(f"feature_tap must be one of {', '.join(FEATURE_TAPS)}; "
+                             f"got {self.feature_tap!r}")
         if self.head not in HEADS:
-            raise ValueError(f"unknown head {self.head!r}")
+            raise ValueError(f"head must be one of {', '.join(HEADS)}; got {self.head!r}")
         if self.head == "softmax" and sizes[-1] < 2:
             raise ValueError("softmax head needs at least 2 output units")
         if self.head == "sigmoid" and sizes[-1] != 1:
@@ -149,14 +151,6 @@ class GradientSet:
             tuple(a + b for a, b in zip(self.d_weights, other.d_weights)),
             tuple(a + b for a, b in zip(self.d_biases, other.d_biases)),
             d_input,
-        )
-
-    def scale(self, factor):
-        factor = float(factor)
-        return GradientSet(
-            tuple(factor * w for w in self.d_weights),
-            tuple(factor * b for b in self.d_biases),
-            None if self.d_input is None else factor * self.d_input,
         )
 
 

@@ -99,15 +99,3 @@ def pseudo_labels(state_or_probs):
     labels = np.argmax(probs, axis=1).astype(np.int64)
     confidences = probs[np.arange(probs.shape[0]), labels]
     return labels, confidences
-
-
-def dump_teacher_csv(state: TeacherState, path) -> None:
-    """Debug dump: sample index, corrected per-class probabilities, confidence."""
-    probs = corrected_probabilities(state)
-    labels, confidences = pseudo_labels(state) if state.mode == "temporal" else pseudo_labels(probs)
-    header = "index," + ",".join(f"p{k}" for k in range(probs.shape[1])) + ",confidence"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i, (row, conf) in enumerate(zip(probs, confidences)):
-            fh.write(str(i) + "," + ",".join(repr(float(v)) for v in row)
-                     + "," + repr(float(conf)) + "\n")

@@ -22,6 +22,7 @@ import numpy as np
 from clusteralign.data import BatchPair, DomainDataset, iterate_batches
 from clusteralign.evaluate import RunMetrics, snapshot
 from clusteralign.losses import (
+    METRICS,
     LossBundle,
     PseudoLabeledBatch,
     alignment_loss,
@@ -124,21 +125,28 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.pretrain_iters < 0 or self.total_iters <= self.pretrain_iters:
-            raise ValueError("need 0 <= pretrain_iters < total_iters")
+            raise ValueError("pretrain_iters must lie in [0, total_iters)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if self.margin <= 0:
+        if not self.margin > 0:
             raise ValueError("margin must be positive")
-        if self.batch_source < 1 or self.batch_target < 1:
-            raise ValueError("batch sizes must be at least 1")
-        if self.alpha_schedule not in ALPHA_SCHEDULES:
-            raise ValueError(f"unknown alpha_schedule {self.alpha_schedule!r}")
-        if self.lambda_schedule not in LAMBDA_SCHEDULES:
-            raise ValueError(f"unknown lambda_schedule {self.lambda_schedule!r}")
-        if self.teacher_mode not in TEACHER_MODES:
-            raise ValueError(f"unknown teacher_mode {self.teacher_mode!r}")
-        if self.alpha_max < 0 or self.lambda_max < 0:
-            raise ValueError("schedule maxima must be nonnegative")
+        if not self.lr_base > 0:
+            raise ValueError("lr_base must be positive")
+        for name in ("batch_source", "batch_target", "critic_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if any(size < 1 for size in self.hidden_layers):
+            raise ValueError("hidden_layers must hold sizes of at least 1")
+        for name, known in (("alpha_schedule", ALPHA_SCHEDULES),
+                            ("lambda_schedule", LAMBDA_SCHEDULES),
+                            ("teacher_mode", TEACHER_MODES),
+                            ("metric", METRICS)):
+            if getattr(self, name) not in known:
+                raise ValueError(f"{name} must be one of {', '.join(known)}; "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("alpha_max", "lambda_max"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
 
 
@@ -160,6 +168,10 @@ def resolve_feature_tap(cfg: TrainConfig, num_classes: int) -> str:
 
 
 def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
+    for name, rows in (("batch_source", ds.source_x.shape[0]),
+                       ("batch_target", ds.target_x.shape[0])):
+        if getattr(cfg, name) > rows:
+            raise ValueError(f"{name} must not exceed the {rows} samples of its domain")
     tap = resolve_feature_tap(cfg, ds.num_classes)
     student_spec = NetworkSpec(
         layer_sizes=(ds.source_x.shape[1], *cfg.hidden_layers, ds.num_classes),
@@ -301,14 +313,7 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
     new_student, new_student_opt = sgd_step(state.student, state.student_opt, student_grads, lr)
     new_critic, new_critic_opt = sgd_step(state.critic, state.critic_opt, critic_grads, lr)
 
-    bundle = LossBundle(
-        l_y=l_y, l_c=l_c, l_a=l_a, l_d=l_d,
-        d_logits_source=d_logits,
-        d_features_source=d_feat_src,
-        d_features_target=d_feat_tgt,
-        critic_grads=critic_grads,
-        selection_count=selected,
-    )
+    bundle = LossBundle(l_y=l_y, l_c=l_c, l_a=l_a, l_d=l_d, selection_count=selected)
     _check_losses(bundle, it)
 
     new_state = TrainState(

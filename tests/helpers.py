@@ -114,3 +114,15 @@ def ewma_oracle(predictions, decay):
     for j, p in enumerate(predictions, start=1):
         acc += decay ** (t - j) * (1.0 - decay) * p
     return acc / (1.0 - decay ** t)
+
+
+def total_objective(l_y, l_c, l_a, l_d, alpha: float, lam: float) -> float:
+    """The scalar the student descends: l_y + alpha*(l_c + l_a) + lam*l_d.
+
+    The adversarial term carries a positive sign here because the student
+    minimizes the discrepancy while the critic maximizes it; the oracle
+    the composed training gradient is checked against.
+    """
+    if alpha < 0 or lam < 0:
+        raise ValueError("alpha and lam must be nonnegative")
+    return float(l_y + alpha * (l_c + l_a) + lam * l_d)

@@ -16,6 +16,8 @@ from clusteralign.cli import (
     resolve_config,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def tiny_raw(**over):
     raw = {
@@ -85,6 +87,58 @@ class TestResolveConfig:
         a = config_hash(resolve_config({"scenario": "multimode"}))
         b = config_hash(resolve_config({"scenario": "multimode"}))
         assert a == b and len(a) == 64
+
+    @pytest.mark.parametrize("name, digest", [
+        ("imbalanced", "80d7fbf808332a99daec520c49140aa2355d0c714e4d452381d949e29492345e"),
+        ("imbalanced_marginal_only",
+         "dbef415831a4137e6d71577673ed4a82b523eb44d2f50a6610765c282959f3e1"),
+        ("multimode", "090266530c994ca2169851bba605d76d59cfdab712441dbf1f72ad4caaf61dbd"),
+    ])
+    def test_shipped_preset_hash_is_pinned(self, name, digest):
+        raw = json.loads((CONFIGS / f"{name}.json").read_text())
+        assert config_hash(resolve_config(raw)) == digest
+
+
+# Each probe is a malformed config that once passed `validate` or ended in
+# a traceback; the first element names the field the error must report.
+PROBES = [
+    ("train", {"train": []}),
+    ("dataset", {"dataset": []}),
+    ("train.hidden_layers", {"train": {"hidden_layers": 5}}),
+    ("dataset.n_major", {"dataset": {"n_major": "10"}}),
+    ("seeds", {"seeds": [-1]}),
+    ("train.lr_base", {"train": {"lr_base": -1}}),
+    ("train.decay", {"train": {"decay": 1.5}}),
+    ("train.momentum", {"train": {"momentum": 1.0}}),
+    ("train.dropout_rate", {"train": {"dropout_rate": 1.0}}),
+    ("train.activation", {"train": {"activation": "gelu"}}),
+    ("train.feature_tap", {"train": {"feature_tap": "middle"}}),
+    ("train.metric", {"train": {"metric": "cosine"}}),
+    ("train.batch_source", {"train": {"batch_source": 5000}}),
+    ("train.teacher_mode", {"train": {"teacher_mode": "ema"}}),
+    ("train.alpha_max", {"train": {"alpha_max": -1.0}}),
+    ("dataset.modes_per_class", {"scenario": "multimode", "dataset": {"modes_per_class": 1}}),
+    ("output_dir", {"output_dir": 5}),
+]
+
+
+def probe_raw(over):
+    """The tiny config with the probe's keys; a train probe keeps the
+    other tiny train values so that only the probed field is wrong."""
+    raw = tiny_raw(**over)
+    if isinstance(over.get("train"), dict):
+        raw["train"] = dict(tiny_raw()["train"], **over["train"])
+    return raw
+
+
+@pytest.mark.parametrize("field, over", PROBES, ids=[field for field, _ in PROBES])
+def test_malformed_value_exits_2_before_any_file(tmp_path, capsys, field, over):
+    path = write_config(tmp_path, probe_raw(over))
+    assert main(["validate", path]) == 2
+    assert field in capsys.readouterr().err
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestAblationFlags:
@@ -177,6 +231,15 @@ class TestRunCommand:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert list(summary["final_target_accuracy"]["per_seed"]) == ["7"]
         assert (out_dir / "metrics_7.csv").exists()
+
+    @pytest.mark.parametrize("override", ["-1", "0,x"])
+    def test_seed_override_is_checked_like_config_seeds(self, tmp_path, capsys, override):
+        path = write_config(tmp_path, tiny_raw())
+        out_dir = tmp_path / "out"
+        assert main(["run", path, f"--seed-override={override}",
+                     "--output-dir", str(out_dir)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_invalid_config_exits_2(self, tmp_path):
         path = write_config(tmp_path, tiny_raw(ablation=["bogus"]))

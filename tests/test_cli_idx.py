@@ -2,6 +2,7 @@ import json
 import struct
 
 import numpy as np
+import pytest
 
 from clusteralign.cli import main
 from clusteralign.seeding import seeded_rng
@@ -73,3 +74,30 @@ def test_idx_digits_dim_mismatch_fails_cleanly(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     assert "image dims differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["missing", "truncated"])
+def test_idx_digits_unreadable_file_exits_2(tmp_path, capsys, broken):
+    src_images, src_labels = make_digit_idx(tmp_path, "src", shift=0.0)
+    tgt_images, tgt_labels = make_digit_idx(tmp_path, "tgt", shift=25.0)
+    if broken == "missing":
+        tgt_labels += ".missing"
+    else:
+        with open(tgt_labels, "r+b") as fh:
+            fh.truncate(6)
+    config = {
+        "scenario": "idx_digits",
+        "seeds": [0],
+        "dataset": {
+            "source_images": src_images, "source_labels": src_labels,
+            "target_images": tgt_images, "target_labels": tgt_labels,
+            "source_subsample": 50, "target_subsample": 50,
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 2
+    assert tgt_labels in capsys.readouterr().err
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert tgt_labels in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

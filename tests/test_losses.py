@@ -9,11 +9,10 @@ from clusteralign.losses import (
     cross_entropy,
     domain_adversarial_loss,
     reset_clamp_events,
-    total_objective,
 )
 from clusteralign.seeding import seeded_rng
 
-from helpers import brute_force_alignment, brute_force_clustering
+from helpers import brute_force_alignment, brute_force_clustering, total_objective
 
 
 def batch(features, labels, k=2, conf=None):

@@ -5,7 +5,6 @@ from clusteralign.network import NetworkSpec, forward, init_network
 from clusteralign.seeding import seeded_rng
 from clusteralign.teacher import (
     corrected_probabilities,
-    dump_teacher_csv,
     init_teacher,
     pi_predict,
     pseudo_labels,
@@ -139,14 +138,3 @@ class TestPseudoLabels:
         labels, conf = pseudo_labels(probs)
         assert np.all(conf == probs.max(axis=1))
         assert np.all((conf >= 0.0) & (conf <= 1.0))
-
-
-def test_teacher_csv_dump(tmp_path):
-    state = init_teacher("temporal", 2, 2, decay=0.6)
-    state = temporal_update(state, [0], np.array([[1.0, 0.0]]))
-    path = tmp_path / "teacher.csv"
-    dump_teacher_csv(state, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "index,p0,p1,confidence"
-    assert lines[1] == "0,1.0,0.0,1.0"
-    assert lines[2] == "1,0.0,0.0,0.0"
