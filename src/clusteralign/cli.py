@@ -51,13 +51,15 @@ LOADERS = {
     "idx_digits": load_idx_domains,
 }
 SCENARIOS = tuple(LOADERS)
-ABLATION_FLAGS = (
-    "no_Lc",
-    "no_La",
-    "no_rRevGrad_threshold",
-    "no_teacher",
-    "marginal_only",
-)
+# Each ablation flag as the TrainConfig fields it overrides.
+ABLATIONS = {
+    "no_Lc": {"use_clustering": False},
+    "no_La": {"use_alignment": False},
+    "no_rRevGrad_threshold": {"threshold": 0.0},
+    "no_teacher": {"self_teacher": True},
+    "marginal_only": {"alpha_max": 0.0},
+}
+ABLATION_FLAGS = tuple(ABLATIONS)
 
 METRICS_HEADER = (
     "iteration,target_acc,source_acc,cluster_acc,jsd_proxy,"
@@ -240,17 +242,8 @@ def config_hash(resolved: dict) -> str:
 
 def build_train_config(resolved: dict, seed: int) -> TrainConfig:
     train = dict(resolved["train"])
-    flags = resolved["ablation"]
-    if "no_Lc" in flags:
-        train["use_clustering"] = False
-    if "no_La" in flags:
-        train["use_alignment"] = False
-    if "no_rRevGrad_threshold" in flags:
-        train["threshold"] = 0.0
-    if "no_teacher" in flags:
-        train["self_teacher"] = True
-    if "marginal_only" in flags:
-        train["alpha_max"] = 0.0
+    for flag in resolved["ablation"]:
+        train.update(ABLATIONS[flag])
     return TrainConfig(seed=derive_seed(seed, 2), **train)
 
 
@@ -284,10 +277,7 @@ def write_features_csv(state, cfg, ds, path) -> None:
     trace_tgt = forward(state.student, ds.target_x, mode="eval")
     src_pred = np.argmax(trace_src.probabilities, axis=1)
     src_conf = trace_src.probabilities[np.arange(len(src_pred)), src_pred]
-    tgt_labels, tgt_conf = teacher_view(
-        state.student, state.teacher, ds.target_x, cfg.self_teacher,
-        derive_seed(cfg.seed, 23, state.iteration),
-    )
+    tgt_labels, tgt_conf = teacher_view(state, cfg, ds.target_x)
     dim = trace_src.features.shape[1]
     header = "domain,true_class,pseudo_class,confidence," + ",".join(
         f"f{i}" for i in range(dim)

@@ -5,6 +5,7 @@ calling them twice yields identical arrays. Target labels are carried for
 evaluation only; training code never reads them.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -210,31 +211,23 @@ def _read_be32(blob, offset, path):
     return struct.unpack_from(">i", blob, offset)[0]
 
 
-def _read_idx_images(path):
-    blob = open(path, "rb").read()
-    magic = _read_be32(blob, 0, path)
-    if magic != _IDX_IMAGE_MAGIC:
-        raise FormatError(f"{path}: bad image magic 0x{magic:08x} at byte 0")
-    count = _read_be32(blob, 4, path)
-    rows = _read_be32(blob, 8, path)
-    cols = _read_be32(blob, 12, path)
-    need = 16 + count * rows * cols
+def _read_idx(path, magic, kind, dims):
+    """The header sizes and the flat uint8 payload of one IDX file.
+
+    The header is the magic followed by `dims` sizes; the payload holds
+    their product of bytes.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    found = _read_be32(blob, 0, path)
+    if found != magic:
+        raise FormatError(f"{path}: bad {kind} magic 0x{found:08x} at byte 0")
+    sizes = tuple(_read_be32(blob, 4 * i, path) for i in range(1, dims + 1))
+    offset = 4 * (dims + 1)
+    need = offset + math.prod(sizes)
     if len(blob) < need:
         raise FormatError(f"{path}: truncated at byte {len(blob)}, expected {need}")
-    pixels = np.frombuffer(blob, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-
-
-def _read_idx_labels(path):
-    blob = open(path, "rb").read()
-    magic = _read_be32(blob, 0, path)
-    if magic != _IDX_LABEL_MAGIC:
-        raise FormatError(f"{path}: bad label magic 0x{magic:08x} at byte 0")
-    count = _read_be32(blob, 4, path)
-    need = 8 + count
-    if len(blob) < need:
-        raise FormatError(f"{path}: truncated at byte {len(blob)}, expected {need}")
-    return np.frombuffer(blob, dtype=np.uint8, count=count, offset=8).astype(np.int64)
+    return sizes, np.frombuffer(blob, dtype=np.uint8, count=need - offset, offset=offset)
 
 
 def load_idx(images_path, labels_path, subsample: int, seed: int):
@@ -243,8 +236,10 @@ def load_idx(images_path, labels_path, subsample: int, seed: int):
     subsample rows are drawn without replacement; passing the full size
     returns a seeded permutation of everything.
     """
-    images = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
+    (count, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGE_MAGIC, "image", 3)
+    images = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    _, labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, "label", 1)
+    labels = labels.astype(np.int64)
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels"

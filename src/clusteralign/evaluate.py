@@ -18,7 +18,7 @@ from clusteralign.losses import (
 )
 from clusteralign.network import forward
 from clusteralign.seeding import derive_seed, seeded_rng
-from clusteralign.teacher import TeacherState, pi_predict, pseudo_labels
+from clusteralign.teacher import corrected_probabilities, pi_predict, pseudo_labels
 
 
 @dataclass(frozen=True)
@@ -118,60 +118,66 @@ def selection_rate(confidences, threshold: float) -> float:
     return float(np.mean(conf > threshold))
 
 
-def teacher_view(student, teacher: TeacherState, target_x, self_teacher: bool, seed: int):
-    """Full-target-set teacher labels and confidences for an eval point."""
-    if self_teacher:
-        probs = forward(student, target_x, mode="eval").probabilities
-        return pseudo_labels(probs)
-    if teacher.mode == "pi":
-        return pseudo_labels(pi_predict(student, target_x, seed))
-    return pseudo_labels(teacher)
+def teacher_view(state, cfg, target_x):
+    """Full-target-set teacher labels and confidences of a training state.
+
+    state is a trainer.TrainState and cfg its TrainConfig. The Pi
+    teacher's dropout pass is seeded by (cfg.seed, 23, state.iteration),
+    so every view of one state sees the same labels.
+    """
+    seed = derive_seed(cfg.seed, 23, state.iteration)
+    if cfg.self_teacher:
+        probs = forward(state.student, target_x, mode="eval").probabilities
+    elif state.teacher.mode == "pi":
+        probs = pi_predict(state.student, target_x, seed)
+    else:
+        probs = corrected_probabilities(state.teacher)
+    return pseudo_labels(probs)
 
 
-def snapshot(iteration, student, critic, teacher, ds, threshold, margin, metric,
-             self_teacher, seed) -> RunMetrics:
+def snapshot(state, cfg, ds) -> RunMetrics:
     """Evaluate one training state on the full dataset.
 
-    The logged l_d applies the current confidence selection; the JSD
-    proxy is computed from a separate all-selected pass so the monitor
-    stays comparable across training.
+    state is a trainer.TrainState and cfg its TrainConfig. The logged l_d
+    applies the current confidence selection; the JSD proxy is computed
+    from a separate all-selected pass so the monitor stays comparable
+    across training.
     """
-    trace_src = forward(student, ds.source_x, mode="eval")
-    trace_tgt = forward(student, ds.target_x, mode="eval")
+    trace_src = forward(state.student, ds.source_x, mode="eval")
+    trace_tgt = forward(state.student, ds.target_x, mode="eval")
 
     src_acc = float(np.mean(np.argmax(trace_src.probabilities, axis=1) == ds.source_y))
     tgt_acc = float(np.mean(np.argmax(trace_tgt.probabilities, axis=1) == ds.target_y_hidden))
 
-    labels, confidences = teacher_view(
-        student, teacher, ds.target_x, self_teacher, derive_seed(seed, 23, iteration)
-    )
+    labels, confidences = teacher_view(state, cfg, ds.target_x)
 
     l_y, _ = cross_entropy(trace_src.probabilities, ds.source_y)
     src_batch = PseudoLabeledBatch(
         trace_src.features, ds.source_y, np.ones(len(ds.source_y)), ds.num_classes
     )
     tgt_batch = PseudoLabeledBatch(trace_tgt.features, labels, confidences, ds.num_classes)
-    l_c_src, _ = clustering_loss(src_batch, margin, metric)
-    l_c_tgt, _ = clustering_loss(tgt_batch, margin, metric)
+    l_c_src, _ = clustering_loss(src_batch, cfg.margin, cfg.metric)
+    l_c_tgt, _ = clustering_loss(tgt_batch, cfg.margin, cfg.metric)
     l_a, _, _ = alignment_loss(src_batch, tgt_batch)
 
-    c_src = forward(critic, trace_src.features, mode="eval").probabilities[:, 0]
-    c_tgt = forward(critic, trace_tgt.features, mode="eval").probabilities[:, 0]
-    l_d, _, _, _ = domain_adversarial_loss(c_src, c_tgt, confidences, threshold)
+    c_src = forward(state.critic, trace_src.features, mode="eval").probabilities[:, 0]
+    c_tgt = forward(state.critic, trace_tgt.features, mode="eval").probabilities[:, 0]
+    l_d, _, _, _ = domain_adversarial_loss(c_src, c_tgt, confidences, cfg.threshold)
     l_d_all, _, _, _ = domain_adversarial_loss(c_src, c_tgt, np.ones_like(c_tgt), 0.0)
 
     combined = np.vstack([trace_src.features, trace_tgt.features])
     true_labels = np.concatenate([ds.source_y, ds.target_y_hidden])
-    assignments = kmeans_best(combined, ds.num_classes, derive_seed(seed, 29, iteration))
+    assignments = kmeans_best(combined, ds.num_classes,
+                              derive_seed(cfg.seed, 29, state.iteration))
     cluster_acc = cluster_accuracy(assignments, true_labels)
 
     return RunMetrics(
-        iteration=int(iteration),
+        iteration=int(state.iteration),
         target_accuracy=tgt_acc,
         source_accuracy=src_acc,
         clustering_accuracy=cluster_acc,
         jsd_proxy=jsd_proxy(l_d_all),
-        selection_rate=selection_rate(confidences, threshold),
+        selection_rate=selection_rate(confidences, cfg.threshold),
         l_y=l_y,
         l_c=l_c_src + l_c_tgt,
         l_a=l_a,

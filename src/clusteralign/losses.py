@@ -14,25 +14,6 @@ from clusteralign.kernels import pairwise_margin_loss
 _EPS = 1e-12
 METRICS = ("sq_euclidean", "euclidean")
 
-# Counts how often a probability had to be clamped before a log. Purely a
-# monitoring aid; reset at will.
-_clamp_events = 0
-
-
-def clamp_events() -> int:
-    return _clamp_events
-
-
-def reset_clamp_events() -> None:
-    global _clamp_events
-    _clamp_events = 0
-
-
-def _note_clamped(count):
-    global _clamp_events
-    if count:
-        _clamp_events += int(count)
-
 
 @dataclass(frozen=True)
 class PseudoLabeledBatch:
@@ -71,15 +52,12 @@ def cross_entropy(probabilities, labels):
     """Mean negative log-likelihood and its gradient w.r.t. the logits.
 
     d_logits = (p - onehot(y)) / N, the exact gradient through the
-    softmax. Probabilities below 1e-12 are clamped before the log and
-    counted via clamp_events().
+    softmax. Probabilities below 1e-12 are clamped before the log.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     n = p.shape[0]
     picked = p[np.arange(n), y]
-    clamped = picked < _EPS
-    _note_clamped(clamped.sum())
     loss = -np.log(np.maximum(picked, _EPS)).mean()
     d_logits = p.copy()
     d_logits[np.arange(n), y] -= 1.0

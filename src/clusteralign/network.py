@@ -102,7 +102,6 @@ class Network:
     spec: NetworkSpec
     weights: tuple
     biases: tuple
-    rng_seed: int
 
     @property
     def num_layers(self):
@@ -118,7 +117,6 @@ class ForwardTrace:
     dropout masks per hidden layer and is None when dropout was inactive.
     """
 
-    mode: str
     inputs: tuple
     pre_activations: tuple
     masks: tuple
@@ -130,8 +128,8 @@ class ForwardTrace:
 class GradientSet:
     """Per-parameter gradients plus the gradient w.r.t. the input batch.
 
-    Adding two sets sums the parameter gradients; d_input survives only
-    when both operands came from the same input batch shape.
+    Adding two sets sums the parameter gradients; the sum carries no
+    d_input, since its operands may come from different input batches.
     """
 
     d_weights: tuple
@@ -139,18 +137,10 @@ class GradientSet:
     d_input: np.ndarray
 
     def __add__(self, other):
-        if (
-            self.d_input is not None
-            and other.d_input is not None
-            and self.d_input.shape == other.d_input.shape
-        ):
-            d_input = self.d_input + other.d_input
-        else:
-            d_input = None
         return GradientSet(
             tuple(a + b for a, b in zip(self.d_weights, other.d_weights)),
             tuple(a + b for a, b in zip(self.d_biases, other.d_biases)),
-            d_input,
+            None,
         )
 
 
@@ -161,7 +151,6 @@ class OptimizerState:
     buffers_w: tuple
     buffers_b: tuple
     momentum: float = 0.9
-    base_lr: float = 0.01
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
@@ -174,17 +163,16 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
         s = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return Network(spec, tuple(weights), tuple(biases), int(seed))
+    return Network(spec, tuple(weights), tuple(biases))
 
 
-def init_optimizer(net: Network, momentum: float = 0.9, base_lr: float = 0.01) -> OptimizerState:
+def init_optimizer(net: Network, momentum: float = 0.9) -> OptimizerState:
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must lie in [0, 1)")
     return OptimizerState(
         tuple(np.zeros_like(w) for w in net.weights),
         tuple(np.zeros_like(b) for b in net.biases),
         float(momentum),
-        float(base_lr),
     )
 
 
@@ -260,7 +248,6 @@ def forward(net: Network, x, mode: str = "eval", noise_seed: int = 0) -> Forward
         probs = _sigmoid(logits)
     features = logits if spec.feature_tap == "logits" else inputs[-1]
     return ForwardTrace(
-        mode=mode,
         inputs=tuple(inputs),
         pre_activations=tuple(pre_acts),
         masks=tuple(masks) if use_dropout else None,
@@ -355,8 +342,8 @@ def sgd_step(net: Network, state: OptimizerState, grads: GradientSet, lr: float)
     new_w = tuple(w - lr * b for w, b in zip(net.weights, new_buf_w))
     new_b = tuple(bb - lr * b for bb, b in zip(net.biases, new_buf_b))
     return (
-        Network(net.spec, new_w, new_b, net.rng_seed),
-        OptimizerState(new_buf_w, new_buf_b, m, state.base_lr),
+        Network(net.spec, new_w, new_b),
+        OptimizerState(new_buf_w, new_buf_b, m),
     )
 
 
@@ -378,7 +365,7 @@ def _perturbed(net: Network, kind, layer, flat_index, delta):
         arr = biases[layer].copy()
         arr.flat[flat_index] += delta
         biases[layer] = arr
-    return Network(net.spec, tuple(weights), tuple(biases), net.rng_seed)
+    return Network(net.spec, tuple(weights), tuple(biases))
 
 
 def finite_diff_check(net: Network, loss_fn, grads: GradientSet, h: float = 1e-5,

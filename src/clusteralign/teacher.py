@@ -13,6 +13,8 @@ import numpy as np
 
 from clusteralign.network import Network, forward
 
+TEACHER_MODES = ("pi", "temporal")
+
 
 @dataclass(frozen=True)
 class TeacherState:
@@ -22,7 +24,7 @@ class TeacherState:
     decay: float = 0.6
 
     def __post_init__(self):
-        if self.mode not in ("pi", "temporal"):
+        if self.mode not in TEACHER_MODES:
             raise ValueError(f"unknown teacher mode {self.mode!r}")
         if not 0.0 <= self.decay < 1.0:
             raise ValueError("decay must lie in [0, 1)")
@@ -84,18 +86,14 @@ def corrected_probabilities(state: TeacherState, indices=None) -> np.ndarray:
     return probs
 
 
-def pseudo_labels(state_or_probs):
-    """Argmax labels and max-probability confidences.
+def pseudo_labels(probabilities):
+    """Argmax labels and max-probability confidences of a probability matrix.
 
-    Accepts either a temporal TeacherState (read with bias correction) or
-    a raw probability matrix. Ties break toward the smallest class id.
-    Temporal rows never updated report label 0 with confidence 0, which
-    cannot occur for a real probability row.
+    Ties break toward the smallest class id. Temporal rows never updated
+    (all zero in corrected_probabilities) report label 0 with confidence
+    0, which cannot occur for a real probability row.
     """
-    if isinstance(state_or_probs, TeacherState):
-        probs = corrected_probabilities(state_or_probs)
-    else:
-        probs = np.asarray(state_or_probs, dtype=np.float64)
+    probs = np.asarray(probabilities, dtype=np.float64)
     labels = np.argmax(probs, axis=1).astype(np.int64)
     confidences = probs[np.arange(probs.shape[0]), labels]
     return labels, confidences

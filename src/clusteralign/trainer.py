@@ -15,7 +15,7 @@ seeded from the config seed and the iteration counter.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from clusteralign.losses import (
     domain_adversarial_loss,
 )
 from clusteralign.network import (
+    FEATURE_TAPS,
     Network,
     NetworkSpec,
     OptimizerState,
@@ -43,6 +44,7 @@ from clusteralign.network import (
 )
 from clusteralign.seeding import derive_seed
 from clusteralign.teacher import (
+    TEACHER_MODES,
     TeacherState,
     corrected_probabilities,
     init_teacher,
@@ -53,7 +55,6 @@ from clusteralign.teacher import (
 
 ALPHA_SCHEDULES = ("logistic", "exp_ramp", "constant")
 LAMBDA_SCHEDULES = ("same_as_alpha", "constant")
-TEACHER_MODES = ("pi", "temporal")
 
 
 class TrainingAbort(RuntimeError):
@@ -147,6 +148,10 @@ class TrainConfig:
         for name in ("alpha_max", "lambda_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if self.feature_tap not in ("",) + FEATURE_TAPS:
+            raise ValueError(f"feature_tap must be one of {', '.join(FEATURE_TAPS)} or \"\" "
+                             f"(automatic: logits for 2 classes, penultimate otherwise); "
+                             f"got {self.feature_tap!r}")
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
 
 
@@ -158,7 +163,6 @@ class TrainState:
     critic_opt: OptimizerState
     teacher: TeacherState
     iteration: int = 0
-    metrics: list = field(default_factory=list)
 
 
 def resolve_feature_tap(cfg: TrainConfig, num_classes: int) -> str:
@@ -194,8 +198,8 @@ def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
     return TrainState(
         student=student,
         critic=critic,
-        student_opt=init_optimizer(student, cfg.momentum, cfg.lr_base),
-        critic_opt=init_optimizer(critic, cfg.momentum, cfg.lr_base),
+        student_opt=init_optimizer(student, cfg.momentum),
+        critic_opt=init_optimizer(critic, cfg.momentum),
         teacher=teacher,
     )
 
@@ -323,7 +327,6 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
         critic_opt=new_critic_opt,
         teacher=new_teacher,
         iteration=it + 1,
-        metrics=state.metrics,
     )
     return new_state, bundle
 
@@ -354,18 +357,7 @@ def _check_losses(bundle, iteration):
 
 def _snapshot(state: TrainState, cfg: TrainConfig, ds: DomainDataset) -> RunMetrics:
     _check_parameters(state)
-    return snapshot(
-        iteration=state.iteration,
-        student=state.student,
-        critic=state.critic,
-        teacher=state.teacher,
-        ds=ds,
-        threshold=cfg.threshold,
-        margin=cfg.margin,
-        metric=cfg.metric,
-        self_teacher=cfg.self_teacher,
-        seed=cfg.seed,
-    )
+    return snapshot(state, cfg, ds)
 
 
 def run_training(cfg: TrainConfig, ds: DomainDataset, eval_every: int):
@@ -377,7 +369,7 @@ def run_training(cfg: TrainConfig, ds: DomainDataset, eval_every: int):
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
     state = init_train_state(cfg, ds)
-    state.metrics.append(_snapshot(state, cfg, ds))
+    metrics = [_snapshot(state, cfg, ds)]
     batch_seed = derive_seed(cfg.seed, 17)
     epoch = 0
     while state.iteration < cfg.total_iters:
@@ -386,10 +378,10 @@ def run_training(cfg: TrainConfig, ds: DomainDataset, eval_every: int):
                 break
             state, _ = train_step(state, pair, cfg)
             if state.iteration % eval_every == 0:
-                state.metrics.append(_snapshot(state, cfg, ds))
+                metrics.append(_snapshot(state, cfg, ds))
         epoch += 1
     _check_parameters(state)
-    return state, list(state.metrics)
+    return state, metrics
 
 
 def train(cfg: TrainConfig, ds: DomainDataset, eval_every: int):

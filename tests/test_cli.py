@@ -141,6 +141,14 @@ def test_malformed_value_exits_2_before_any_file(tmp_path, capsys, field, over):
     assert not (tmp_path / "out").exists()
 
 
+def test_feature_tap_message_names_the_automatic_choice(tmp_path, capsys):
+    path = write_config(tmp_path, probe_raw({"train": {"feature_tap": "middle"}}))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert 'train.feature_tap must be one of penultimate, logits or ""' in err
+    assert "automatic" in err
+
+
 class TestAblationFlags:
     def test_marginal_only_zeroes_alpha(self):
         resolved = resolve_config(tiny_raw(ablation=["marginal_only"]))
@@ -223,6 +231,23 @@ class TestRunCommand:
         assert main(["run", path, "--output-dir", str(dir_b)]) == 0
         for name in ("metrics_0.csv", "features_0.csv", "dataset_0.csv", "summary.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_features_agree_with_last_selection_rate(self, tmp_path):
+        # Each Pi teacher view draws its own dropout pass, so the features
+        # file and the last metrics row agree only when both read the
+        # state's evaluation seed.
+        raw = tiny_raw()
+        raw["train"] = dict(raw["train"], teacher_mode="pi", dropout_rate=0.3, threshold=0.7)
+        path = write_config(tmp_path, raw)
+        out_dir = tmp_path / "out"
+        assert main(["run", path, "--output-dir", str(out_dir)]) == 0
+        last = (out_dir / "metrics_0.csv").read_text().strip().split("\n")[-1].split(",")
+        features = (out_dir / "features_0.csv").read_text().strip().split("\n")[1:]
+        target = [float(row.split(",")[3]) for row in features if row.startswith("target,")]
+        assert int(last[0]) == 30
+        rate = float(last[5])
+        assert 0.0 < rate < 1.0
+        assert sum(c > 0.7 for c in target) / len(target) == rate
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, tiny_raw())

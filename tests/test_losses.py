@@ -4,11 +4,9 @@ import pytest
 from clusteralign.losses import (
     PseudoLabeledBatch,
     alignment_loss,
-    clamp_events,
     clustering_loss,
     cross_entropy,
     domain_adversarial_loss,
-    reset_clamp_events,
 )
 from clusteralign.seeding import seeded_rng
 
@@ -39,12 +37,10 @@ class TestCrossEntropy:
         assert loss == pytest.approx(-np.log(0.8), abs=1e-12)
         assert np.allclose(d_logits, [[-0.2, 0.2]], atol=1e-12)
 
-    def test_clamp_counter(self):
-        reset_clamp_events()
-        cross_entropy(np.array([[1.0, 0.0]]), np.array([1]))
-        assert clamp_events() == 1
-        reset_clamp_events()
-        assert clamp_events() == 0
+    def test_zero_probability_is_clamped(self):
+        loss, d_logits = cross_entropy(np.array([[1.0, 0.0]]), np.array([1]))
+        assert loss == -np.log(1e-12)
+        assert np.array_equal(d_logits, [[1.0, -1.0]])
 
 
 class TestClusteringLoss:

@@ -23,7 +23,7 @@ from helpers import kink_free_instance, margin_safe_labels
 def test_zero_network_is_uniform():
     spec = NetworkSpec((3, 2))
     net = init_network(spec, 0)
-    net = Network(spec, tuple(np.zeros_like(w) for w in net.weights), net.biases, 0)
+    net = Network(spec, tuple(np.zeros_like(w) for w in net.weights), net.biases)
     trace = forward(net, np.ones((4, 3)), mode="eval")
     assert np.allclose(trace.probabilities, 0.5)
 

@@ -48,7 +48,7 @@ class TestTemporalEnsemble:
         state = temporal_update(state, [0], np.array([[0.0, 1.0]]))
         assert np.allclose(state.ensemble[0], [0.24, 0.4], atol=1e-12)
         assert np.allclose(corrected_probabilities(state)[0], [0.375, 0.625], atol=1e-12)
-        labels, conf = pseudo_labels(state)
+        labels, conf = pseudo_labels(corrected_probabilities(state))
         assert labels[0] == 1
         assert conf[0] == pytest.approx(0.625, abs=1e-12)
 
@@ -127,7 +127,7 @@ class TestPseudoLabels:
     def test_unseen_temporal_rows_flagged_by_zero_confidence(self):
         state = init_teacher("temporal", 2, 2)
         state = temporal_update(state, [1], np.array([[0.2, 0.8]]))
-        labels, conf = pseudo_labels(state)
+        labels, conf = pseudo_labels(corrected_probabilities(state))
         assert labels[0] == 0 and conf[0] == 0.0
         assert labels[1] == 1 and conf[1] > 0.0
 

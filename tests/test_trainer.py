@@ -133,7 +133,7 @@ class TestTrainStep:
         bad = list(state.student.weights)
         bad[0] = bad[0].copy()
         bad[0][0, 0] = np.nan
-        state.student = Network(state.student.spec, tuple(bad), state.student.biases, 0)
+        state.student = Network(state.student.spec, tuple(bad), state.student.biases)
         with pytest.raises(TrainingAbort) as err:
             train_step(state, first_batch(ds, cfg), cfg)
         assert "iteration" in err.value.details
