@@ -40,8 +40,6 @@ from clusteralign.data import (
     make_imbalanced_gaussians,
     make_multimode_domains,
 )
-from clusteralign.evaluate import teacher_view
-from clusteralign.network import forward
 from clusteralign.seeding import derive_seed
 from clusteralign.trainer import TrainConfig, TrainingAbort, init_train_state, run_training
 
@@ -181,6 +179,8 @@ def resolve_config(raw: dict) -> dict:
     seeds = raw.get("seeds", [0, 1, 2])
     if not (_fits(seeds, [0]) and seeds and min(seeds) >= 0):
         errors.append("seeds: must be a non-empty list of nonnegative integers")
+    elif len(set(seeds)) < len(seeds):
+        errors.append(f"seeds: must be distinct; got {seeds!r}")
 
     output_dir = raw.get("output_dir", os.path.join("runs", scenario))
     if not isinstance(output_dir, str) or not output_dir:
@@ -271,22 +271,21 @@ def write_metrics_csv(metrics, path) -> None:
             )
 
 
-def write_features_csv(state, cfg, ds, path) -> None:
-    """Final eval-mode features with true labels and teacher annotations."""
-    trace_src = forward(state.student, ds.source_x, mode="eval")
-    trace_tgt = forward(state.student, ds.target_x, mode="eval")
-    src_pred = np.argmax(trace_src.probabilities, axis=1)
-    src_conf = trace_src.probabilities[np.arange(len(src_pred)), src_pred]
-    tgt_labels, tgt_conf = teacher_view(state, cfg, ds.target_x)
-    dim = trace_src.features.shape[1]
+def write_features_csv(view, ds, path) -> None:
+    """A run's final eval-mode features (an evaluate.StateView) with true
+    labels and teacher annotations."""
+    src_pred = np.argmax(view.source_probabilities, axis=1)
+    src_conf = view.source_probabilities[np.arange(len(src_pred)), src_pred]
+    dim = view.source_features.shape[1]
     header = "domain,true_class,pseudo_class,confidence," + ",".join(
         f"f{i}" for i in range(dim)
     )
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for domain, feats, true_y, pseudo, conf in (
-            ("source", trace_src.features, ds.source_y, src_pred, src_conf),
-            ("target", trace_tgt.features, ds.target_y_hidden, tgt_labels, tgt_conf),
+            ("source", view.source_features, ds.source_y, src_pred, src_conf),
+            ("target", view.target_features, ds.target_y_hidden,
+             view.teacher_labels, view.teacher_confidences),
         ):
             for row, y, p_cls, c in zip(feats, true_y, pseudo, conf):
                 fh.write(
@@ -302,9 +301,9 @@ def run_experiment(resolved: dict, output_dir: str) -> dict:
         ds = build_dataset(resolved, seed)
         cfg = build_train_config(resolved, seed)
         dump_dataset_csv(ds, os.path.join(output_dir, f"dataset_{seed}.csv"))
-        state, metrics = run_training(cfg, ds, resolved["eval_every"])
+        _, metrics, view = run_training(cfg, ds, resolved["eval_every"])
         write_metrics_csv(metrics, os.path.join(output_dir, f"metrics_{seed}.csv"))
-        write_features_csv(state, cfg, ds, os.path.join(output_dir, f"features_{seed}.csv"))
+        write_features_csv(view, ds, os.path.join(output_dir, f"features_{seed}.csv"))
         finals[str(seed)] = metrics[-1].target_accuracy
 
     values = np.array(list(finals.values()))

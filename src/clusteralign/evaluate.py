@@ -118,30 +118,27 @@ def selection_rate(confidences, threshold: float) -> float:
     return float(np.mean(conf > threshold))
 
 
-def teacher_view(state, cfg, target_x):
-    """Full-target-set teacher labels and confidences of a training state.
+@dataclass(frozen=True)
+class StateView:
+    """The full-dataset arrays of one evaluated state that the features
+    export writes."""
+
+    source_features: np.ndarray
+    source_probabilities: np.ndarray
+    target_features: np.ndarray
+    teacher_labels: np.ndarray
+    teacher_confidences: np.ndarray
+
+
+def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
+    """Evaluate one training state on the full dataset; returns its
+    RunMetrics and StateView.
 
     state is a trainer.TrainState and cfg its TrainConfig. The Pi
-    teacher's dropout pass is seeded by (cfg.seed, 23, state.iteration),
-    so every view of one state sees the same labels.
-    """
-    seed = derive_seed(cfg.seed, 23, state.iteration)
-    if cfg.self_teacher:
-        probs = forward(state.student, target_x, mode="eval").probabilities
-    elif state.teacher.mode == "pi":
-        probs = pi_predict(state.student, target_x, seed)
-    else:
-        probs = corrected_probabilities(state.teacher)
-    return pseudo_labels(probs)
-
-
-def snapshot(state, cfg, ds) -> RunMetrics:
-    """Evaluate one training state on the full dataset.
-
-    state is a trainer.TrainState and cfg its TrainConfig. The logged l_d
-    applies the current confidence selection; the JSD proxy is computed
-    from a separate all-selected pass so the monitor stays comparable
-    across training.
+    teacher's dropout pass is seeded by (cfg.seed, 23, state.iteration).
+    The logged l_d applies the current confidence selection; the JSD proxy
+    is computed from a separate all-selected pass so the monitor stays
+    comparable across training.
     """
     trace_src = forward(state.student, ds.source_x, mode="eval")
     trace_tgt = forward(state.student, ds.target_x, mode="eval")
@@ -149,13 +146,18 @@ def snapshot(state, cfg, ds) -> RunMetrics:
     src_acc = float(np.mean(np.argmax(trace_src.probabilities, axis=1) == ds.source_y))
     tgt_acc = float(np.mean(np.argmax(trace_tgt.probabilities, axis=1) == ds.target_y_hidden))
 
-    labels, confidences = teacher_view(state, cfg, ds.target_x)
+    if cfg.self_teacher:
+        teacher_probs = trace_tgt.probabilities
+    elif state.teacher.mode == "pi":
+        teacher_probs = pi_predict(state.student, ds.target_x,
+                                   derive_seed(cfg.seed, 23, state.iteration))
+    else:
+        teacher_probs = corrected_probabilities(state.teacher)
+    labels, confidences = pseudo_labels(teacher_probs)
 
     l_y, _ = cross_entropy(trace_src.probabilities, ds.source_y)
-    src_batch = PseudoLabeledBatch(
-        trace_src.features, ds.source_y, np.ones(len(ds.source_y)), ds.num_classes
-    )
-    tgt_batch = PseudoLabeledBatch(trace_tgt.features, labels, confidences, ds.num_classes)
+    src_batch = PseudoLabeledBatch(trace_src.features, ds.source_y, ds.num_classes)
+    tgt_batch = PseudoLabeledBatch(trace_tgt.features, labels, ds.num_classes)
     l_c_src, _ = clustering_loss(src_batch, cfg.margin, cfg.metric)
     l_c_tgt, _ = clustering_loss(tgt_batch, cfg.margin, cfg.metric)
     l_a, _, _ = alignment_loss(src_batch, tgt_batch)
@@ -171,7 +173,7 @@ def snapshot(state, cfg, ds) -> RunMetrics:
                               derive_seed(cfg.seed, 29, state.iteration))
     cluster_acc = cluster_accuracy(assignments, true_labels)
 
-    return RunMetrics(
+    metrics = RunMetrics(
         iteration=int(state.iteration),
         target_accuracy=tgt_acc,
         source_accuracy=src_acc,
@@ -183,3 +185,6 @@ def snapshot(state, cfg, ds) -> RunMetrics:
         l_a=l_a,
         l_d=l_d,
     )
+    view = StateView(trace_src.features, trace_src.probabilities, trace_tgt.features,
+                     labels, confidences)
+    return metrics, view

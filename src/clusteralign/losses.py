@@ -17,15 +17,14 @@ METRICS = ("sq_euclidean", "euclidean")
 
 @dataclass(frozen=True)
 class PseudoLabeledBatch:
-    """Features with per-sample class labels and label confidences.
+    """Features with per-sample class labels.
 
-    Labels are ground truth for source batches (confidence 1.0) and
-    teacher-assigned for target batches.
+    Labels are ground truth for source batches and teacher-assigned for
+    target batches.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    confidences: np.ndarray
     num_classes: int
 
     def __post_init__(self):

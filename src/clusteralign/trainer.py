@@ -14,13 +14,14 @@ A whole run is a pure function of (config, dataset): every random draw is
 seeded from the config seed and the iteration counter.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from clusteralign.data import BatchPair, DomainDataset, iterate_batches
-from clusteralign.evaluate import RunMetrics, snapshot
+from clusteralign.evaluate import snapshot
 from clusteralign.losses import (
     METRICS,
     LossBundle,
@@ -145,7 +146,7 @@ class TrainConfig:
             if getattr(self, name) not in known:
                 raise ValueError(f"{name} must be one of {', '.join(known)}; "
                                  f"got {getattr(self, name)!r}")
-        for name in ("alpha_max", "lambda_max"):
+        for name in ("alpha_max", "lambda_max", "ramp_length"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.feature_tap not in ("",) + FEATURE_TAPS:
@@ -248,8 +249,8 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
     """One optimization step; returns the advanced state and its losses.
 
     The parameters are checked on entry and the losses after the update;
-    the parameters a step produces are checked when the next step, a
-    snapshot or the end of the run reads them.
+    the parameters a step produces are checked when the next step or a
+    snapshot reads them (every run ends on a snapshot).
     """
     _check_parameters(state)
     it = state.iteration
@@ -272,10 +273,8 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
     l_y, d_logits = cross_entropy(trace_src.probabilities, batch.source_y)
 
     num_classes = state.student.spec.output_dim
-    src_batch = PseudoLabeledBatch(
-        trace_src.features, batch.source_y, np.ones(len(batch.source_y)), num_classes
-    )
-    tgt_batch = PseudoLabeledBatch(trace_tgt.features, tgt_labels, tgt_conf, num_classes)
+    src_batch = PseudoLabeledBatch(trace_src.features, batch.source_y, num_classes)
+    tgt_batch = PseudoLabeledBatch(trace_tgt.features, tgt_labels, num_classes)
 
     l_c_src, g_c_src = clustering_loss(src_batch, cfg.margin, cfg.metric)
     l_c_tgt, g_c_tgt = clustering_loss(tgt_batch, cfg.margin, cfg.metric)
@@ -355,36 +354,32 @@ def _check_losses(bundle, iteration):
         )
 
 
-def _snapshot(state: TrainState, cfg: TrainConfig, ds: DomainDataset) -> RunMetrics:
-    _check_parameters(state)
-    return snapshot(state, cfg, ds)
-
-
 def run_training(cfg: TrainConfig, ds: DomainDataset, eval_every: int):
-    """Train to completion; returns (final state, metrics log).
+    """Train to completion; returns (final state, metrics log, final view).
 
-    The log holds one entry for iteration 0 and one after every
-    eval_every-th step.
+    The log holds one entry for iteration 0, one after every eval_every-th
+    step and one for the final state; the final view is that state's
+    evaluate.StateView.
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
-    state = init_train_state(cfg, ds)
-    metrics = [_snapshot(state, cfg, ds)]
     batch_seed = derive_seed(cfg.seed, 17)
-    epoch = 0
-    while state.iteration < cfg.total_iters:
-        for pair in iterate_batches(ds, cfg.batch_source, cfg.batch_target, batch_seed, epoch):
-            if state.iteration >= cfg.total_iters:
-                break
-            state, _ = train_step(state, pair, cfg)
-            if state.iteration % eval_every == 0:
-                metrics.append(_snapshot(state, cfg, ds))
-        epoch += 1
-    _check_parameters(state)
-    return state, metrics
+    batches = itertools.chain.from_iterable(
+        iterate_batches(ds, cfg.batch_source, cfg.batch_target, batch_seed, epoch)
+        for epoch in itertools.count()
+    )
+    state = init_train_state(cfg, ds)
+    metrics = []
+    while True:
+        if state.iteration % eval_every == 0 or state.iteration == cfg.total_iters:
+            _check_parameters(state)
+            row, view = snapshot(state, cfg, ds)
+            metrics.append(row)
+        if state.iteration == cfg.total_iters:
+            return state, metrics, view
+        state, _ = train_step(state, next(batches), cfg)
 
 
 def train(cfg: TrainConfig, ds: DomainDataset, eval_every: int):
     """Run the full schedule and return the metrics log."""
-    _, metrics = run_training(cfg, ds, eval_every)
-    return metrics
+    return run_training(cfg, ds, eval_every)[1]

@@ -165,13 +165,13 @@ def test_criterion_3_gradient_correctness():
         trace = forward(net, x, "train", noise)
         labels = margin_safe_labels(trace.features, rng, 3, margin=3.0,
                                     squared=True, guard=0.15)
-        pl = PseudoLabeledBatch(trace.features, labels, np.ones(len(labels)), 3)
+        pl = PseudoLabeledBatch(trace.features, labels, 3)
         _, d_feats = clustering_loss(pl, 3.0)
         grads = backward(net, trace, d_feats, "features")
 
         def lc_loss(c, x=x, noise=noise, labels=labels):
             feats = forward(c, x, "train", noise).features
-            b = PseudoLabeledBatch(feats, labels, np.ones(len(labels)), 3)
+            b = PseudoLabeledBatch(feats, labels, 3)
             return clustering_loss(b, 3.0)[0]
 
         worst["l_c"] = max(worst["l_c"], finite_diff_check(
@@ -191,8 +191,8 @@ def test_criterion_3_gradient_correctness():
         yt = rng.integers(3, size=9)
         tr_s = forward(net, xs, "train", noise_s)
         tr_t = forward(net, xt, "train", noise_t)
-        pls = PseudoLabeledBatch(tr_s.features, ys, np.ones(7), 3)
-        plt = PseudoLabeledBatch(tr_t.features, yt, np.ones(9), 3)
+        pls = PseudoLabeledBatch(tr_s.features, ys, 3)
+        plt = PseudoLabeledBatch(tr_t.features, yt, 3)
         _, d_s, d_t = alignment_loss(pls, plt)
         grads = backward(net, tr_s, d_s, "features") + backward(net, tr_t, d_t, "features")
 
@@ -200,8 +200,8 @@ def test_criterion_3_gradient_correctness():
             fs = forward(c, xs, "train", noise_s).features
             ft = forward(c, xt, "train", noise_t).features
             return alignment_loss(
-                PseudoLabeledBatch(fs, ys, np.ones(len(ys)), 3),
-                PseudoLabeledBatch(ft, yt, np.ones(len(yt)), 3),
+                PseudoLabeledBatch(fs, ys, 3),
+                PseudoLabeledBatch(ft, yt, 3),
             )[0]
 
         worst["l_a"] = max(worst["l_a"], finite_diff_check(
@@ -245,7 +245,7 @@ def test_criterion_4_loss_oracles():
         labels = rng.integers(3, size=n)
         metric = "sq_euclidean" if i % 2 == 0 else "euclidean"
         loss, _ = clustering_loss(
-            PseudoLabeledBatch(feats, labels, np.ones(n), 3), 2.5, metric
+            PseudoLabeledBatch(feats, labels, 3), 2.5, metric
         )
         oracle = brute_force_clustering(feats, labels, 2.5, squared=metric == "sq_euclidean")
         worst_cluster = max(worst_cluster, abs(loss - oracle))
@@ -258,17 +258,17 @@ def test_criterion_4_loss_oracles():
         sf, tf = rng.normal(size=(ns, d)), rng.normal(size=(nt, d))
         sl, tl = rng.integers(3, size=ns), rng.integers(3, size=nt)
         loss, _, _ = alignment_loss(
-            PseudoLabeledBatch(sf, sl, np.ones(ns), 3),
-            PseudoLabeledBatch(tf, tl, np.ones(nt), 3),
+            PseudoLabeledBatch(sf, sl, 3),
+            PseudoLabeledBatch(tf, tl, 3),
         )
         worst_align = max(worst_align, abs(loss - brute_force_alignment(sf, sl, tf, tl, 3)))
 
     # Absent-class removal: class 1 in source only; the present class-0 term
     # (squared mean gap 1.0) stands alone.
     src = PseudoLabeledBatch(
-        np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]]), np.array([0, 0, 1]), np.ones(3), 2
+        np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]]), np.array([0, 0, 1]), 2
     )
-    tgt = PseudoLabeledBatch(np.array([[0.0, 0.0]]), np.array([0]), np.ones(1), 2)
+    tgt = PseudoLabeledBatch(np.array([[0.0, 0.0]]), np.array([0]), 2)
     absent_loss, _, _ = alignment_loss(src, tgt)
     absent_err = abs(absent_loss - 1.0)
 

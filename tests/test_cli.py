@@ -119,6 +119,7 @@ PROBES = [
     ("train.alpha_max", {"train": {"alpha_max": -1.0}}),
     ("dataset.modes_per_class", {"scenario": "multimode", "dataset": {"modes_per_class": 1}}),
     ("output_dir", {"output_dir": 5}),
+    ("train.ramp_length", {"train": {"ramp_length": -5}}),
 ]
 
 
@@ -131,7 +132,9 @@ def probe_raw(over):
     return raw
 
 
-@pytest.mark.parametrize("field, over", PROBES, ids=[field for field, _ in PROBES])
+# A second probe of the seeds field takes its own id.
+@pytest.mark.parametrize("field, over", PROBES + [("seeds: must be distinct", {"seeds": [0, 0]})],
+                         ids=[field for field, _ in PROBES] + ["repeated_seeds"])
 def test_malformed_value_exits_2_before_any_file(tmp_path, capsys, field, over):
     path = write_config(tmp_path, probe_raw(over))
     assert main(["validate", path]) == 2
@@ -232,12 +235,16 @@ class TestRunCommand:
         for name in ("metrics_0.csv", "features_0.csv", "dataset_0.csv", "summary.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
-    def test_features_agree_with_last_selection_rate(self, tmp_path):
-        # Each Pi teacher view draws its own dropout pass, so the features
-        # file and the last metrics row agree only when both read the
-        # state's evaluation seed.
-        raw = tiny_raw()
-        raw["train"] = dict(raw["train"], teacher_mode="pi", dropout_rate=0.3, threshold=0.7)
+    @pytest.mark.parametrize("train, ablation", [
+        ({"teacher_mode": "pi", "dropout_rate": 0.3, "threshold": 0.7}, []),
+        ({"threshold": 0.8}, ["no_teacher"]),
+    ], ids=["pi", "no_teacher"])
+    def test_features_agree_with_last_selection_rate(self, tmp_path, train, ablation):
+        # The features file and the last metrics row must show one
+        # teacher view: a Pi teacher draws a dropout pass per view, and
+        # the self-teacher reads the student's eval forward.
+        raw = tiny_raw(ablation=ablation)
+        raw["train"] = dict(raw["train"], **train)
         path = write_config(tmp_path, raw)
         out_dir = tmp_path / "out"
         assert main(["run", path, "--output-dir", str(out_dir)]) == 0
@@ -247,7 +254,22 @@ class TestRunCommand:
         assert int(last[0]) == 30
         rate = float(last[5])
         assert 0.0 < rate < 1.0
-        assert sum(c > 0.7 for c in target) / len(target) == rate
+        assert sum(c > train["threshold"] for c in target) / len(target) == rate
+
+    def test_outputs_show_the_final_state_when_eval_every_does_not_divide(self, tmp_path):
+        raw = tiny_raw(eval_every=7)
+        raw["train"] = dict(raw["train"], threshold=0.7)
+        path = write_config(tmp_path, raw)
+        out_dir = tmp_path / "out"
+        assert main(["run", path, "--output-dir", str(out_dir)]) == 0
+        rows = (out_dir / "metrics_0.csv").read_text().strip().split("\n")[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [0, 7, 14, 21, 28, 30]
+        last = rows[-1].split(",")
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["final_target_accuracy"]["per_seed"]["0"] == float(last[1])
+        features = (out_dir / "features_0.csv").read_text().strip().split("\n")[1:]
+        target = [float(row.split(",")[3]) for row in features if row.startswith("target,")]
+        assert sum(c > 0.7 for c in target) / len(target) == float(last[5])
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, tiny_raw())
@@ -257,7 +279,7 @@ class TestRunCommand:
         assert list(summary["final_target_accuracy"]["per_seed"]) == ["7"]
         assert (out_dir / "metrics_7.csv").exists()
 
-    @pytest.mark.parametrize("override", ["-1", "0,x"])
+    @pytest.mark.parametrize("override", ["-1", "0,x", "0,0"])
     def test_seed_override_is_checked_like_config_seeds(self, tmp_path, capsys, override):
         path = write_config(tmp_path, tiny_raw())
         out_dir = tmp_path / "out"

@@ -13,12 +13,10 @@ from clusteralign.seeding import seeded_rng
 from helpers import brute_force_alignment, brute_force_clustering, total_objective
 
 
-def batch(features, labels, k=2, conf=None):
+def batch(features, labels, k=2):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if conf is None:
-        conf = np.ones(len(labels))
-    return PseudoLabeledBatch(features, labels, np.asarray(conf, float), k)
+    return PseudoLabeledBatch(features, labels, k)
 
 
 class TestCrossEntropy:

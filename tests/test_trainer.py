@@ -170,8 +170,8 @@ class TestTrainLoop:
         ds = tiny_dataset()
         cfg = tiny_config(total_iters=12, pretrain_iters=2)
         metrics = train(cfg, ds, eval_every=5)
-        assert len(metrics) == 12 // 5 + 1
-        assert [m.iteration for m in metrics] == [0, 5, 10]
+        assert len(metrics) == 12 // 5 + 2
+        assert [m.iteration for m in metrics] == [0, 5, 10, 12]
 
     def test_run_deterministic(self):
         ds = tiny_dataset()
@@ -199,8 +199,8 @@ class TestTrainLoop:
         cfg = tiny_config(total_iters=10, pretrain_iters=2)
         from clusteralign.trainer import run_training
 
-        state_a, metrics_a = run_training(cfg, ds, eval_every=10)
-        state_b, metrics_b = run_training(cfg, shuffled, eval_every=10)
+        state_a, metrics_a, _ = run_training(cfg, ds, eval_every=10)
+        state_b, metrics_b, _ = run_training(cfg, shuffled, eval_every=10)
         for a, b in zip(state_a.student.weights, state_b.student.weights):
             assert np.array_equal(a, b)
         assert metrics_a[-1].l_y == metrics_b[-1].l_y
@@ -224,8 +224,8 @@ def objective_at(student, critic, teacher, batch, cfg, iteration):
     trace_tgt = forward(student, batch.target_x, "train", derive_seed(cfg.seed, iteration, 2))
     labels, conf = pseudo_labels(corrected_probabilities(teacher)[batch.target_indices])
     k = student.spec.output_dim
-    src = PseudoLabeledBatch(trace_src.features, batch.source_y, np.ones(len(batch.source_y)), k)
-    tgt = PseudoLabeledBatch(trace_tgt.features, labels, conf, k)
+    src = PseudoLabeledBatch(trace_src.features, batch.source_y, k)
+    tgt = PseudoLabeledBatch(trace_tgt.features, labels, k)
     l_y, _ = cross_entropy(trace_src.probabilities, batch.source_y)
     l_c = clustering_loss(src, cfg.margin)[0] + clustering_loss(tgt, cfg.margin)[0]
     l_a, _, _ = alignment_loss(src, tgt)
