@@ -19,7 +19,6 @@ from clusteralign.network import (
     OptimizerState,
     ShapeError,
     backward,
-    finite_diff_check,
     forward,
     init_network,
     init_optimizer,
@@ -42,6 +41,7 @@ from clusteralign.losses import (
     clustering_loss,
     cross_entropy,
     domain_adversarial_loss,
+    objective,
 )
 from clusteralign.teacher import (
     TeacherState,

@@ -54,7 +54,7 @@ ABLATIONS = {
     "no_Lc": {"use_clustering": False},
     "no_La": {"use_alignment": False},
     "no_rRevGrad_threshold": {"threshold": 0.0},
-    "no_teacher": {"self_teacher": True},
+    "no_teacher": {"teacher_mode": "self"},
     "marginal_only": {"alpha_max": 0.0},
 }
 ABLATION_FLAGS = tuple(ABLATIONS)
@@ -65,7 +65,7 @@ METRICS_HEADER = (
 )
 
 # TrainConfig fields set from the seed and the ablation flags, not config keys.
-_FLAG_FIELDS = ("seed", "use_clustering", "use_alignment", "self_teacher")
+_FLAG_FIELDS = ("seed", "use_clustering", "use_alignment")
 
 # Margins pair with the feature tap: logit features take the large margin
 # tuned on the synthetic tasks, penultimate features keep the small one.
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
 
     try:
         raw = _load_config(args.config)
-        if args.command == "run" and args.seed_override and isinstance(raw, dict):
+        if args.command == "run" and args.seed_override is not None and isinstance(raw, dict):
             raw["seeds"] = _parse_seeds(args.seed_override)
         resolved = resolve_config(raw)
     except ConfigError as exc:

@@ -9,13 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from clusteralign.kernels import kmeans_assign
-from clusteralign.losses import (
-    PseudoLabeledBatch,
-    alignment_loss,
-    clustering_loss,
-    cross_entropy,
-    domain_adversarial_loss,
-)
+from clusteralign.losses import domain_adversarial_loss, objective
 from clusteralign.network import forward
 from clusteralign.seeding import derive_seed, seeded_rng
 from clusteralign.teacher import corrected_probabilities, pi_predict, pseudo_labels
@@ -146,25 +140,18 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
     src_acc = float(np.mean(np.argmax(trace_src.probabilities, axis=1) == ds.source_y))
     tgt_acc = float(np.mean(np.argmax(trace_tgt.probabilities, axis=1) == ds.target_y_hidden))
 
-    if cfg.self_teacher:
+    if cfg.teacher_mode == "self":
         teacher_probs = trace_tgt.probabilities
-    elif state.teacher.mode == "pi":
+    elif cfg.teacher_mode == "pi":
         teacher_probs = pi_predict(state.student, ds.target_x,
                                    derive_seed(cfg.seed, 23, state.iteration))
     else:
         teacher_probs = corrected_probabilities(state.teacher)
     labels, confidences = pseudo_labels(teacher_probs)
 
-    l_y, _ = cross_entropy(trace_src.probabilities, ds.source_y)
-    src_batch = PseudoLabeledBatch(trace_src.features, ds.source_y, ds.num_classes)
-    tgt_batch = PseudoLabeledBatch(trace_tgt.features, labels, ds.num_classes)
-    l_c_src, _ = clustering_loss(src_batch, cfg.margin, cfg.metric)
-    l_c_tgt, _ = clustering_loss(tgt_batch, cfg.margin, cfg.metric)
-    l_a, _, _ = alignment_loss(src_batch, tgt_batch)
-
-    c_src = forward(state.critic, trace_src.features, mode="eval").probabilities[:, 0]
-    c_tgt = forward(state.critic, trace_tgt.features, mode="eval").probabilities[:, 0]
-    l_d, _, _, _ = domain_adversarial_loss(c_src, c_tgt, confidences, cfg.threshold)
+    bundle, grads = objective(trace_src, trace_tgt, ds.source_y, labels, confidences,
+                              state.critic, cfg)
+    c_src, c_tgt = (trace.probabilities[:, 0] for trace in grads.critic_traces)
     l_d_all, _, _, _ = domain_adversarial_loss(c_src, c_tgt, np.ones_like(c_tgt), 0.0)
 
     combined = np.vstack([trace_src.features, trace_tgt.features])
@@ -180,10 +167,10 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
         clustering_accuracy=cluster_acc,
         jsd_proxy=jsd_proxy(l_d_all),
         selection_rate=selection_rate(confidences, cfg.threshold),
-        l_y=l_y,
-        l_c=l_c_src + l_c_tgt,
-        l_a=l_a,
-        l_d=l_d,
+        l_y=bundle.l_y,
+        l_c=bundle.l_c,
+        l_a=bundle.l_a,
+        l_d=bundle.l_d,
     )
     view = StateView(trace_src.features, trace_src.probabilities, trace_tgt.features,
                      labels, confidences)

@@ -6,7 +6,9 @@ pair's squared distance carries an absolute error of a few ulps of
 ||a||^2 + ||b||^2. Where that is too coarse, the exact quantity is taken
 from explicit differences: near-duplicate pairs under the euclidean
 metric, whose gradient weight 1/dist would amplify it, and the k-means
-inertia. Results are bit-reproducible for a given numpy and BLAS build.
+inertia. Results are bit-reproducible for a given numpy and BLAS build at
+a fixed BLAS thread count: a multithreaded matmul may split its sums
+differently.
 """
 
 import numpy as np

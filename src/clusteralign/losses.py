@@ -3,6 +3,8 @@
 Each loss returns its scalar value together with the gradient w.r.t. the
 quantity it consumes (logits, features, or critic outputs); composing
 those with the network backward pass yields exact parameter gradients.
+The training step and the evaluation snapshot both take them from
+`objective`.
 """
 
 from dataclasses import dataclass
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from clusteralign.kernels import pairwise_margin_loss
+from clusteralign.network import forward
 
 _EPS = 1e-12
 METRICS = ("sq_euclidean", "euclidean")
@@ -45,6 +48,18 @@ class LossBundle:
     l_a: float
     l_d: float
     selection_count: int
+
+
+@dataclass(frozen=True)
+class ObjectiveGradients:
+    """Input-side gradients of one objective; each pair is (source, target).
+    d_critic_out is d(l_d)/d(critic output) of each critic trace."""
+
+    d_logits: np.ndarray
+    d_clustering: tuple
+    d_alignment: tuple
+    critic_traces: tuple
+    d_critic_out: tuple
 
 
 def cross_entropy(probabilities, labels):
@@ -144,3 +159,32 @@ def domain_adversarial_loss(source_critic_out, target_critic_out, target_confide
         loss += float(np.log(1.0 - c_tgt[selected]).sum() / n_sel)
         d_tgt[selected] = -1.0 / (n_sel * (1.0 - c_tgt[selected]))
     return loss, d_src, d_tgt, n_sel
+
+
+def objective(source_trace, target_trace, source_y, target_labels, target_confidences,
+              critic, cfg):
+    """The four losses of a pair of student traces, which the student
+    descends as l_y + alpha*(l_c + l_a) + lam*l_d.
+
+    Target labels and confidences are the teacher's; the critic (no
+    dropout) runs one eval pass per domain. cfg is a trainer.TrainConfig.
+    Returns (LossBundle, ObjectiveGradients).
+    """
+    num_classes = source_trace.probabilities.shape[1]
+    src = PseudoLabeledBatch(source_trace.features, source_y, num_classes)
+    tgt = PseudoLabeledBatch(target_trace.features, target_labels, num_classes)
+    l_y, d_logits = cross_entropy(source_trace.probabilities, source_y)
+    l_c_src, g_c_src = clustering_loss(src, cfg.margin, cfg.metric)
+    l_c_tgt, g_c_tgt = clustering_loss(tgt, cfg.margin, cfg.metric)
+    l_a, g_a_src, g_a_tgt = alignment_loss(src, tgt)
+    critic_src = forward(critic, source_trace.features)
+    critic_tgt = forward(critic, target_trace.features)
+    l_d, d_out_src, d_out_tgt, selected = domain_adversarial_loss(
+        critic_src.probabilities[:, 0], critic_tgt.probabilities[:, 0],
+        target_confidences, cfg.threshold,
+    )
+    bundle = LossBundle(l_y=l_y, l_c=l_c_src + l_c_tgt, l_a=l_a, l_d=l_d,
+                        selection_count=selected)
+    grads = ObjectiveGradients(d_logits, (g_c_src, g_c_tgt), (g_a_src, g_a_tgt),
+                               (critic_src, critic_tgt), (d_out_src, d_out_tgt))
+    return bundle, grads

@@ -1,10 +1,12 @@
 """The teacher classifier: an implicit ensemble of the student.
 
-Two modes. "pi" re-runs the student with fresh dropout noise and uses
-that second pass as the teacher prediction. "temporal" keeps a decayed
-running average of past student predictions per target sample, read back
-with bias correction so early averages are not shrunk toward zero.
-Gradients never flow through teacher predictions.
+Three modes (TrainConfig.teacher_mode). "pi" re-runs the student with
+fresh dropout noise and uses that second pass as the teacher prediction.
+"temporal" keeps a decayed running average of past student predictions
+per target sample, read back with bias correction so early averages are
+not shrunk toward zero. "self", the no_teacher ablation, uses the
+student's own prediction. Gradients never flow through teacher
+predictions.
 """
 
 from dataclasses import dataclass
@@ -13,26 +15,22 @@ import numpy as np
 
 from clusteralign.network import Network, forward
 
-TEACHER_MODES = ("pi", "temporal")
+TEACHER_MODES = ("pi", "temporal", "self")
 
 
 @dataclass(frozen=True)
 class TeacherState:
-    mode: str
     ensemble: np.ndarray
     step_counts: np.ndarray
     decay: float = 0.6
 
     def __post_init__(self):
-        if self.mode not in TEACHER_MODES:
-            raise ValueError(f"unknown teacher mode {self.mode!r}")
         if not 0.0 <= self.decay < 1.0:
             raise ValueError("decay must lie in [0, 1)")
 
 
-def init_teacher(mode: str, num_target: int, num_classes: int, decay: float = 0.6) -> TeacherState:
+def init_teacher(num_target: int, num_classes: int, decay: float = 0.6) -> TeacherState:
     return TeacherState(
-        mode,
         np.zeros((num_target, num_classes)),
         np.zeros(num_target, dtype=np.int64),
         float(decay),
@@ -54,8 +52,6 @@ def temporal_update(state: TeacherState, indices, probabilities) -> TeacherState
     ensemble[i] <- decay * ensemble[i] + (1 - decay) * p[i] for each
     batch sample, and its update count increments.
     """
-    if state.mode != "temporal":
-        raise ValueError("temporal_update requires a temporal-mode teacher")
     idx = np.asarray(indices, dtype=np.int64)
     probs = np.asarray(probabilities, dtype=np.float64)
     if idx.shape[0] != probs.shape[0]:
@@ -66,7 +62,7 @@ def temporal_update(state: TeacherState, indices, probabilities) -> TeacherState
     counts = state.step_counts.copy()
     ensemble[idx] = state.decay * ensemble[idx] + (1.0 - state.decay) * probs
     counts[idx] += 1
-    return TeacherState(state.mode, ensemble, counts, state.decay)
+    return TeacherState(ensemble, counts, state.decay)
 
 
 def corrected_probabilities(state: TeacherState, indices=None) -> np.ndarray:

@@ -22,15 +22,7 @@ import numpy as np
 
 from clusteralign.data import BatchPair, DomainDataset, iterate_batches
 from clusteralign.evaluate import snapshot
-from clusteralign.losses import (
-    METRICS,
-    LossBundle,
-    PseudoLabeledBatch,
-    alignment_loss,
-    clustering_loss,
-    cross_entropy,
-    domain_adversarial_loss,
-)
+from clusteralign.losses import METRICS, objective
 from clusteralign.network import (
     FEATURE_TAPS,
     Network,
@@ -96,7 +88,8 @@ class TrainConfig:
 
     The schedule weights alpha (clustering + alignment) and lam
     (adversarial) are exactly zero while iteration < pretrain_iters. The
-    use_* switches and self_teacher exist for ablations.
+    use_* switches and teacher_mode "self" (the student labels its own
+    targets) exist for ablations.
     """
 
     total_iters: int = 5000
@@ -123,7 +116,6 @@ class TrainConfig:
     metric: str = "sq_euclidean"
     use_clustering: bool = True
     use_alignment: bool = True
-    self_teacher: bool = False
 
     def __post_init__(self):
         if self.pretrain_iters < 0 or self.total_iters <= self.pretrain_iters:
@@ -193,9 +185,7 @@ def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
     )
     student = init_network(student_spec, derive_seed(cfg.seed, 11))
     critic = init_network(critic_spec, derive_seed(cfg.seed, 13))
-    teacher = init_teacher(
-        cfg.teacher_mode, ds.target_x.shape[0], ds.num_classes, cfg.decay
-    )
+    teacher = init_teacher(ds.target_x.shape[0], ds.num_classes, cfg.decay)
     return TrainState(
         student=student,
         critic=critic,
@@ -226,23 +216,12 @@ def schedule_weights(cfg: TrainConfig, iteration: int):
     return alpha, lam
 
 
-def _noise_seed(net: Network, cfg: TrainConfig, it: int, slot: int) -> int:
-    """The dropout seed of one train-mode pass, derived only when the
-    network draws a mask (forward ignores the seed otherwise)."""
-    if net.spec.dropout_rate > 0.0:
-        return derive_seed(cfg.seed, it, slot)
+def _noise_seed(state: TrainState, cfg: TrainConfig, slot: int) -> int:
+    """The dropout seed of one student train-mode pass, derived only when
+    the student draws a mask (forward ignores the seed otherwise)."""
+    if state.student.spec.dropout_rate > 0.0:
+        return derive_seed(cfg.seed, state.iteration, slot)
     return 0
-
-
-def _teacher_batch_view(state: TrainState, cfg: TrainConfig, batch: BatchPair,
-                        student_target_probs):
-    """Teacher probabilities for the target batch, read before any update."""
-    if cfg.self_teacher:
-        return student_target_probs
-    if cfg.teacher_mode == "pi":
-        return pi_predict(state.student, batch.target_x,
-                          _noise_seed(state.student, cfg, state.iteration, 3))
-    return corrected_probabilities(state.teacher, batch.target_indices)
 
 
 def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
@@ -257,66 +236,45 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
     alpha, lam = schedule_weights(cfg, it)
     lr = lr_schedule(it / cfg.total_iters, cfg.lr_base)
 
-    trace_src = forward(state.student, batch.source_x, "train",
-                        _noise_seed(state.student, cfg, it, 1))
-    trace_tgt = forward(state.student, batch.target_x, "train",
-                        _noise_seed(state.student, cfg, it, 2))
+    trace_src = forward(state.student, batch.source_x, "train", _noise_seed(state, cfg, 1))
+    trace_tgt = forward(state.student, batch.target_x, "train", _noise_seed(state, cfg, 2))
 
-    teacher_probs = _teacher_batch_view(state, cfg, batch, trace_tgt.probabilities)
+    # The teacher's view of the target batch is read before any update.
     new_teacher = state.teacher
-    if cfg.teacher_mode == "temporal" and not cfg.self_teacher:
+    if cfg.teacher_mode == "self":
+        teacher_probs = trace_tgt.probabilities
+    elif cfg.teacher_mode == "pi":
+        teacher_probs = pi_predict(state.student, batch.target_x, _noise_seed(state, cfg, 3))
+    else:
+        teacher_probs = corrected_probabilities(state.teacher, batch.target_indices)
         new_teacher = temporal_update(
             state.teacher, batch.target_indices, trace_tgt.probabilities
         )
     tgt_labels, tgt_conf = pseudo_labels(teacher_probs)
 
-    l_y, d_logits = cross_entropy(trace_src.probabilities, batch.source_y)
-
-    num_classes = state.student.spec.output_dim
-    src_batch = PseudoLabeledBatch(trace_src.features, batch.source_y, num_classes)
-    tgt_batch = PseudoLabeledBatch(trace_tgt.features, tgt_labels, num_classes)
-
-    l_c_src, g_c_src = clustering_loss(src_batch, cfg.margin, cfg.metric)
-    l_c_tgt, g_c_tgt = clustering_loss(tgt_batch, cfg.margin, cfg.metric)
-    l_c = l_c_src + l_c_tgt
-    l_a, g_a_src, g_a_tgt = alignment_loss(src_batch, tgt_batch)
-
-    critic_src = forward(state.critic, trace_src.features, "train",
-                         _noise_seed(state.critic, cfg, it, 4))
-    critic_tgt = forward(state.critic, trace_tgt.features, "train",
-                         _noise_seed(state.critic, cfg, it, 5))
-    l_d, d_out_src, d_out_tgt, selected = domain_adversarial_loss(
-        critic_src.probabilities[:, 0], critic_tgt.probabilities[:, 0],
-        tgt_conf, cfg.threshold,
-    )
+    bundle, grads = objective(trace_src, trace_tgt, batch.source_y, tgt_labels, tgt_conf,
+                              state.critic, cfg)
 
     # The critic descends the negated discrepancy (so it maximizes l_d);
     # the reversal connector then hands the student +lam * d(l_d)/d(features).
-    crit_gs_src = backward(state.critic, critic_src, -d_out_src[:, None], "probabilities")
-    crit_gs_tgt = backward(state.critic, critic_tgt, -d_out_tgt[:, None], "probabilities")
-    critic_grads = crit_gs_src + crit_gs_tgt
-    adv_src = reverse_gradient(crit_gs_src.d_input, lam)
-    adv_tgt = reverse_gradient(crit_gs_tgt.d_input, lam)
-
-    d_feat_src = adv_src.copy()
-    d_feat_tgt = adv_tgt.copy()
-    if cfg.use_clustering:
-        d_feat_src += alpha * g_c_src
-        d_feat_tgt += alpha * g_c_tgt
-    if cfg.use_alignment:
-        d_feat_src += alpha * g_a_src
-        d_feat_tgt += alpha * g_a_tgt
-
-    student_grads = backward(state.student, trace_src, d_logits, "logits")
-    if np.any(d_feat_src):
-        student_grads = student_grads + backward(state.student, trace_src, d_feat_src, "features")
-    if np.any(d_feat_tgt):
-        student_grads = student_grads + backward(state.student, trace_tgt, d_feat_tgt, "features")
+    student_grads = backward(state.student, trace_src, grads.d_logits, "logits")
+    critic_parts = []
+    for trace, critic_trace, d_out, g_c, g_a in zip(
+            (trace_src, trace_tgt), grads.critic_traces, grads.d_critic_out,
+            grads.d_clustering, grads.d_alignment):
+        critic_part = backward(state.critic, critic_trace, -d_out[:, None], "probabilities")
+        critic_parts.append(critic_part)
+        d_feat = reverse_gradient(critic_part.d_input, lam)
+        if cfg.use_clustering:
+            d_feat += alpha * g_c
+        if cfg.use_alignment:
+            d_feat += alpha * g_a
+        if np.any(d_feat):
+            student_grads = student_grads + backward(state.student, trace, d_feat, "features")
+    critic_grads = critic_parts[0] + critic_parts[1]
 
     new_student, new_student_opt = sgd_step(state.student, state.student_opt, student_grads, lr)
     new_critic, new_critic_opt = sgd_step(state.critic, state.critic_opt, critic_grads, lr)
-
-    bundle = LossBundle(l_y=l_y, l_c=l_c, l_a=l_a, l_d=l_d, selection_count=selected)
     _check_losses(bundle, it)
 
     new_state = TrainState(

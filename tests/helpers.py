@@ -1,8 +1,9 @@
-"""Shared test utilities: kink-avoiding samplers and brute-force oracles."""
+"""Shared test utilities: kink-avoiding samplers, brute-force oracles and the
+finite-difference gradient check."""
 
 import numpy as np
 
-from clusteralign.network import NetworkSpec, forward, init_network
+from clusteralign.network import GradientSet, Network, NetworkSpec, forward, init_network
 from clusteralign.seeding import seeded_rng
 
 
@@ -126,3 +127,56 @@ def total_objective(l_y, l_c, l_a, l_d, alpha: float, lam: float) -> float:
     if alpha < 0 or lam < 0:
         raise ValueError("alpha and lam must be nonnegative")
     return float(l_y + alpha * (l_c + l_a) + lam * l_d)
+
+
+def _flat_views(net: Network):
+    for i, w in enumerate(net.weights):
+        yield ("w", i, w)
+    for i, b in enumerate(net.biases):
+        yield ("b", i, b)
+
+
+def _perturbed(net: Network, kind, layer, flat_index, delta):
+    weights = list(net.weights)
+    biases = list(net.biases)
+    if kind == "w":
+        arr = weights[layer].copy()
+        arr.flat[flat_index] += delta
+        weights[layer] = arr
+    else:
+        arr = biases[layer].copy()
+        arr.flat[flat_index] += delta
+        biases[layer] = arr
+    return Network(net.spec, tuple(weights), tuple(biases))
+
+
+def finite_diff_check(net: Network, loss_fn, grads: GradientSet, h: float = 1e-5,
+                      max_coords: int = 64, seed: int = 0) -> float:
+    """Worst relative error between analytic gradients and central differences.
+
+    loss_fn maps a Network to a scalar and must be deterministic (fix any
+    noise seeds inside it). A random subset of at most max_coords
+    parameter coordinates is probed; the relative error denominator is
+    max(|analytic|, |numeric|, 1e-8).
+    """
+    if not 0.0 < h <= 1e-3:
+        raise ValueError("h must lie in (0, 1e-3]")
+    coords = []
+    for kind, layer, arr in _flat_views(net):
+        for flat_index in range(arr.size):
+            coords.append((kind, layer, flat_index))
+    if len(coords) > max_coords:
+        rng = seeded_rng(seed)
+        picked = rng.choice(len(coords), size=max_coords, replace=False)
+        coords = [coords[i] for i in picked]
+
+    grad_lookup = {"w": grads.d_weights, "b": grads.d_biases}
+    worst = 0.0
+    for kind, layer, flat_index in coords:
+        analytic = float(grad_lookup[kind][layer].flat[flat_index])
+        up = loss_fn(_perturbed(net, kind, layer, flat_index, +h))
+        down = loss_fn(_perturbed(net, kind, layer, flat_index, -h))
+        numeric = (up - down) / (2.0 * h)
+        denom = max(abs(analytic), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic - numeric) / denom)
+    return worst

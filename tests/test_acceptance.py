@@ -24,7 +24,6 @@ from clusteralign.losses import (
 from clusteralign.network import (
     GradientSet,
     backward,
-    finite_diff_check,
     forward,
 )
 from clusteralign.seeding import seeded_rng
@@ -41,9 +40,12 @@ from helpers import (
     brute_force_alignment,
     brute_force_clustering,
     ewma_oracle,
+    finite_diff_check,
     kink_free_instance,
     margin_safe_labels,
 )
+
+pytestmark = pytest.mark.acceptance
 
 SEEDS = (0, 1, 2)
 
@@ -282,7 +284,7 @@ def test_criterion_5_teacher_exactness():
     for i in range(20):
         rng = seeded_rng(9000, i)
         decay = float(rng.uniform(0.05, 0.95))
-        state = init_teacher("temporal", 1, 4, decay=decay)
+        state = init_teacher(1, 4, decay=decay)
         preds = []
         for _ in range(20):
             row = rng.uniform(size=4)

@@ -166,7 +166,7 @@ class TestAblationFlags:
         assert not cfg.use_clustering
         assert not cfg.use_alignment
         assert cfg.threshold == 0.0
-        assert cfg.self_teacher
+        assert cfg.teacher_mode == "self"
 
 
 class TestValidateCommand:
@@ -279,7 +279,7 @@ class TestRunCommand:
         assert list(summary["final_target_accuracy"]["per_seed"]) == ["7"]
         assert (out_dir / "metrics_7.csv").exists()
 
-    @pytest.mark.parametrize("override", ["-1", "0,x", "0,0"])
+    @pytest.mark.parametrize("override", ["-1", "0,x", "0,0", ""])
     def test_seed_override_is_checked_like_config_seeds(self, tmp_path, capsys, override):
         path = write_config(tmp_path, tiny_raw())
         out_dir = tmp_path / "out"

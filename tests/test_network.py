@@ -8,7 +8,6 @@ from clusteralign.network import (
     NetworkSpec,
     ShapeError,
     backward,
-    finite_diff_check,
     forward,
     init_network,
     init_optimizer,
@@ -17,7 +16,7 @@ from clusteralign.network import (
 )
 from clusteralign.seeding import seeded_rng
 
-from helpers import kink_free_instance, margin_safe_labels
+from helpers import finite_diff_check, kink_free_instance, margin_safe_labels
 
 
 def test_zero_network_is_uniform():

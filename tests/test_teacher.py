@@ -37,13 +37,13 @@ class TestPiPredict:
 
 class TestTemporalEnsemble:
     def test_first_update_bias_corrected(self):
-        state = init_teacher("temporal", 1, 2, decay=0.6)
+        state = init_teacher(1, 2, decay=0.6)
         state = temporal_update(state, [0], np.array([[1.0, 0.0]]))
         assert np.allclose(state.ensemble[0], [0.4, 0.0], atol=1e-12)
         assert np.allclose(corrected_probabilities(state)[0], [1.0, 0.0], atol=1e-12)
 
     def test_second_update_hand_values(self):
-        state = init_teacher("temporal", 1, 2, decay=0.6)
+        state = init_teacher(1, 2, decay=0.6)
         state = temporal_update(state, [0], np.array([[1.0, 0.0]]))
         state = temporal_update(state, [0], np.array([[0.0, 1.0]]))
         assert np.allclose(state.ensemble[0], [0.24, 0.4], atol=1e-12)
@@ -53,7 +53,7 @@ class TestTemporalEnsemble:
         assert conf[0] == pytest.approx(0.625, abs=1e-12)
 
     def test_zero_decay_tracks_latest(self):
-        state = init_teacher("temporal", 1, 2, decay=0.0)
+        state = init_teacher(1, 2, decay=0.0)
         state = temporal_update(state, [0], np.array([[0.3, 0.7]]))
         state = temporal_update(state, [0], np.array([[0.9, 0.1]]))
         assert np.allclose(corrected_probabilities(state)[0], [0.9, 0.1], atol=1e-12)
@@ -62,7 +62,7 @@ class TestTemporalEnsemble:
     def test_matches_direct_summation_oracle(self, seed):
         rng = seeded_rng(50, seed)
         decay = float(rng.uniform(0.1, 0.95))
-        state = init_teacher("temporal", 1, 3, decay=decay)
+        state = init_teacher(1, 3, decay=decay)
         preds = []
         for _ in range(20):
             row = rng.uniform(size=3)
@@ -75,7 +75,7 @@ class TestTemporalEnsemble:
 
     def test_corrected_rows_sum_to_one(self):
         rng = seeded_rng(51)
-        state = init_teacher("temporal", 4, 3, decay=0.6)
+        state = init_teacher(4, 3, decay=0.6)
         for _ in range(7):
             rows = rng.uniform(size=(2, 3))
             rows /= rows.sum(axis=1, keepdims=True)
@@ -86,7 +86,7 @@ class TestTemporalEnsemble:
 
     def test_indexed_read_equals_full_table_rows(self):
         rng = seeded_rng(53)
-        state = init_teacher("temporal", 10, 3, decay=0.6)
+        state = init_teacher(10, 3, decay=0.6)
         for _ in range(6):
             rows = rng.uniform(size=(3, 3))
             rows /= rows.sum(axis=1, keepdims=True)
@@ -98,20 +98,15 @@ class TestTemporalEnsemble:
         assert np.all(corrected_probabilities(state, idx)[[0, 2, 6]] == 0.0)
 
     def test_only_batch_rows_update(self):
-        state = init_teacher("temporal", 3, 2, decay=0.6)
+        state = init_teacher(3, 2, decay=0.6)
         state = temporal_update(state, [1], np.array([[0.5, 0.5]]))
         assert state.step_counts.tolist() == [0, 1, 0]
         assert np.all(state.ensemble[0] == 0.0)
 
     def test_index_out_of_range(self):
-        state = init_teacher("temporal", 2, 2)
+        state = init_teacher(2, 2)
         with pytest.raises(IndexError):
             temporal_update(state, [5], np.array([[0.5, 0.5]]))
-
-    def test_update_requires_temporal_mode(self):
-        state = init_teacher("pi", 2, 2)
-        with pytest.raises(ValueError):
-            temporal_update(state, [0], np.array([[0.5, 0.5]]))
 
 
 class TestPseudoLabels:
@@ -125,7 +120,7 @@ class TestPseudoLabels:
         assert conf[0] == 0.5
 
     def test_unseen_temporal_rows_flagged_by_zero_confidence(self):
-        state = init_teacher("temporal", 2, 2)
+        state = init_teacher(2, 2)
         state = temporal_update(state, [1], np.array([[0.2, 0.8]]))
         labels, conf = pseudo_labels(corrected_probabilities(state))
         assert labels[0] == 0 and conf[0] == 0.0

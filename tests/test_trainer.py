@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from clusteralign.data import iterate_batches, make_imbalanced_gaussians
-from clusteralign.losses import (
-    PseudoLabeledBatch,
-    alignment_loss,
-    clustering_loss,
-    cross_entropy,
-    domain_adversarial_loss,
-)
+from clusteralign.losses import cross_entropy, objective
 from clusteralign.network import Network, forward
 from clusteralign.seeding import derive_seed
 from clusteralign.teacher import corrected_probabilities, pseudo_labels
@@ -190,13 +184,18 @@ class TestTrainLoop:
         met_b = train(cfg_b, ds, eval_every=5)
         assert met_a[1].source_accuracy == met_b[1].source_accuracy
 
-    def test_hidden_target_labels_never_influence_training(self):
+    @pytest.mark.parametrize("teacher", [
+        {"teacher_mode": "temporal"},
+        {"teacher_mode": "pi", "dropout_rate": 0.3},
+        {"teacher_mode": "self"},
+    ], ids=["temporal", "pi", "self"])
+    def test_hidden_target_labels_never_influence_training(self, teacher):
         ds = tiny_dataset()
         shuffled = type(ds)(
             ds.source_x, ds.source_y, ds.target_x,
             np.roll(ds.target_y_hidden, 7), ds.num_classes,
         )
-        cfg = tiny_config(total_iters=10, pretrain_iters=2)
+        cfg = tiny_config(total_iters=10, pretrain_iters=2, **teacher)
         from clusteralign.trainer import run_training
 
         state_a, metrics_a, _ = run_training(cfg, ds, eval_every=10)
@@ -223,18 +222,8 @@ def objective_at(student, critic, teacher, batch, cfg, iteration):
     trace_src = forward(student, batch.source_x, "train", derive_seed(cfg.seed, iteration, 1))
     trace_tgt = forward(student, batch.target_x, "train", derive_seed(cfg.seed, iteration, 2))
     labels, conf = pseudo_labels(corrected_probabilities(teacher)[batch.target_indices])
-    k = student.spec.output_dim
-    src = PseudoLabeledBatch(trace_src.features, batch.source_y, k)
-    tgt = PseudoLabeledBatch(trace_tgt.features, labels, k)
-    l_y, _ = cross_entropy(trace_src.probabilities, batch.source_y)
-    l_c = clustering_loss(src, cfg.margin)[0] + clustering_loss(tgt, cfg.margin)[0]
-    l_a, _, _ = alignment_loss(src, tgt)
-    c_src = forward(critic, trace_src.features, "train", derive_seed(cfg.seed, iteration, 4))
-    c_tgt = forward(critic, trace_tgt.features, "train", derive_seed(cfg.seed, iteration, 5))
-    l_d, _, _, _ = domain_adversarial_loss(
-        c_src.probabilities[:, 0], c_tgt.probabilities[:, 0], conf, cfg.threshold
-    )
-    return total_objective(l_y, l_c, l_a, l_d, alpha, lam)
+    losses, _ = objective(trace_src, trace_tgt, batch.source_y, labels, conf, critic, cfg)
+    return total_objective(losses.l_y, losses.l_c, losses.l_a, losses.l_d, alpha, lam)
 
 
 def test_composed_gradient_descends_total_objective():
