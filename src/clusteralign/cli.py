@@ -364,6 +364,8 @@ def main(argv=None) -> int:
         raw = _load_config(args.config)
         if args.command == "run" and args.seed_override is not None and isinstance(raw, dict):
             raw["seeds"] = _parse_seeds(args.seed_override)
+        if args.command == "run" and args.output_dir == "":
+            raise ConfigError("--output-dir: must be a non-empty path")
         resolved = resolve_config(raw)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
@@ -373,7 +375,7 @@ def main(argv=None) -> int:
         print(json.dumps(resolved, indent=2, sort_keys=True))
         return 0
 
-    output_dir = args.output_dir or resolved["output_dir"]
+    output_dir = resolved["output_dir"] if args.output_dir is None else args.output_dir
     try:
         summary = run_experiment(resolved, output_dir)
     except (TrainingAbort, OSError, ValueError) as exc:

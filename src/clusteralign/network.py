@@ -270,56 +270,42 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str) -> Gradien
 
     upstream is d(loss)/d(entry point); dropout masks recorded in the
     trace are reused, so the gradient matches the exact forward that
-    produced the trace. Backward is linear in upstream.
+    produced the trace. Backward is linear in upstream. A penultimate tap
+    on a net without hidden layers taps the input itself; its d_input is
+    then upstream.
     """
     if entry not in ("probabilities", "logits", "features"):
         raise ValueError(f"unknown entry {entry!r}")
     spec = net.spec
     upstream = np.asarray(upstream, dtype=np.float64)
-    n_layers = net.num_layers
-    d_weights = [np.zeros_like(w) for w in net.weights]
-    d_biases = [np.zeros_like(b) for b in net.biases]
+    # A logit-tap feature gradient has the shape of the head output.
+    shape = trace.features.shape if entry == "features" else trace.probabilities.shape
+    if upstream.shape != shape:
+        raise ShapeError(f"upstream gradient has shape {upstream.shape}, expected {shape}")
 
-    rows = trace.inputs[0].shape[0]
-
-    def expect(shape):
-        if upstream.shape != shape:
-            raise ShapeError(
-                f"upstream gradient has shape {upstream.shape}, expected {shape}"
-            )
-
+    # The entry point only picks where the loop starts: a pre-activation
+    # gradient dz of the final layer, or (penultimate tap) the gradient da
+    # of the final layer's input, which leaves the final layer none.
+    top = start = net.num_layers - 1
     if entry == "probabilities":
-        expect(trace.probabilities.shape)
         dz = _head_jvp(trace, upstream, spec.head)
-        start = n_layers - 1
     elif entry == "logits" or spec.feature_tap == "logits":
-        expect((rows, spec.output_dim) if entry == "logits" else trace.features.shape)
         dz = upstream
-        start = n_layers - 1
     else:
-        # Penultimate tap: the gradient enters below the final layer.
-        expect(trace.features.shape)
-        if n_layers == 1:
-            return GradientSet(tuple(d_weights), tuple(d_biases), upstream.copy())
         da = upstream
-        if trace.masks is not None:
-            da = da * trace.masks[n_layers - 2]
-        dz = da * _activate_grad(trace.pre_activations[n_layers - 2], spec.activation)
-        start = n_layers - 2
+        start = top - 1
 
+    d_weights = [None] * (start + 1) + [np.zeros_like(w) for w in net.weights[start + 1:]]
+    d_biases = [None] * (start + 1) + [np.zeros_like(b) for b in net.biases[start + 1:]]
     for i in range(start, -1, -1):
-        a_in = trace.inputs[i]
-        d_weights[i] = a_in.T @ dz
+        if i < top:
+            if trace.masks is not None:
+                da = da * trace.masks[i]
+            dz = da * _activate_grad(trace.pre_activations[i], spec.activation)
+        d_weights[i] = trace.inputs[i].T @ dz
         d_biases[i] = dz.sum(axis=0)
         da = dz @ net.weights[i].T
-        if i == 0:
-            d_input = da
-            break
-        if trace.masks is not None:
-            da = da * trace.masks[i - 1]
-        dz = da * _activate_grad(trace.pre_activations[i - 1], spec.activation)
-
-    return GradientSet(tuple(d_weights), tuple(d_biases), d_input)
+    return GradientSet(tuple(d_weights), tuple(d_biases), da)
 
 
 def reverse_gradient(g, lam: float):

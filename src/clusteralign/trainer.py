@@ -25,6 +25,7 @@ from clusteralign.evaluate import snapshot
 from clusteralign.losses import METRICS, objective
 from clusteralign.network import (
     FEATURE_TAPS,
+    DomainError,
     Network,
     NetworkSpec,
     OptimizerState,
@@ -122,10 +123,10 @@ class TrainConfig:
             raise ValueError("pretrain_iters must lie in [0, total_iters)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if not self.margin > 0:
-            raise ValueError("margin must be positive")
-        if not self.lr_base > 0:
-            raise ValueError("lr_base must be positive")
+        for name in ("margin", "lr_base"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite; "
+                                 f"got {getattr(self, name)!r}")
         for name in ("batch_source", "batch_target", "critic_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -139,8 +140,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be one of {', '.join(known)}; "
                                  f"got {getattr(self, name)!r}")
         for name in ("alpha_max", "lambda_max", "ramp_length"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite; "
+                                 f"got {getattr(self, name)!r}")
         if self.feature_tap not in ("",) + FEATURE_TAPS:
             raise ValueError(f"feature_tap must be one of {', '.join(FEATURE_TAPS)} or \"\" "
                              f"(automatic: logits for 2 classes, penultimate otherwise); "
@@ -329,13 +331,18 @@ def run_training(cfg: TrainConfig, ds: DomainDataset, eval_every: int):
     state = init_train_state(cfg, ds)
     metrics = []
     while True:
-        if state.iteration % eval_every == 0 or state.iteration == cfg.total_iters:
-            _check_parameters(state)
-            row, view = snapshot(state, cfg, ds)
-            metrics.append(row)
-        if state.iteration == cfg.total_iters:
-            return state, metrics, view
-        state, _ = train_step(state, next(batches), cfg)
+        try:
+            if state.iteration % eval_every == 0 or state.iteration == cfg.total_iters:
+                _check_parameters(state)
+                row, view = snapshot(state, cfg, ds)
+                metrics.append(row)
+            if state.iteration == cfg.total_iters:
+                return state, metrics, view
+            state, _ = train_step(state, next(batches), cfg)
+        except DomainError as exc:
+            # Finite parameters can still overflow into non-finite features.
+            raise TrainingAbort(f"non-finite values at iteration {state.iteration}: {exc}",
+                                {"iteration": state.iteration}) from exc
 
 
 def train(cfg: TrainConfig, ds: DomainDataset, eval_every: int):

@@ -180,3 +180,21 @@ def finite_diff_check(net: Network, loss_fn, grads: GradientSet, h: float = 1e-5
         denom = max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic - numeric) / denom)
     return worst
+
+
+def input_finite_diff_check(loss_fn, x, d_input, h: float = 1e-5) -> float:
+    """Worst relative error between d_input and central differences over
+    every coordinate of the input batch x, with finite_diff_check's
+    relative-error denominator."""
+    if not 0.0 < h <= 1e-3:
+        raise ValueError("h must lie in (0, 1e-3]")
+    worst = 0.0
+    for index in np.ndindex(x.shape):
+        up, down = x.copy(), x.copy()
+        up[index] += h
+        down[index] -= h
+        numeric = (loss_fn(up) - loss_fn(down)) / (2.0 * h)
+        analytic = float(d_input[index])
+        denom = max(abs(analytic), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic - numeric) / denom)
+    return worst

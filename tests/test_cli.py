@@ -288,6 +288,13 @@ class TestRunCommand:
         assert "seed" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_empty_output_dir_exits_2_before_any_file(self, tmp_path, capsys):
+        config_dir = tmp_path / "config_out"
+        path = write_config(tmp_path, tiny_raw(output_dir=str(config_dir)))
+        assert main(["run", path, "--output-dir="]) == 2
+        assert "--output-dir" in capsys.readouterr().err
+        assert not config_dir.exists()
+
     def test_invalid_config_exits_2(self, tmp_path):
         path = write_config(tmp_path, tiny_raw(ablation=["bogus"]))
         assert main(["run", path]) == 2
@@ -299,10 +306,15 @@ class TestRunCommand:
         assert "broken.json" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs_main(tmp_path):
+def module_env():
+    """The environment of a `python -m clusteralign.cli` subprocess."""
     src = str(Path(clusteralign.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_module_entry_point_runs_main(tmp_path):
+    env = module_env()
     path = write_config(tmp_path, tiny_raw())
     ok = subprocess.run([sys.executable, "-m", "clusteralign.cli", "validate", path],
                         capture_output=True, text=True, env=env)
@@ -311,3 +323,19 @@ def test_module_entry_point_runs_main(tmp_path):
     bad = subprocess.run([sys.executable, "-m", "clusteralign.cli", "validate",
                           str(tmp_path / "missing.json")], capture_output=True, text=True, env=env)
     assert bad.returncode == 2
+
+
+def test_overflowing_step_exits_1_naming_its_iteration(tmp_path):
+    # A subprocess, because the suite turns the overflow's RuntimeWarnings
+    # into errors.
+    raw = tiny_raw()
+    raw["train"] = dict(raw["train"], lr_base=1000)
+    path = write_config(tmp_path, raw)
+    out_dir = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "clusteralign.cli", "run", path,
+                           "--output-dir", str(out_dir)],
+                          capture_output=True, text=True, env=module_env())
+    assert done.returncode == 1
+    assert "iteration" in done.stderr
+    assert (out_dir / "dataset_0.csv").exists()
+    assert not (out_dir / "summary.json").exists()

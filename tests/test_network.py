@@ -16,7 +16,12 @@ from clusteralign.network import (
 )
 from clusteralign.seeding import seeded_rng
 
-from helpers import finite_diff_check, kink_free_instance, margin_safe_labels
+from helpers import (
+    finite_diff_check,
+    input_finite_diff_check,
+    kink_free_instance,
+    margin_safe_labels,
+)
 
 
 def test_zero_network_is_uniform():
@@ -210,8 +215,11 @@ def test_finite_diff_clustering_loss_active_margin():
     assert finite_diff_check(net, loss_fn, grads, h=1e-3, seed=2) <= 1e-4
 
 
-def test_penultimate_tap_backward_matches_finite_differences():
-    net, x, seed = kink_free_instance(12, sizes=(4, 6, 5, 3), feature_tap="penultimate")
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_penultimate_tap_backward_matches_finite_differences(dropout, activation):
+    net, x, seed = kink_free_instance(12, sizes=(4, 6, 5, 3), dropout=dropout,
+                                      activation=activation, feature_tap="penultimate")
     trace = forward(net, x, "train", seed)
     assert trace.features.shape == (x.shape[0], 5)
     rng = seeded_rng(13)
@@ -223,6 +231,43 @@ def test_penultimate_tap_backward_matches_finite_differences():
         return float((feats * probe).sum())
 
     assert finite_diff_check(net, loss_fn, grads, h=1e-5, seed=3) <= 1e-4
+
+
+def test_one_layer_penultimate_tap_passes_the_gradient_to_the_input():
+    # With no hidden layer the features are the input itself, so no
+    # parameter receives gradient and d_input is the upstream gradient.
+    net = init_network(NetworkSpec((3, 2), feature_tap="penultimate"), 0)
+    x = seeded_rng(18).normal(size=(5, 3))
+    trace = forward(net, x, "train", 0)
+    assert np.array_equal(trace.features, x)
+    probe = seeded_rng(19).normal(size=x.shape)
+    grads = backward(net, trace, probe, "features")
+    assert [g.shape for g in grads.d_weights] == [w.shape for w in net.weights]
+    assert [g.shape for g in grads.d_biases] == [b.shape for b in net.biases]
+    assert all(np.all(g == 0.0) for g in grads.d_weights + grads.d_biases)
+    assert np.array_equal(grads.d_input, probe)
+
+
+# d_input is what the gradient reversal hands the student from the critic.
+@pytest.mark.parametrize("entry, instance", [
+    ("probabilities", dict(sizes=(3, 6, 1), head="sigmoid")),
+    ("features", dict(sizes=(4, 6, 5, 3), dropout=0.3, feature_tap="penultimate")),
+    ("logits", dict(dropout=0.3)),
+], ids=["probabilities-sigmoid", "features-penultimate", "logits"])
+def test_backward_d_input_matches_finite_differences(entry, instance):
+    net, x, seed = kink_free_instance(16, **instance)
+    trace = forward(net, x, "train", seed)
+
+    def output(x_in):
+        t = forward(net, x_in, "train", seed)
+        return {"probabilities": t.probabilities, "features": t.features,
+                "logits": t.pre_activations[-1]}[entry]
+
+    probe = seeded_rng(17).normal(size=output(x).shape)
+    d_input = backward(net, trace, probe, entry).d_input
+    assert d_input.shape == x.shape
+    assert input_finite_diff_check(lambda x_in: float((output(x_in) * probe).sum()),
+                                   x, d_input, h=1e-5) <= 1e-4
 
 
 def test_sigmoid_head_backward_matches_finite_differences():

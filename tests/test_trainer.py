@@ -78,6 +78,26 @@ class TestSchedules:
         alpha, lam = schedule_weights(cfg, 75)
         assert alpha > 0.0 and lam > 0.0
 
+    @pytest.mark.parametrize("over, iteration, expected", [
+        # exp_ramp over the whole adaptation span (ramp_length 0 = 50 steps)
+        ({"alpha_schedule": "exp_ramp", "lambda_schedule": "constant"}, 50,
+         (math.exp(-10.0), 0.7)),
+        ({"alpha_schedule": "exp_ramp", "lambda_schedule": "constant"}, 75,
+         (math.exp(-5.0), 0.7)),
+        ({"alpha_schedule": "exp_ramp"}, 75, (math.exp(-5.0), 0.7 * math.exp(-5.0))),
+        # exp_ramp over an explicit 10-step ramp
+        ({"alpha_schedule": "exp_ramp", "ramp_length": 10}, 55,
+         (math.exp(-5.0), 0.7 * math.exp(-5.0))),
+        ({"alpha_schedule": "exp_ramp", "ramp_length": 10}, 60, (1.0, 0.7)),
+        ({"alpha_schedule": "constant", "alpha_max": 0.4}, 50, (0.4, 0.7)),
+        ({"alpha_schedule": "constant", "alpha_max": 0.4}, 49, (0.0, 0.0)),
+        # a constant lam next to a logistic alpha that starts at zero
+        ({"lambda_schedule": "constant"}, 50, (0.0, 0.7)),
+    ])
+    def test_schedule_weights_hand_values(self, over, iteration, expected):
+        cfg = tiny_config(total_iters=100, pretrain_iters=50, lambda_max=0.7, **over)
+        assert schedule_weights(cfg, iteration) == pytest.approx(expected, rel=1e-12)
+
 
 class TestTrainStep:
     def test_pretraining_step_is_pure_supervised(self):
@@ -205,6 +225,20 @@ class TestTrainLoop:
         assert metrics_a[-1].l_y == metrics_b[-1].l_y
         assert metrics_a[-1].selection_rate == metrics_b[-1].selection_rate
 
+    def test_pi_teacher_without_dropout_is_the_self_teacher(self):
+        # Without dropout a Pi teacher's train-mode pass is the student's
+        # own prediction, so both teachers give the same run.
+        ds = tiny_dataset()
+        from clusteralign.trainer import run_training
+
+        runs = [run_training(tiny_config(teacher_mode=mode, dropout_rate=0.0), ds, eval_every=4)
+                for mode in ("pi", "self")]
+        (state_pi, metrics_pi, _), (state_self, metrics_self, _) = runs
+        for a, b in zip(state_pi.student.weights + state_pi.student.biases,
+                        state_self.student.weights + state_self.student.biases):
+            assert np.array_equal(a, b)
+        assert [m.__dict__ for m in metrics_pi] == [m.__dict__ for m in metrics_self]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tiny_config(pretrain_iters=12, total_iters=12)
@@ -258,3 +292,13 @@ def test_composed_gradient_descends_total_objective():
         deltas.append(after - before)
     assert np.mean(deltas) <= 0.0
     assert np.mean(deltas) < -1e-9  # the step makes real progress on average
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value)
+    for field in ("alpha_max", "lambda_max", "margin", "lr_base")
+    for value in (math.nan, math.inf)
+] + [("alpha_max", -math.inf), ("lambda_max", -math.inf)])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        tiny_config(**{field: value})

@@ -1,0 +1,106 @@
+"""Compare this tree's outputs with those of a git revision, byte for byte.
+
+    python tools/compare_outputs.py <revision>
+
+The revision is exported with `git archive` into a temporary directory.
+Each configuration below (400 iterations, pretraining 100, a snapshot every
+100) is then run with `python -m clusteralign.cli run` in a fresh process on
+both trees, with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, and
+every output file and the stdout are compared. `validate` is compared the
+same way on each shipped `configs/*.json`. One line is printed per
+configuration; the exit status is 1 when anything differs. The script uses
+the standard library only and is not part of the test suite.
+"""
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SHORT = {"total_iters": 400, "pretrain_iters": 100}
+
+
+def _config(scenario, seeds=(0,), ablation=(), **train):
+    return {"scenario": scenario, "seeds": list(seeds), "eval_every": 100,
+            "ablation": list(ablation), "train": dict(SHORT, **train)}
+
+
+CONFIGS = {
+    "a": _config("imbalanced_gaussians", seeds=(0, 3)),
+    "b": _config("multimode", ablation=["no_La"], teacher_mode="pi", dropout_rate=0.3,
+                 threshold=0.7, metric="euclidean"),
+    "c": _config("multimode", ablation=["no_teacher", "no_Lc"]),
+    "d": _config("imbalanced_gaussians", ablation=["marginal_only", "no_teacher"],
+                 teacher_mode="pi", dropout_rate=0.2),
+    "e": _config("imbalanced_gaussians", ablation=["no_rRevGrad_threshold"],
+                 teacher_mode="pi", dropout_rate=0.0),
+    "f": _config("multimode", activation="tanh", hidden_layers=[12],
+                 alpha_schedule="exp_ramp", lambda_schedule="constant"),
+    "g": _config("imbalanced_gaussians", hidden_layers=[], feature_tap="penultimate",
+                 dropout_rate=0.0),
+}
+
+
+def export(revision, dest):
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", revision],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(dest, **safe)
+
+
+def cli(tree, args, cwd):
+    """The exit status and stdout of one CLI call on a tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"),
+               OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "clusteralign.cli", *args],
+                          cwd=cwd, env=env, capture_output=True)
+    return done.returncode, done.stdout
+
+
+def outputs(tree, raw, work):
+    """Every byte a run of raw on tree produces, keyed by file name."""
+    work.mkdir()
+    path = work / "config.json"
+    path.write_text(json.dumps(raw))
+    status, stdout = cli(tree, ["run", str(path), "--output-dir", "out"], work)
+    out = work / "out"
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return status, dict(files, stdout=stdout)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        parent = tmp / "parent"
+        export(argv[0], parent)
+        for name, raw in CONFIGS.items():
+            status, ours = outputs(ROOT, raw, tmp / f"ours_{name}")
+            parent_status, theirs = outputs(parent, raw, tmp / f"theirs_{name}")
+            diff = ["exit status"] if status != parent_status else []
+            diff += sorted(name for name in ours.keys() | theirs.keys()
+                           if ours.get(name) != theirs.get(name))
+            failed |= bool(diff)
+            verdict = f"differs: {', '.join(diff)}" if diff else "identical"
+            print(f"({name}) exit {status}, {len(ours) - 1} files and stdout, {verdict}",
+                  flush=True)
+        for path in sorted((ROOT / "configs").glob("*.json")):
+            ours = cli(ROOT, ["validate", str(path)], tmp)
+            theirs = cli(parent, ["validate", str(path)], tmp)
+            failed |= ours != theirs
+            print(f"validate {path.name}: {'differs' if ours != theirs else 'identical'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
