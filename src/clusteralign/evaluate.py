@@ -132,7 +132,8 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
     teacher's dropout pass is seeded by (cfg.seed, 23, state.iteration).
     The logged l_d applies the current confidence selection; the JSD proxy
     is computed from a separate all-selected pass so the monitor stays
-    comparable across training.
+    comparable across training. The logged l_c comes from the clustering
+    kernel's loss-only mode, which uses no BLAS.
     """
     trace_src = forward(state.student, ds.source_x, mode="eval")
     trace_tgt = forward(state.student, ds.target_x, mode="eval")
@@ -150,7 +151,7 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
     labels, confidences = pseudo_labels(teacher_probs)
 
     bundle, grads = objective(trace_src, trace_tgt, ds.source_y, labels, confidences,
-                              state.critic, cfg)
+                              state.critic, cfg, gradient=False)
     c_src, c_tgt = (trace.probabilities[:, 0] for trace in grads.critic_traces)
     l_d_all, _, _, _ = domain_adversarial_loss(c_src, c_tgt, np.ones_like(c_tgt), 0.0)
 

@@ -1,14 +1,18 @@
-"""Hot numeric kernels in Gram form: one BLAS matmul per call.
+"""Hot numeric kernels.
 
-Squared distances come from ||a||^2 + ||b||^2 - 2 a.b, clamped at zero
-(the cancellation guard of scikit-learn's euclidean_distances), so each
-pair's squared distance carries an absolute error of a few ulps of
-||a||^2 + ||b||^2. Where that is too coarse, the exact quantity is taken
-from explicit differences: near-duplicate pairs under the euclidean
-metric, whose gradient weight 1/dist would amplify it, and the k-means
-inertia. Results are bit-reproducible for a given numpy and BLAS build at
-a fixed BLAS thread count: a multithreaded matmul may split its sums
-differently.
+The k-means assignment and the gradient mode of the pairwise margin loss
+work in Gram form, one BLAS matmul per call: squared distances come from
+||a||^2 + ||b||^2 - 2 a.b, clamped at zero (the cancellation guard of
+scikit-learn's euclidean_distances), so each pair's squared distance
+carries an absolute error of a few ulps of ||a||^2 + ||b||^2. Where that
+is too coarse, the exact quantity is taken from explicit differences:
+near-duplicate pairs under the euclidean metric, whose gradient weight
+1/dist would amplify it, and the k-means inertia. Gram-form results are
+bit-reproducible for a given numpy and BLAS build at a fixed BLAS thread
+count: a multithreaded matmul may split its sums differently.
+
+The loss-only mode of the pairwise margin loss uses no BLAS: its value is
+the same at every BLAS thread count.
 """
 
 import numpy as np
@@ -19,18 +23,26 @@ BACKEND = "numpy"
 # most this fraction of ||a||^2 + ||b||^2 use explicit differences.
 _NEAR = 1e-6
 
+# The loss-only mode's explicit differences are formed in tiles of at most
+# this many float64 elements (512 KiB), whatever the number of rows.
+_TILE = 1 << 16
 
-def pairwise_margin_loss(features, labels, margin, squared=True):
+
+def pairwise_margin_loss(features, labels, margin, squared=True, gradient=True):
     """Mean over all ordered pairs of: distance for same-label pairs,
     hinge max(0, margin - distance) for different-label pairs.
 
     Returns (loss, gradient w.r.t. features). The hinge contributes
-    nothing at distance == margin (inactive subgradient).
+    nothing at distance == margin (inactive subgradient). With
+    gradient=False it returns (loss, None) from the loss-only mode, which
+    allocates nothing of size n x n and calls no matmul.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     margin = float(margin)
     n = features.shape[0]
+    if not gradient:
+        return _margin_loss_only(features, labels, margin, squared) / float(n * n), None
 
     # Two n x n buffers do all the work, in place: page faults on fresh
     # temporaries dominate at evaluation sizes. The diagonal of dist comes
@@ -82,6 +94,54 @@ def pairwise_margin_loss(features, labels, margin, squared=True):
     grad += 2.0 * (w.sum(axis=1)[:, None] * features - w @ features)
     inv = 1.0 / float(n * n)
     return loss * inv, grad * inv
+
+
+def _margin_loss_only(features, labels, margin, squared):
+    """The sum over all ordered pairs that pairwise_margin_loss averages.
+
+    Rows are grouped by label. A group's squared-metric pairs take the
+    closed form sum_ij ||f_i - f_j||^2 = 2 m sum_i ||f_i - mean||^2; its
+    euclidean pairs, and every pair of two groups, take explicit
+    differences. The two orderings of a cross-label pair are equal, so
+    each is formed once and counted twice.
+    """
+    order = np.argsort(labels, kind="stable")
+    feats = features[order]
+    ends = [*(np.flatnonzero(np.diff(labels[order])) + 1), len(feats)]
+    same = cross = 0.0
+    start = 0
+    for end in ends:
+        group = feats[start:end]
+        if squared:
+            centred = group - group.mean(axis=0)
+            same += 2.0 * len(group) * float(np.einsum("ij,ij->", centred, centred))
+        else:
+            same += _pair_sum(group, group, squared)
+        cross += _pair_sum(group, feats[end:], squared, margin)
+        start = end
+    return same + 2.0 * cross
+
+
+def _pair_sum(a, b, squared, margin=None):
+    """Sum over all pairs (a_i, b_j) of their distance, or with a margin
+    of the hinge max(0, margin - distance), from explicit differences in
+    tiles of at most _TILE elements."""
+    dim = a.shape[1]
+    cols = max(1, min(len(b), _TILE // dim))
+    rows = max(1, _TILE // (cols * dim))
+    total = 0.0
+    for j in range(0, len(b), cols):
+        right = b[None, j:j + cols]
+        for i in range(0, len(a), rows):
+            diff = a[i:i + rows, None] - right
+            dist = np.einsum("ijk,ijk->ij", diff, diff)
+            if not squared:
+                np.sqrt(dist, out=dist)
+            if margin is not None:
+                np.subtract(margin, dist, out=dist)
+                np.maximum(dist, 0.0, out=dist)
+            total += float(dist.sum())
+    return total
 
 
 def kmeans_assign(points, centers):

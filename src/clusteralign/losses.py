@@ -78,19 +78,22 @@ def cross_entropy(probabilities, labels):
     return float(loss), d_logits / n
 
 
-def clustering_loss(batch: PseudoLabeledBatch, margin: float, metric: str = "sq_euclidean"):
+def clustering_loss(batch: PseudoLabeledBatch, margin: float, metric: str = "sq_euclidean",
+                    gradient: bool = True):
     """Pull same-label features together, push different labels past the margin.
 
     Averages over all ordered sample pairs (self-pairs contribute zero):
     same-label pairs add their distance, different-label pairs add
-    max(0, margin - distance). Returns (loss, d_features).
+    max(0, margin - distance). Returns (loss, d_features), or (loss, None)
+    with gradient=False (the kernel's loss-only mode).
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     loss, grad = pairwise_margin_loss(
-        batch.features, batch.labels, margin, squared=metric == "sq_euclidean"
+        batch.features, batch.labels, margin, squared=metric == "sq_euclidean",
+        gradient=gradient,
     )
     return float(loss), grad
 
@@ -162,20 +165,22 @@ def domain_adversarial_loss(source_critic_out, target_critic_out, target_confide
 
 
 def objective(source_trace, target_trace, source_y, target_labels, target_confidences,
-              critic, cfg):
+              critic, cfg, gradient: bool = True):
     """The four losses of a pair of student traces, which the student
     descends as l_y + alpha*(l_c + l_a) + lam*l_d.
 
     Target labels and confidences are the teacher's; the critic (no
     dropout) runs one eval pass per domain. cfg is a trainer.TrainConfig.
-    Returns (LossBundle, ObjectiveGradients).
+    Returns (LossBundle, ObjectiveGradients); with gradient=False, l_c
+    comes from the clustering kernel's loss-only mode and d_clustering
+    holds None.
     """
     num_classes = source_trace.probabilities.shape[1]
     src = PseudoLabeledBatch(source_trace.features, source_y, num_classes)
     tgt = PseudoLabeledBatch(target_trace.features, target_labels, num_classes)
     l_y, d_logits = cross_entropy(source_trace.probabilities, source_y)
-    l_c_src, g_c_src = clustering_loss(src, cfg.margin, cfg.metric)
-    l_c_tgt, g_c_tgt = clustering_loss(tgt, cfg.margin, cfg.metric)
+    l_c_src, g_c_src = clustering_loss(src, cfg.margin, cfg.metric, gradient)
+    l_c_tgt, g_c_tgt = clustering_loss(tgt, cfg.margin, cfg.metric, gradient)
     l_a, g_a_src, g_a_tgt = alignment_loss(src, tgt)
     critic_src = forward(critic, source_trace.features)
     critic_tgt = forward(critic, target_trace.features)

@@ -123,6 +123,8 @@ class TrainConfig:
             raise ValueError("pretrain_iters must lie in [0, total_iters)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
+        if not 0.0 <= self.decay < 1.0:
+            raise ValueError("decay must lie in [0, 1)")
         for name in ("margin", "lr_base"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite; "
@@ -152,11 +154,14 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
+    """One point of a run; teacher is the temporal ensemble, None for the
+    other teacher modes."""
+
     student: Network
     critic: Network
     student_opt: OptimizerState
     critic_opt: OptimizerState
-    teacher: TeacherState
+    teacher: TeacherState | None
     iteration: int = 0
 
 
@@ -187,7 +192,9 @@ def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
     )
     student = init_network(student_spec, derive_seed(cfg.seed, 11))
     critic = init_network(critic_spec, derive_seed(cfg.seed, 13))
-    teacher = init_teacher(ds.target_x.shape[0], ds.num_classes, cfg.decay)
+    teacher = None
+    if cfg.teacher_mode == "temporal":
+        teacher = init_teacher(ds.target_x.shape[0], ds.num_classes, cfg.decay)
     return TrainState(
         student=student,
         critic=critic,

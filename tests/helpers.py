@@ -1,8 +1,12 @@
 """Shared test utilities: kink-avoiding samplers, brute-force oracles and the
 finite-difference gradient check."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import clusteralign
 from clusteralign.network import GradientSet, Network, NetworkSpec, forward, init_network
 from clusteralign.seeding import seeded_rng
 
@@ -198,3 +202,11 @@ def input_finite_diff_check(loss_fn, x, d_input, h: float = 1e-5) -> float:
         denom = max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic - numeric) / denom)
     return worst
+
+
+def module_env(**extra):
+    """The environment of a subprocess that imports this checkout's
+    clusteralign, plus the given variables."""
+    src = str(Path(clusteralign.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))

@@ -1,12 +1,9 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import clusteralign
 
 from clusteralign.cli import (
     ConfigError,
@@ -15,6 +12,8 @@ from clusteralign.cli import (
     main,
     resolve_config,
 )
+
+from helpers import module_env
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -304,13 +303,6 @@ class TestRunCommand:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
         assert "broken.json" in capsys.readouterr().err
-
-
-def module_env():
-    """The environment of a `python -m clusteralign.cli` subprocess."""
-    src = str(Path(clusteralign.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def test_module_entry_point_runs_main(tmp_path):

@@ -1,13 +1,38 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from clusteralign.cli import build_dataset, build_train_config, resolve_config
 from clusteralign.evaluate import (
     cluster_accuracy,
     jsd_proxy,
     kmeans_best,
     selection_rate,
+    snapshot,
 )
 from clusteralign.seeding import seeded_rng
+from clusteralign.trainer import init_train_state
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_snapshot_allocates_no_pairwise_buffers():
+    # The imbalanced preset evaluates 1100 rows per domain: one n x n
+    # float64 buffer alone would take 9.2 MiB.
+    resolved = resolve_config(json.loads((CONFIGS / "imbalanced.json").read_text()))
+    cfg = build_train_config(resolved, 0)
+    ds = build_dataset(resolved, 0)
+    state = init_train_state(cfg, ds)
+    tracemalloc.start()
+    try:
+        snapshot(state, cfg, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 class TestKmeans:

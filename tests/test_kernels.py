@@ -1,18 +1,24 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from clusteralign import kernels
 from clusteralign.seeding import seeded_rng
 
-from helpers import brute_force_clustering, brute_force_clustering_grad
+from helpers import brute_force_clustering, brute_force_clustering_grad, module_env
 
 REL = 1e-10
 
 
-def assert_matches_oracle(feats, labels, margin, squared):
-    loss, grad = kernels.pairwise_margin_loss(feats, labels, margin, squared)
+def assert_matches_oracle(feats, labels, margin, squared, gradient=True):
+    loss, grad = kernels.pairwise_margin_loss(feats, labels, margin, squared, gradient)
     want_loss, want_grad = brute_force_clustering_grad(feats, labels, margin, squared)
     assert abs(loss - want_loss) <= REL * abs(want_loss)
+    if not gradient:
+        assert grad is None
+        return
     assert np.max(np.abs(grad - want_grad)) <= REL * np.max(np.abs(want_grad))
 
 
@@ -41,7 +47,8 @@ def test_random_batches_match_oracle(seed, squared):
     labels = rng.integers(3, size=n)
     # A margin near the typical pair distance keeps both hinge branches busy.
     margin = 2.0 * d if squared else float(np.sqrt(2.0 * d))
-    assert_matches_oracle(feats, labels, margin, squared)
+    for gradient in (True, False):
+        assert_matches_oracle(feats, labels, margin, squared, gradient)
 
 
 @pytest.mark.parametrize("squared", [True, False])
@@ -51,7 +58,86 @@ def test_coincident_pairs_match_oracle(squared):
     feats = np.vstack([base, base[:3], base[:3]])
     # Copies of rows 0-2 with the same label, then with a different one.
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 2, 0])
-    assert_matches_oracle(feats, labels, 2.5, squared)
+    for gradient in (True, False):
+        assert_matches_oracle(feats, labels, 2.5, squared, gradient)
+
+
+# Label layouts the loss-only mode groups by hand: n = 1, one label, a
+# class of one row, labels with gaps, three classes.
+LAYOUTS = {
+    "one_row": [0],
+    "one_label": [1] * 9,
+    "singleton_class": [0, 1, 1, 1, 1, 1, 1, 1],
+    "gapped_labels": [2, 0, 2, 2, 0, 0, 2, 0, 2, 2],
+    "three_classes": [2, 0, 1, 1, 0, 2, 2, 1, 0, 0, 1, 2, 2],
+}
+
+
+@pytest.mark.parametrize("squared", [True, False])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_loss_only_layouts_match_oracle_and_gradient_mode(layout, squared):
+    labels = np.array(LAYOUTS[layout])
+    feats = seeded_rng(15, len(labels)).normal(size=(len(labels), 3))
+    margin = 6.0 if squared else 2.5
+    assert_matches_oracle(feats, labels, margin, squared, gradient=False)
+    loss, _ = kernels.pairwise_margin_loss(feats, labels, margin, squared, gradient=False)
+    gram_loss, _ = kernels.pairwise_margin_loss(feats, labels, margin, squared)
+    assert abs(loss - gram_loss) <= 1e-12 * abs(gram_loss)
+
+
+@pytest.mark.parametrize("squared", [True, False])
+@pytest.mark.parametrize("tile", [1, 20, 200])
+def test_loss_only_tiles_match_oracle(tile, squared, monkeypatch):
+    # Tiles of one pair (smaller than its 3 elements), of part of a row,
+    # and of several whole rows, so that the tile loops run many times.
+    monkeypatch.setattr(kernels, "_TILE", tile)
+    rng = seeded_rng(18, tile)
+    feats = rng.normal(size=(30, 3))
+    labels = rng.integers(3, size=30)
+    assert_matches_oracle(feats, labels, 6.0 if squared else 2.5, squared, gradient=False)
+
+
+@pytest.mark.parametrize("squared", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_loss_only_mode_matches_gradient_mode(seed, squared):
+    rng = seeded_rng(16, seed)
+    n = int(rng.integers(200, 401))
+    labels = rng.integers(3, size=n)
+    feats = rng.normal(size=(n, 4)) + 2.0 * labels[:, None]
+    margin = 40.0 if squared else 6.0
+    loss, grad = kernels.pairwise_margin_loss(feats, labels, margin, squared, gradient=False)
+    want, _ = kernels.pairwise_margin_loss(feats, labels, margin, squared)
+    assert grad is None
+    assert abs(loss - want) <= 1e-12 * abs(want)
+
+
+# Prints the loss-only value of each evaluation-sized instance in hex:
+# two classes of 100 and 1000 rows around jittered centres, with spreads
+# from 1e-3 to 10^-0.5, where the Gram form rounds differently at 1 and 2
+# BLAS threads.
+THREAD_PROBE = """
+import numpy as np
+from clusteralign.kernels import pairwise_margin_loss
+from clusteralign.seeding import seeded_rng
+
+for seed in range(12):
+    rng = seeded_rng(17, seed)
+    centres = np.array([[3.1, -2.3], [-2.9, 2.8]]) + rng.normal(scale=0.2, size=(2, 2))
+    spread = 10.0 ** rng.uniform(-3.0, -0.5)
+    labels = np.repeat([0, 1], [100, 1000])
+    feats = centres[labels] + spread * rng.normal(size=(1100, 2))
+    print(pairwise_margin_loss(feats, labels, 30.0, True, gradient=False)[0].hex())
+"""
+
+
+def test_loss_only_mode_is_independent_of_blas_threads():
+    printed = [
+        subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True, text=True,
+                       check=True, env=module_env(OPENBLAS_NUM_THREADS=threads)).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(printed[0].split()) == 12
+    assert printed[0] == printed[1]
 
 
 def near_duplicates(offset, shared):

@@ -239,6 +239,14 @@ class TestTrainLoop:
             assert np.array_equal(a, b)
         assert [m.__dict__ for m in metrics_pi] == [m.__dict__ for m in metrics_self]
 
+    @pytest.mark.parametrize("mode", ["temporal", "pi", "self"])
+    def test_only_the_temporal_teacher_keeps_an_ensemble(self, mode):
+        state = init_train_state(tiny_config(teacher_mode=mode), tiny_dataset())
+        assert (state.teacher is None) == (mode != "temporal")
+        # The config checks decay whether or not an ensemble uses it.
+        with pytest.raises(ValueError, match="^decay must lie"):
+            tiny_config(teacher_mode=mode, decay=1.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tiny_config(pretrain_iters=12, total_iters=12)

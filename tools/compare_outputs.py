@@ -6,12 +6,15 @@ The revision is exported with `git archive` into a temporary directory.
 Each configuration below (400 iterations, pretraining 100, a snapshot every
 100) is then run with `python -m clusteralign.cli run` in a fresh process on
 both trees, with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, and
-every output file and the stdout are compared. `validate` is compared the
-same way on each shipped `configs/*.json`. One line is printed per
-configuration; the exit status is 1 when anything differs. The script uses
-the standard library only and is not part of the test suite.
+every output file and the stdout are compared. A differing CSV whose
+header matches on both sides is named with its differing columns, as in
+`metrics_0.csv[l_c]`. `validate` is compared the same way on each shipped
+`configs/*.json`. One line is printed per configuration; the exit status
+is 1 when anything differs. The script uses the standard library only and
+is not part of the test suite.
 """
 
+import csv
 import io
 import json
 import os
@@ -74,6 +77,19 @@ def outputs(tree, raw, work):
     return status, dict(files, stdout=stdout)
 
 
+def describe(name, ours, theirs):
+    """The name of one differing output; a CSV with the same header and row
+    count on both sides gets its differing columns appended."""
+    if not name.endswith(".csv") or ours is None or theirs is None:
+        return name
+    ours, theirs = (list(csv.reader(io.StringIO(data.decode()))) for data in (ours, theirs))
+    if not ours or ours[0] != theirs[0] or len(ours) != len(theirs):
+        return name
+    columns = [column for i, column in enumerate(ours[0])
+               if any(a[i:i + 1] != b[i:i + 1] for a, b in zip(ours, theirs))]
+    return f"{name}[{','.join(columns)}]" if columns else name
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -88,8 +104,9 @@ def main(argv=None):
             status, ours = outputs(ROOT, raw, tmp / f"ours_{name}")
             parent_status, theirs = outputs(parent, raw, tmp / f"theirs_{name}")
             diff = ["exit status"] if status != parent_status else []
-            diff += sorted(name for name in ours.keys() | theirs.keys()
-                           if ours.get(name) != theirs.get(name))
+            diff += [describe(name, ours.get(name), theirs.get(name))
+                     for name in sorted(ours.keys() | theirs.keys())
+                     if ours.get(name) != theirs.get(name)]
             failed |= bool(diff)
             verdict = f"differs: {', '.join(diff)}" if diff else "identical"
             print(f"({name}) exit {status}, {len(ours) - 1} files and stdout, {verdict}",
