@@ -162,7 +162,7 @@ def _field_message(section: str, exc: Exception, keys) -> str:
 def resolve_config(raw: dict) -> dict:
     """Apply scenario defaults, check every key's type, and check the
     values by building the dataset, TrainConfig and training state of
-    the first seed."""
+    the first seed; a size that cannot be allocated fails that check."""
     errors = []
     if not isinstance(raw, dict):
         _fail(["config: top level must be a JSON object"])
@@ -224,13 +224,13 @@ def resolve_config(raw: dict) -> dict:
     }))
     try:
         ds = build_dataset(resolved, seeds[0])
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         _fail([_field_message("dataset", exc, dataset)])
     # Built without the ablation flags, which overwrite threshold and
     # alpha_max with valid values and would hide a bad one.
     try:
         init_train_state(build_train_config(dict(resolved, ablation=[]), seeds[0]), ds)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         _fail([_field_message("train", exc, train)])
     return resolved
 

@@ -197,6 +197,19 @@ class TestValidateCommand:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/config.json"]) == 2
 
+    # Each size asks for a first array of 142 PiB, which fails at once
+    # without touching memory. A size that fits in virtual memory would be
+    # allocated and filled, so none is tried here.
+    @pytest.mark.parametrize("section, raw", [
+        ("dataset", {"dataset": {"n_major": 10**16}}),
+        ("train", {"train": {"hidden_layers": [10**16]}}),
+    ])
+    def test_unallocatable_size_exits_2_naming_its_section(self, tmp_path, capsys,
+                                                           section, raw):
+        path = write_config(tmp_path, {"scenario": "imbalanced_gaussians", **raw})
+        assert main(["validate", path]) == 2
+        assert f"invalid config: {section}: Unable to allocate" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_run_writes_all_outputs(self, tmp_path, capsys):
@@ -315,6 +328,33 @@ def test_module_entry_point_runs_main(tmp_path):
     bad = subprocess.run([sys.executable, "-m", "clusteralign.cli", "validate",
                           str(tmp_path / "missing.json")], capture_output=True, text=True, env=env)
     assert bad.returncode == 2
+
+
+# Two short runs that reach both presets' feature widths: the imbalanced
+# defaults (2-D logits), and a multimode Pi teacher with dropout under the
+# euclidean metric (16-D penultimate features).
+THREAD_CONFIGS = {
+    "imbalanced": {"scenario": "imbalanced_gaussians", "train": {}},
+    "multimode_pi_euclidean": {"scenario": "multimode", "train": {
+        "teacher_mode": "pi", "dropout_rate": 0.3, "metric": "euclidean"}},
+}
+
+
+@pytest.mark.parametrize("name", THREAD_CONFIGS)
+def test_run_outputs_do_not_depend_on_blas_threads(tmp_path, name):
+    raw = dict(THREAD_CONFIGS[name], seeds=[0], eval_every=100)
+    raw["train"] = dict(raw["train"], total_iters=300, pretrain_iters=100)
+    path = write_config(tmp_path, raw)
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads_{threads}"
+        subprocess.run([sys.executable, "-m", "clusteralign.cli", "run", path,
+                        "--output-dir", str(out_dir)], check=True, capture_output=True,
+                       env=module_env(OPENBLAS_NUM_THREADS=threads))
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert sorted(outputs[0]) == ["dataset_0.csv", "features_0.csv", "metrics_0.csv",
+                                  "summary.json"]
+    assert outputs[0] == outputs[1]
 
 
 def test_overflowing_step_exits_1_naming_its_iteration(tmp_path):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_loss_only_tiles_match_oracle(tile, squared, monkeypatch):
     assert_matches_oracle(feats, labels, 6.0 if squared else 2.5, squared, gradient=False)
 
 
+@pytest.mark.parametrize("tile", [1, 20, 200])
+def test_euclidean_gradient_tiles_match_oracle(tile, monkeypatch):
+    # The euclidean gradient mode adds each tile's gradient to both of its
+    # row ranges; same-label tiles hold the pairs i < j only.
+    monkeypatch.setattr(kernels, "_TILE", tile)
+    rng = seeded_rng(20, tile)
+    feats = rng.normal(size=(30, 3))
+    labels = rng.integers(3, size=30)
+    assert_matches_oracle(feats, labels, 2.5, squared=False)
+
+
 @pytest.mark.parametrize("squared", [True, False])
 @pytest.mark.parametrize("seed", range(4))
 def test_loss_only_mode_matches_gradient_mode(seed, squared):
@@ -138,6 +150,21 @@ def test_loss_only_mode_is_independent_of_blas_threads():
     ]
     assert len(printed[0].split()) == 12
     assert printed[0] == printed[1]
+
+
+def test_euclidean_gradient_allocates_no_pairwise_buffers():
+    # One n x n float64 buffer alone would take 9.2 MiB at the imbalanced
+    # snapshot's shape.
+    rng = seeded_rng(19)
+    labels = np.repeat([0, 1], [100, 1000])
+    feats = np.array([[3.0, -2.0], [-3.0, 3.0]])[labels] + 0.3 * rng.normal(size=(1100, 2))
+    tracemalloc.start()
+    try:
+        kernels.pairwise_margin_loss(feats, labels, 5.0, squared=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def near_duplicates(offset, shared):

@@ -78,11 +78,12 @@ class TestClusteringLoss:
         b, _ = clustering_loss(batch(feats[perm], labels[perm]), 3.0)
         assert a == pytest.approx(b, abs=1e-10)
 
-    def test_gradient_matches_central_differences(self):
+    @pytest.mark.parametrize("metric", ["sq_euclidean", "euclidean"])
+    def test_gradient_matches_central_differences(self, metric):
         rng = seeded_rng(8)
         feats = rng.normal(size=(6, 3))
         labels = rng.integers(2, size=6)
-        _, grad = clustering_loss(batch(feats, labels), 3.0)
+        _, grad = clustering_loss(batch(feats, labels), 3.0, metric)
         h = 1e-6
         for i in range(feats.shape[0]):
             for j in range(feats.shape[1]):
@@ -91,8 +92,8 @@ class TestClusteringLoss:
                 down = feats.copy()
                 down[i, j] -= h
                 numeric = (
-                    clustering_loss(batch(up, labels), 3.0)[0]
-                    - clustering_loss(batch(down, labels), 3.0)[0]
+                    clustering_loss(batch(up, labels), 3.0, metric)[0]
+                    - clustering_loss(batch(down, labels), 3.0, metric)[0]
                 ) / (2 * h)
                 assert grad[i, j] == pytest.approx(numeric, abs=1e-6)
 
