@@ -10,11 +10,18 @@ one of three entry points:
     logits        - the final pre-activation
     features      - the slice selected by the configured feature tap
 
-All state is value-semantic: operations return new objects and never
-mutate their inputs.
+A network's parameters, a gradient and a momentum buffer are each one
+float64 vector in NetworkSpec.layout: every weight matrix row-major in
+layer order, then every bias. All state is value-semantic: operations
+return new objects and never mutate their inputs. Network.weights and
+Network.biases are views of Network.params; only init_network writes
+through them.
 """
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,25 +94,50 @@ class NetworkSpec:
         return self.layer_sizes[0]
 
     @property
-    def output_dim(self):
-        return self.layer_sizes[-1]
-
-    @property
     def feature_dim(self):
         if self.feature_tap == "logits":
             return self.layer_sizes[-1]
         return self.layer_sizes[-2]
 
+    @cached_property
+    def layout(self):
+        """(start, stop, shape) of each parameter array in a parameter vector:
+        every weight matrix row-major in layer order, then every bias."""
+        sizes = self.layer_sizes
+        shapes = (*zip(sizes[:-1], sizes[1:]), *((n,) for n in sizes[1:]))
+        stops = tuple(itertools.accumulate(math.prod(shape) for shape in shapes))
+        return tuple(zip((0,) + stops, stops, shapes))
+
+    @property
+    def num_params(self):
+        return self.layout[-1][1]
+
+
+def _views(spec, vector):
+    """The per-layer weight views and bias views of a vector in spec.layout."""
+    views = tuple(vector[start:stop].reshape(shape) for start, stop, shape in spec.layout)
+    half = len(views) // 2
+    return views[:half], views[half:]
+
 
 @dataclass(frozen=True)
 class Network:
-    spec: NetworkSpec
-    weights: tuple
-    biases: tuple
+    """A network's parameters: params is one float64 vector in spec.layout
+    (every weight matrix row-major in layer order, then every bias), and
+    weights and biases are its per-layer views."""
 
-    @property
-    def num_layers(self):
-        return len(self.weights)
+    spec: NetworkSpec
+    params: np.ndarray
+    weights: tuple = field(init=False, repr=False, compare=False)
+    biases: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.params.shape != (self.spec.num_params,):
+            raise ShapeError(f"params has shape {self.params.shape}, "
+                             f"expected ({self.spec.num_params},)")
+        weights, biases = _views(self.spec, self.params)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
 
 @dataclass(frozen=True)
@@ -126,54 +158,48 @@ class ForwardTrace:
 
 @dataclass(frozen=True)
 class GradientSet:
-    """Per-parameter gradients plus the gradient w.r.t. the input batch.
+    """The gradient of one scalar loss: vector w.r.t. the parameters of a
+    network of the given spec, in spec.layout (every weight matrix
+    row-major in layer order, then every bias), and d_input w.r.t. the
+    input batch.
 
     Adding two sets sums the parameter gradients; the sum carries no
     d_input, since its operands may come from different input batches.
     """
 
-    d_weights: tuple
-    d_biases: tuple
+    spec: NetworkSpec
+    vector: np.ndarray
     d_input: np.ndarray
 
     def __add__(self, other):
-        return GradientSet(
-            tuple(a + b for a, b in zip(self.d_weights, other.d_weights)),
-            tuple(a + b for a, b in zip(self.d_biases, other.d_biases)),
-            None,
-        )
+        return GradientSet(self.spec, self.vector + other.vector, None)
 
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Classical momentum buffers, zero-initialized."""
+    """Classical momentum: one zero-initialized buffer in the layout of
+    the network's params (every weight matrix row-major in layer order,
+    then every bias)."""
 
-    buffers_w: tuple
-    buffers_b: tuple
+    buffer: np.ndarray
     momentum: float = 0.9
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
     """Uniform weight init in [-s, s] with s = sqrt(6/(fan_in+fan_out)); zero biases."""
     rng = seeded_rng(seed)
-    weights = []
-    biases = []
-    sizes = spec.layer_sizes
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    params = np.zeros(spec.num_params)
+    for w in _views(spec, params)[0]:
+        fan_in, fan_out = w.shape
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Network(spec, tuple(weights), tuple(biases))
+        w[...] = rng.uniform(-s, s, size=w.shape)
+    return Network(spec, params)
 
 
 def init_optimizer(net: Network, momentum: float = 0.9) -> OptimizerState:
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must lie in [0, 1)")
-    return OptimizerState(
-        tuple(np.zeros_like(w) for w in net.weights),
-        tuple(np.zeros_like(b) for b in net.biases),
-        float(momentum),
-    )
+    return OptimizerState(np.zeros_like(net.params), float(momentum))
 
 
 def _activate(z, kind):
@@ -227,7 +253,7 @@ def forward(net: Network, x, mode: str = "eval", noise_seed: int = 0) -> Forward
     pre_acts = []
     masks = []
     a = x
-    last = net.num_layers - 1
+    last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w + b
         pre_acts.append(z)
@@ -285,8 +311,9 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str) -> Gradien
 
     # The entry point only picks where the loop starts: a pre-activation
     # gradient dz of the final layer, or (penultimate tap) the gradient da
-    # of the final layer's input, which leaves the final layer none.
-    top = start = net.num_layers - 1
+    # of the final layer's input, which leaves the final layer's slots of
+    # the zero vector untouched.
+    top = start = len(net.weights) - 1
     if entry == "probabilities":
         dz = _head_jvp(trace, upstream, spec.head)
     elif entry == "logits" or spec.feature_tap == "logits":
@@ -295,17 +322,17 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str) -> Gradien
         da = upstream
         start = top - 1
 
-    d_weights = [None] * (start + 1) + [np.zeros_like(w) for w in net.weights[start + 1:]]
-    d_biases = [None] * (start + 1) + [np.zeros_like(b) for b in net.biases[start + 1:]]
+    vector = np.zeros(spec.num_params)
+    d_weights, d_biases = _views(spec, vector)
     for i in range(start, -1, -1):
         if i < top:
             if trace.masks is not None:
                 da = da * trace.masks[i]
             dz = da * _activate_grad(trace.pre_activations[i], spec.activation)
-        d_weights[i] = trace.inputs[i].T @ dz
-        d_biases[i] = dz.sum(axis=0)
+        np.matmul(trace.inputs[i].T, dz, out=d_weights[i])
+        dz.sum(axis=0, out=d_biases[i])
         da = dz @ net.weights[i].T
-    return GradientSet(tuple(d_weights), tuple(d_biases), da)
+    return GradientSet(spec, vector, da)
 
 
 def reverse_gradient(g, lam: float):
@@ -319,16 +346,9 @@ def sgd_step(net: Network, state: OptimizerState, grads: GradientSet, lr: float)
     """One classical-momentum update: buffer <- m*buffer + g; theta <- theta - lr*buffer."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    for w, g in zip(net.weights, grads.d_weights):
-        if w.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match weight {w.shape}")
-    m = state.momentum
-    new_buf_w = tuple(m * b + g for b, g in zip(state.buffers_w, grads.d_weights))
-    new_buf_b = tuple(m * b + g for b, g in zip(state.buffers_b, grads.d_biases))
-    new_w = tuple(w - lr * b for w, b in zip(net.weights, new_buf_w))
-    new_b = tuple(bb - lr * b for bb, b in zip(net.biases, new_buf_b))
-    return (
-        Network(net.spec, new_w, new_b),
-        OptimizerState(new_buf_w, new_buf_b, m),
-    )
+    if grads.spec.layer_sizes != net.spec.layer_sizes or grads.vector.shape != net.params.shape:
+        raise ShapeError(f"gradient of shape {grads.vector.shape} for layer sizes "
+                         f"{grads.spec.layer_sizes} does not fit {net.spec.layer_sizes}")
+    buffer = state.momentum * state.buffer + grads.vector
+    return Network(net.spec, net.params - lr * buffer), OptimizerState(buffer, state.momentum)
 

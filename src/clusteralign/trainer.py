@@ -299,7 +299,7 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
 
 def _check_parameters(state: TrainState):
     for net, name in ((state.student, "student"), (state.critic, "critic")):
-        if not all(np.isfinite(p).all() for p in net.weights + net.biases):
+        if not np.isfinite(net.params).all():
             raise TrainingAbort(
                 f"non-finite {name} parameters at iteration {state.iteration}",
                 {"iteration": state.iteration, "parameter_set": name},

@@ -133,74 +133,41 @@ def total_objective(l_y, l_c, l_a, l_d, alpha: float, lam: float) -> float:
     return float(l_y + alpha * (l_c + l_a) + lam * l_d)
 
 
-def _flat_views(net: Network):
-    for i, w in enumerate(net.weights):
-        yield ("w", i, w)
-    for i, b in enumerate(net.biases):
-        yield ("b", i, b)
-
-
-def _perturbed(net: Network, kind, layer, flat_index, delta):
-    weights = list(net.weights)
-    biases = list(net.biases)
-    if kind == "w":
-        arr = weights[layer].copy()
-        arr.flat[flat_index] += delta
-        weights[layer] = arr
-    else:
-        arr = biases[layer].copy()
-        arr.flat[flat_index] += delta
-        biases[layer] = arr
-    return Network(net.spec, tuple(weights), tuple(biases))
-
-
 def finite_diff_check(net: Network, loss_fn, grads: GradientSet, h: float = 1e-5,
                       max_coords: int = 64, seed: int = 0) -> float:
     """Worst relative error between analytic gradients and central differences.
 
     loss_fn maps a Network to a scalar and must be deterministic (fix any
     noise seeds inside it). A random subset of at most max_coords
-    parameter coordinates is probed; the relative error denominator is
-    max(|analytic|, |numeric|, 1e-8).
+    coordinates of net.params is probed.
     """
-    if not 0.0 < h <= 1e-3:
-        raise ValueError("h must lie in (0, 1e-3]")
-    coords = []
-    for kind, layer, arr in _flat_views(net):
-        for flat_index in range(arr.size):
-            coords.append((kind, layer, flat_index))
+    coords = range(net.params.size)
     if len(coords) > max_coords:
-        rng = seeded_rng(seed)
-        picked = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[i] for i in picked]
-
-    grad_lookup = {"w": grads.d_weights, "b": grads.d_biases}
-    worst = 0.0
-    for kind, layer, flat_index in coords:
-        analytic = float(grad_lookup[kind][layer].flat[flat_index])
-        up = loss_fn(_perturbed(net, kind, layer, flat_index, +h))
-        down = loss_fn(_perturbed(net, kind, layer, flat_index, -h))
-        numeric = (up - down) / (2.0 * h)
-        denom = max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
+        coords = seeded_rng(seed).choice(len(coords), size=max_coords, replace=False)
+    return _worst_relative_error(lambda params: loss_fn(Network(net.spec, params)),
+                                 net.params, grads.vector, coords, h)
 
 
 def input_finite_diff_check(loss_fn, x, d_input, h: float = 1e-5) -> float:
     """Worst relative error between d_input and central differences over
-    every coordinate of the input batch x, with finite_diff_check's
-    relative-error denominator."""
+    every coordinate of the input batch x."""
+    return _worst_relative_error(loss_fn, x, d_input, np.ndindex(x.shape), h)
+
+
+def _worst_relative_error(loss_fn, base, analytic, coords, h):
+    """Central differences of loss_fn at base along each coordinate against
+    analytic, with the relative error denominator max(|analytic|,
+    |numeric|, 1e-8)."""
     if not 0.0 < h <= 1e-3:
         raise ValueError("h must lie in (0, 1e-3]")
     worst = 0.0
-    for index in np.ndindex(x.shape):
-        up, down = x.copy(), x.copy()
-        up[index] += h
-        down[index] -= h
+    for k in coords:
+        up, down = base.copy(), base.copy()
+        up[k] += h
+        down[k] -= h
         numeric = (loss_fn(up) - loss_fn(down)) / (2.0 * h)
-        analytic = float(d_input[index])
-        denom = max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic - numeric) / denom)
+        exact = float(analytic[k])
+        worst = max(worst, abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-8))
     return worst
 
 

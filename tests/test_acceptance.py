@@ -130,11 +130,7 @@ def test_criterion_3_gradient_correctness():
 
     # Linear sanity case: gradient of sum(theta) is exactly ones.
     net, _, _ = kink_free_instance(1000)
-    ones = GradientSet(
-        tuple(np.ones_like(w) for w in net.weights),
-        tuple(np.ones_like(b) for b in net.biases),
-        None,
-    )
+    ones = GradientSet(net.spec, np.ones_like(net.params), None)
     worst["linear"] = finite_diff_check(
         net,
         lambda c: sum(float(w.sum()) for w in c.weights)

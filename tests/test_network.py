@@ -4,6 +4,7 @@ import pytest
 from clusteralign.losses import clustering_loss, cross_entropy, PseudoLabeledBatch
 from clusteralign.network import (
     DomainError,
+    GradientSet,
     Network,
     NetworkSpec,
     ShapeError,
@@ -26,8 +27,7 @@ from helpers import (
 
 def test_zero_network_is_uniform():
     spec = NetworkSpec((3, 2))
-    net = init_network(spec, 0)
-    net = Network(spec, tuple(np.zeros_like(w) for w in net.weights), net.biases)
+    net = Network(spec, np.zeros(spec.num_params))
     trace = forward(net, np.ones((4, 3)), mode="eval")
     assert np.allclose(trace.probabilities, 0.5)
 
@@ -77,22 +77,29 @@ def test_forward_error_contracts():
 
 
 def test_weight_init_bounds_and_zero_biases():
-    spec = NetworkSpec((4, 6, 3))
-    net = init_network(spec, 11)
-    for w, (fan_in, fan_out) in zip(net.weights, ((4, 6), (6, 3))):
+    # One uniform draw in [-s, s] per weight matrix, in layer order.
+    net = init_network(NetworkSpec((4, 6, 5, 3)), 11)
+    rng = seeded_rng(11)
+    for w, (fan_in, fan_out) in zip(net.weights, ((4, 6), (6, 5), (5, 3))):
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        assert np.all(np.abs(w) <= s)
+        assert np.array_equal(w, rng.uniform(-s, s, size=(fan_in, fan_out)))
     assert all(np.all(b == 0.0) for b in net.biases)
-    again = init_network(spec, 11)
-    assert all(np.array_equal(a, b) for a, b in zip(net.weights, again.weights))
+
+
+def test_parameter_layout():
+    net = init_network(NetworkSpec((4, 6, 5, 3)), 11)
+    assert [w.shape for w in net.weights] == [(4, 6), (6, 5), (5, 3)]
+    assert [b.shape for b in net.biases] == [(6,), (5,), (3,)]
+    assert np.array_equal(net.params,
+                          np.concatenate([w.ravel() for w in net.weights] + list(net.biases)))
+    assert all(np.shares_memory(v, net.params) for v in net.weights + net.biases)
 
 
 def test_backward_zero_upstream_is_zero():
     net, x, seed = kink_free_instance(3)
     trace = forward(net, x, "train", seed)
     grads = backward(net, trace, np.zeros_like(trace.probabilities), "probabilities")
-    assert all(np.all(g == 0.0) for g in grads.d_weights)
-    assert all(np.all(g == 0.0) for g in grads.d_biases)
+    assert np.all(grads.vector == 0.0)
 
 
 @pytest.mark.parametrize("entry", ["probabilities", "logits", "features"])
@@ -105,10 +112,7 @@ def test_backward_linearity(entry):
     g2 = rng.normal(size=shape)
     combined = backward(net, trace, g1 + g2, entry)
     separate = backward(net, trace, g1, entry) + backward(net, trace, g2, entry)
-    for a, b in zip(combined.d_weights, separate.d_weights):
-        assert np.all(np.abs(a - b) < 1e-10)
-    for a, b in zip(combined.d_biases, separate.d_biases):
-        assert np.all(np.abs(a - b) < 1e-10)
+    assert np.all(np.abs(combined.vector - separate.vector) < 1e-10)
 
 
 def test_backward_shape_errors():
@@ -134,16 +138,35 @@ def test_sgd_zero_grads_is_identity():
     opt = init_optimizer(net)
     grads = backward(net, forward(net, np.ones((2, 3))), np.zeros((2, 2)), "probabilities")
     new_net, _ = sgd_step(net, opt, grads, 0.1)
-    assert all(np.array_equal(a, b) for a, b in zip(net.weights, new_net.weights))
+    assert np.array_equal(net.params, new_net.params)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 4), (3, 4, 2)], ids=["same-count", "other-count"])
+def test_sgd_rejects_a_gradient_of_another_architecture(sizes):
+    # (2, 2, 4) has the 18 parameters of (1, 4, 2); (3, 4, 2) has 26.
+    net = init_network(NetworkSpec((1, 4, 2)), 0)
+    other = init_network(NetworkSpec(sizes), 0)
+    trace = forward(other, np.ones((2, sizes[0])))
+    grads = backward(other, trace, np.ones_like(trace.probabilities), "probabilities")
+    with pytest.raises(ShapeError):
+        sgd_step(net, init_optimizer(net), grads, 0.1)
+
+
+def test_sgd_step_leaves_its_inputs_unchanged():
+    net = init_network(NetworkSpec((3, 4, 2)), 0)
+    grads = GradientSet(net.spec, seeded_rng(20).normal(size=net.params.shape), None)
+    net, opt = sgd_step(net, init_optimizer(net), grads, 0.1)  # a nonzero buffer
+    before = net.params.copy(), opt.buffer.copy(), grads.vector.copy()
+    sgd_step(net, opt, grads, 0.1)
+    after = net.params, opt.buffer, grads.vector
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 def test_sgd_momentum_zero_is_plain_descent():
-    from clusteralign.network import GradientSet
-
     net = init_network(NetworkSpec((2, 2)), 1)
     opt = init_optimizer(net, momentum=0.0)
     g = seeded_rng(5).normal(size=(2, 2))
-    grads = GradientSet((g,), (np.zeros(2),), None)
+    grads = GradientSet(net.spec, np.concatenate([g.ravel(), np.zeros(2)]), None)
     new_net, _ = sgd_step(net, opt, grads, 0.05)
     assert np.allclose(new_net.weights[0] - net.weights[0], -0.05 * g)
 
@@ -151,33 +174,19 @@ def test_sgd_momentum_zero_is_plain_descent():
 def test_sgd_momentum_two_steps():
     # With constant gradient g and momentum 0.9, the second-step delta is
     # -lr * (0.9*g + g) = -lr * 1.9 * g.
-    from clusteralign.network import GradientSet
-
     net = init_network(NetworkSpec((2, 2)), 1)
     opt = init_optimizer(net, momentum=0.9)
     g = seeded_rng(6).normal(size=(2, 2))
-    grads = GradientSet((g,), (np.zeros(2),), None)
+    grads = GradientSet(net.spec, np.concatenate([g.ravel(), np.zeros(2)]), None)
     net1, opt1 = sgd_step(net, opt, grads, 0.01)
     net2, _ = sgd_step(net1, opt1, grads, 0.01)
     assert np.allclose(net2.weights[0] - net1.weights[0], -0.01 * 1.9 * g, atol=1e-15)
 
 
 def test_finite_diff_linear_loss_is_exact():
-    from clusteralign.network import GradientSet
-
     net = init_network(NetworkSpec((3, 4, 2)), 2)
-
-    def loss_fn(candidate):
-        return sum(float(w.sum()) for w in candidate.weights) + sum(
-            float(b.sum()) for b in candidate.biases
-        )
-
-    grads = GradientSet(
-        tuple(np.ones_like(w) for w in net.weights),
-        tuple(np.ones_like(b) for b in net.biases),
-        None,
-    )
-    assert finite_diff_check(net, loss_fn, grads, h=1e-5) <= 1e-10
+    grads = GradientSet(net.spec, np.ones_like(net.params), None)
+    assert finite_diff_check(net, lambda c: float(c.params.sum()), grads, h=1e-5) <= 1e-10
 
 
 def test_finite_diff_cross_entropy():
@@ -242,9 +251,8 @@ def test_one_layer_penultimate_tap_passes_the_gradient_to_the_input():
     assert np.array_equal(trace.features, x)
     probe = seeded_rng(19).normal(size=x.shape)
     grads = backward(net, trace, probe, "features")
-    assert [g.shape for g in grads.d_weights] == [w.shape for w in net.weights]
-    assert [g.shape for g in grads.d_biases] == [b.shape for b in net.biases]
-    assert all(np.all(g == 0.0) for g in grads.d_weights + grads.d_biases)
+    assert grads.vector.shape == net.params.shape
+    assert np.all(grads.vector == 0.0)
     assert np.array_equal(grads.d_input, probe)
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -117,8 +118,7 @@ class TestTrainStep:
         lr = lr_schedule(0.0, cfg.lr_base)
         expected, _ = sgd_step(state.student, state.student_opt, grads, lr)
 
-        for a, b in zip(new_state.student.weights, expected.weights):
-            assert np.array_equal(a, b)
+        assert np.array_equal(new_state.student.params, expected.params)
         assert bundle.l_c != 0.0  # computed even though not applied
 
     def test_empty_selection_zeroes_target_critic_gradient(self):
@@ -135,22 +135,35 @@ class TestTrainStep:
         batch = first_batch(ds, cfg)
         a, _ = train_step(state, batch, cfg)
         b, _ = train_step(state, batch, cfg)
-        for wa, wb in zip(a.student.weights, b.student.weights):
-            assert np.array_equal(wa, wb)
-        for wa, wb in zip(a.critic.weights, b.critic.weights):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(a.student.params, b.student.params)
+        assert np.array_equal(a.critic.params, b.critic.params)
 
-    def test_abort_on_nonfinite(self):
+    def test_step_leaves_its_input_state_unchanged(self):
+        # An in-place update would slip past test_step_deterministic_bitwise:
+        # both calls would return the same mutated object.
+        ds = tiny_dataset()
+        cfg = tiny_config(pretrain_iters=0)
+        batch = first_batch(ds, cfg)
+        state, _ = train_step(init_train_state(cfg, ds), batch, cfg)  # nonzero buffers
+        before = copy.deepcopy(state)
+        train_step(state, batch, cfg)
+        arrays = lambda s: (s.student.params, s.critic.params, s.student_opt.buffer,
+                            s.critic_opt.buffer, s.teacher.ensemble, s.teacher.step_counts)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(state), arrays(before)))
+
+    @pytest.mark.parametrize("name, index", [("student", 0), ("critic", -1)],
+                             ids=["student-first-weight", "critic-last-bias"])
+    def test_abort_on_nonfinite(self, name, index):
         ds = tiny_dataset()
         cfg = tiny_config()
         state = init_train_state(cfg, ds)
-        bad = list(state.student.weights)
-        bad[0] = bad[0].copy()
-        bad[0][0, 0] = np.nan
-        state.student = Network(state.student.spec, tuple(bad), state.student.biases)
-        with pytest.raises(TrainingAbort) as err:
+        net = getattr(state, name)
+        params = net.params.copy()
+        params[index] = np.nan
+        setattr(state, name, Network(net.spec, params))
+        with pytest.raises(TrainingAbort, match=f"non-finite {name} parameters") as err:
             train_step(state, first_batch(ds, cfg), cfg)
-        assert "iteration" in err.value.details
+        assert err.value.details == {"iteration": 0, "parameter_set": name}
 
     def test_pretraining_invariant_to_margin_threshold_decay_critic(self):
         ds = tiny_dataset()
@@ -163,9 +176,8 @@ class TestTrainStep:
             state = init_train_state(cfg, ds)
             for _ in range(cfg.pretrain_iters):
                 state, _ = train_step(state, first_batch(ds, cfg, epoch=0), cfg)
-            finals.append(state.student.weights)
-        for a, b in zip(*finals):
-            assert np.array_equal(a, b)
+            finals.append(state.student.params)
+        assert np.array_equal(*finals)
 
         # Swapping the critic for a differently-initialized one must not
         # change the student during pretraining either.
@@ -175,8 +187,7 @@ class TestTrainStep:
         state.critic = other.critic
         for _ in range(cfg.pretrain_iters):
             state, _ = train_step(state, first_batch(ds, cfg, epoch=0), cfg)
-        for a, b in zip(state.student.weights, finals[0]):
-            assert np.array_equal(a, b)
+        assert np.array_equal(state.student.params, finals[0])
 
 
 class TestTrainLoop:
@@ -220,8 +231,7 @@ class TestTrainLoop:
 
         state_a, metrics_a, _ = run_training(cfg, ds, eval_every=10)
         state_b, metrics_b, _ = run_training(cfg, shuffled, eval_every=10)
-        for a, b in zip(state_a.student.weights, state_b.student.weights):
-            assert np.array_equal(a, b)
+        assert np.array_equal(state_a.student.params, state_b.student.params)
         assert metrics_a[-1].l_y == metrics_b[-1].l_y
         assert metrics_a[-1].selection_rate == metrics_b[-1].selection_rate
 
@@ -234,9 +244,7 @@ class TestTrainLoop:
         runs = [run_training(tiny_config(teacher_mode=mode, dropout_rate=0.0), ds, eval_every=4)
                 for mode in ("pi", "self")]
         (state_pi, metrics_pi, _), (state_self, metrics_self, _) = runs
-        for a, b in zip(state_pi.student.weights + state_pi.student.biases,
-                        state_self.student.weights + state_self.student.biases):
-            assert np.array_equal(a, b)
+        assert np.array_equal(state_pi.student.params, state_self.student.params)
         assert [m.__dict__ for m in metrics_pi] == [m.__dict__ for m in metrics_self]
 
     @pytest.mark.parametrize("mode", ["temporal", "pi", "self"])
