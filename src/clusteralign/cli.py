@@ -17,9 +17,11 @@ TrainConfig fields (with the scenario's preset overrides), the `dataset`
 keys and defaults are the parameters of the scenario's loader, and each
 value must have the type of its default. Ranges are checked by building
 what the first seed's run builds. `validate` prints the fully resolved
-config. Each seed writes metrics_<seed>.csv, features_<seed>.csv and
-dataset_<seed>.csv, then summary.json aggregates the final target
-accuracies (population std, Table-style "mean ± std" cell).
+config. `run` builds every seed's dataset and writes dataset_<seed>.csv
+for each, trains all seeds together as one group, then writes
+metrics_<seed>.csv and features_<seed>.csv in seed order; summary.json
+aggregates the final target accuracies (population std, Table-style
+"mean ± std" cell).
 """
 
 import argparse
@@ -163,6 +165,12 @@ def resolve_config(raw: dict) -> dict:
     """Apply scenario defaults, check every key's type, and check the
     values by building the dataset, TrainConfig and training state of
     the first seed; a size that cannot be allocated fails that check."""
+    return _resolve(raw)[0]
+
+
+def _resolve(raw: dict):
+    """resolve_config's resolved dict, and the first seed's dataset it
+    built."""
     errors = []
     if not isinstance(raw, dict):
         _fail(["config: top level must be a JSON object"])
@@ -232,7 +240,7 @@ def resolve_config(raw: dict) -> dict:
         init_train_state(build_train_config(dict(resolved, ablation=[]), seeds[0]), ds)
     except (ValueError, MemoryError) as exc:
         _fail([_field_message("train", exc, train)])
-    return resolved
+    return resolved, ds
 
 
 def config_hash(resolved: dict) -> str:
@@ -294,14 +302,24 @@ def write_features_csv(view, ds, path) -> None:
                 )
 
 
-def run_experiment(resolved: dict, output_dir: str) -> dict:
+def run_experiment(resolved: dict, output_dir: str, first_dataset: DomainDataset) -> dict:
+    """Write every seed's dataset, train the seeds as one group, then
+    write each seed's metrics and features and the summary. first_dataset
+    is the first seed's dataset, which resolving the config has built.
+    An abort names the seed and leaves only the dataset files."""
     os.makedirs(output_dir, exist_ok=True)
-    finals = {}
-    for seed in resolved["seeds"]:
-        ds = build_dataset(resolved, seed)
-        cfg = build_train_config(resolved, seed)
+    seeds = resolved["seeds"]
+    datasets = [first_dataset] + [build_dataset(resolved, seed) for seed in seeds[1:]]
+    for seed, ds in zip(seeds, datasets):
         dump_dataset_csv(ds, os.path.join(output_dir, f"dataset_{seed}.csv"))
-        _, metrics, view = run_training(cfg, ds, resolved["eval_every"])
+    cfgs = [build_train_config(resolved, seed) for seed in seeds]
+    try:
+        _, logs, views = run_training(cfgs, datasets, resolved["eval_every"])
+    except TrainingAbort as exc:
+        raise TrainingAbort(f"seed {seeds[exc.details['seed_index']]}: {exc}",
+                            exc.details) from exc
+    finals = {}
+    for seed, ds, metrics, view in zip(seeds, datasets, logs, views):
         write_metrics_csv(metrics, os.path.join(output_dir, f"metrics_{seed}.csv"))
         write_features_csv(view, ds, os.path.join(output_dir, f"features_{seed}.csv"))
         finals[str(seed)] = metrics[-1].target_accuracy
@@ -366,7 +384,7 @@ def main(argv=None) -> int:
             raw["seeds"] = _parse_seeds(args.seed_override)
         if args.command == "run" and args.output_dir == "":
             raise ConfigError("--output-dir: must be a non-empty path")
-        resolved = resolve_config(raw)
+        resolved, first_dataset = _resolve(raw)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
@@ -377,7 +395,7 @@ def main(argv=None) -> int:
 
     output_dir = resolved["output_dir"] if args.output_dir is None else args.output_dir
     try:
-        summary = run_experiment(resolved, output_dir)
+        summary = run_experiment(resolved, output_dir, first_dataset)
     except (TrainingAbort, OSError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

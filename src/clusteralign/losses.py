@@ -5,6 +5,12 @@ quantity it consumes (logits, features, or critic outputs); composing
 those with the network backward pass yields exact parameter gradients.
 The training step and the evaluation snapshot both take them from
 `objective`.
+
+Every input may carry a leading seed axis (a group of seeds trained
+together); each loss then returns one value per seed and gradients with
+that axis. The pairwise clustering kernel and the selected-target sum of
+the adversarial loss run once per seed, so each seed's bytes are those of
+a lone run.
 """
 
 from dataclasses import dataclass
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from clusteralign.kernels import pairwise_margin_loss
-from clusteralign.network import forward
+from clusteralign.network import forward, row_index
 
 _EPS = 1e-12
 METRICS = ("sq_euclidean", "euclidean")
@@ -33,7 +39,7 @@ class PseudoLabeledBatch:
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "labels", labels)
-        if self.features.shape[0] != labels.shape[0]:
+        if self.features.shape[:-1] != labels.shape:
             raise ValueError("one label per feature row required")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
@@ -41,7 +47,8 @@ class PseudoLabeledBatch:
 
 @dataclass(frozen=True)
 class LossBundle:
-    """Scalar losses and the target selection count of one training step."""
+    """Scalar losses and the target selection count of one training step,
+    each one value per seed for a group."""
 
     l_y: float
     l_c: float
@@ -70,12 +77,12 @@ def cross_entropy(probabilities, labels):
     """
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    n = p.shape[0]
-    picked = p[np.arange(n), y]
-    loss = -np.log(np.maximum(picked, _EPS)).mean()
+    entries = (np.arange(y.size), y.ravel())
+    picked = p.reshape(-1, p.shape[-1])[entries].reshape(y.shape)
+    loss = -np.log(np.maximum(picked, _EPS)).mean(axis=-1)
     d_logits = p.copy()
-    d_logits[np.arange(n), y] -= 1.0
-    return float(loss), d_logits / n
+    d_logits.reshape(-1, p.shape[-1])[entries] -= 1.0
+    return loss, d_logits / y.shape[-1]
 
 
 def clustering_loss(batch: PseudoLabeledBatch, margin: float, metric: str = "sq_euclidean",
@@ -91,11 +98,20 @@ def clustering_loss(batch: PseudoLabeledBatch, margin: float, metric: str = "sq_
         raise ValueError("margin must be positive")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    loss, grad = pairwise_margin_loss(
-        batch.features, batch.labels, margin, squared=metric == "sq_euclidean",
-        gradient=gradient,
-    )
-    return float(loss), grad
+    feats, labels = batch.features, batch.labels
+    results = [
+        pairwise_margin_loss(f, y, margin, squared=metric == "sq_euclidean", gradient=gradient)
+        for f, y in zip(feats.reshape((-1,) + feats.shape[-2:]), labels.reshape(-1, labels.shape[-1]))
+    ]
+    lead = labels.shape[:-1]
+    loss = _restack([value for value, _ in results], lead)
+    return loss, _restack([grad for _, grad in results], lead) if gradient else None
+
+
+def _restack(values, lead):
+    """Per-seed results, in seed order, as one array with the leading seed
+    axes lead; the result itself when there are none."""
+    return np.asarray(values).reshape(lead + np.shape(values[0])) if lead else values[0]
 
 
 def alignment_loss(source: PseudoLabeledBatch, target: PseudoLabeledBatch):
@@ -109,29 +125,38 @@ def alignment_loss(source: PseudoLabeledBatch, target: PseudoLabeledBatch):
     if source.num_classes != target.num_classes:
         raise ValueError("batches must share the class count")
     k = source.num_classes
-    src_counts = np.bincount(source.labels, minlength=k)
-    tgt_counts = np.bincount(target.labels, minlength=k)
-    present = (src_counts > 0) & (tgt_counts > 0)
-    n_present = int(present.sum())
-    if not n_present:
-        return 0.0, np.zeros_like(source.features), np.zeros_like(target.features)
-
-    src_n = np.maximum(src_counts, 1)[:, None]
-    tgt_n = np.maximum(tgt_counts, 1)[:, None]
-    gap = _class_sums(source, k) / src_n - _class_sums(target, k) / tgt_n
-    gap[~present] = 0.0
-    inv_classes = 1.0 / n_present
-    loss = float((gap * gap).sum()) * inv_classes
+    src_onehot = _onehot(source.labels, k)
+    tgt_onehot = _onehot(target.labels, k)
+    # Exact integer counts, one per class and seed.
+    src_n = src_onehot.sum(axis=-1, keepdims=True)
+    tgt_n = tgt_onehot.sum(axis=-1, keepdims=True)
+    present = (src_n > 0) & (tgt_n > 0)
+    n_present = present.sum(axis=-2, keepdims=True)
+    np.maximum(src_n, 1.0, out=src_n)
+    np.maximum(tgt_n, 1.0, out=tgt_n)
+    gap = np.where(present,
+                   src_onehot @ source.features / src_n - tgt_onehot @ target.features / tgt_n,
+                   0.0)
+    inv_classes = 1.0 / np.maximum(n_present, 1)
+    loss = (gap * gap).reshape(gap.shape[:-2] + (-1,)).sum(axis=-1) * inv_classes[..., 0, 0]
     # Each sample moves its own class mean by 1/count of its domain.
-    d_src = (2.0 * inv_classes / src_n * gap)[source.labels]
-    d_tgt = (-2.0 * inv_classes / tgt_n * gap)[target.labels]
+    d_src = _class_rows(2.0 * inv_classes / src_n * gap, source.labels)
+    d_tgt = _class_rows(-2.0 * inv_classes / tgt_n * gap, target.labels)
+    if not n_present.all():
+        # No shared class: no term, and no gradient (not even a negative zero).
+        d_tgt[n_present[..., 0, 0] == 0] = 0.0
     return loss, d_src, d_tgt
 
 
-def _class_sums(batch: PseudoLabeledBatch, k: int):
-    """Per-class feature sums, one row per class id."""
-    onehot = batch.labels[None, :] == np.arange(k)[:, None]
-    return onehot.astype(np.float64) @ batch.features
+def _onehot(labels, k):
+    """(..., k, n) float one-hot matrix of (..., n) labels, one row per class id."""
+    return (labels[..., None, :] == np.arange(k)[:, None]).astype(np.float64)
+
+
+def _class_rows(per_class, labels):
+    """Row labels[..., j] of each seed's (k, d) per-class table."""
+    rows = row_index(labels, per_class.shape[-2])
+    return per_class.reshape(-1, per_class.shape[-1])[rows]
 
 
 def domain_adversarial_loss(source_critic_out, target_critic_out, target_confidences,
@@ -175,7 +200,7 @@ def objective(source_trace, target_trace, source_y, target_labels, target_confid
     comes from the clustering kernel's loss-only mode and d_clustering
     holds None.
     """
-    num_classes = source_trace.probabilities.shape[1]
+    num_classes = source_trace.probabilities.shape[-1]
     src = PseudoLabeledBatch(source_trace.features, source_y, num_classes)
     tgt = PseudoLabeledBatch(target_trace.features, target_labels, num_classes)
     l_y, d_logits = cross_entropy(source_trace.probabilities, source_y)
@@ -184,10 +209,14 @@ def objective(source_trace, target_trace, source_y, target_labels, target_confid
     l_a, g_a_src, g_a_tgt = alignment_loss(src, tgt)
     critic_src = forward(critic, source_trace.features)
     critic_tgt = forward(critic, target_trace.features)
-    l_d, d_out_src, d_out_tgt, selected = domain_adversarial_loss(
-        critic_src.probabilities[:, 0], critic_tgt.probabilities[:, 0],
-        target_confidences, cfg.threshold,
-    )
+    # The selected-target sum is taken per seed: a masked sum over the
+    # group would reorder the summation.
+    outputs = (critic_src.probabilities[..., 0], critic_tgt.probabilities[..., 0],
+               np.asarray(target_confidences, dtype=np.float64))
+    per_seed = [domain_adversarial_loss(c_src, c_tgt, conf, cfg.threshold)
+                for c_src, c_tgt, conf in zip(*(a.reshape(-1, a.shape[-1]) for a in outputs))]
+    lead = outputs[0].shape[:-1]
+    l_d, d_out_src, d_out_tgt, selected = (_restack(list(v), lead) for v in zip(*per_seed))
     bundle = LossBundle(l_y=l_y, l_c=l_c_src + l_c_tgt, l_a=l_a, l_d=l_d,
                         selection_count=selected)
     grads = ObjectiveGradients(d_logits, (g_c_src, g_c_tgt), (g_a_src, g_a_tgt),

@@ -16,6 +16,11 @@ layer order, then every bias. All state is value-semantic: operations
 return new objects and never mutate their inputs. Network.weights and
 Network.biases are views of Network.params; only init_network writes
 through them.
+
+A group of seeds trained together stacks its networks: params gains a
+leading seed axis, and every batch, trace and gradient of the group
+carries the same axis in front of its (rows, columns) axes. Each seed's
+slice holds the bytes it would hold on its own.
 """
 
 import itertools
@@ -37,7 +42,13 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """An input value was outside the mathematical domain (e.g. NaN)."""
+    """An input value was outside the mathematical domain (e.g. NaN);
+    seed_index is the first entry of the seed axis that holds one (0
+    for an array without that axis)."""
+
+    def __init__(self, message, seed_index=0):
+        super().__init__(message)
+        self.seed_index = seed_index
 
 
 def as_matrix(x, name="x"):
@@ -113,9 +124,22 @@ class NetworkSpec:
         return self.layout[-1][1]
 
 
+def row_index(indices, num_rows):
+    """Flat row numbers of indices[..., j] in an array of shape
+    (..., num_rows, m) read as (-1, m): each entry of the leading seed
+    axis picks from its own num_rows rows."""
+    lead = indices.shape[:-1]
+    if not lead:
+        return indices
+    return indices + num_rows * np.arange(math.prod(lead)).reshape(lead + (1,))
+
+
 def _views(spec, vector):
-    """The per-layer weight views and bias views of a vector in spec.layout."""
-    views = tuple(vector[start:stop].reshape(shape) for start, stop, shape in spec.layout)
+    """The per-layer weight views and bias views of a vector in spec.layout
+    (of each seed's vector, for a stacked one)."""
+    lead = vector.shape[:-1]
+    views = tuple(vector[..., start:stop].reshape(lead + shape)
+                  for start, stop, shape in spec.layout)
     half = len(views) // 2
     return views[:half], views[half:]
 
@@ -123,8 +147,9 @@ def _views(spec, vector):
 @dataclass(frozen=True)
 class Network:
     """A network's parameters: params is one float64 vector in spec.layout
-    (every weight matrix row-major in layer order, then every bias), and
-    weights and biases are its per-layer views."""
+    (every weight matrix row-major in layer order, then every bias), or a
+    stack of them with a leading seed axis, and weights and biases are
+    its per-layer views."""
 
     spec: NetworkSpec
     params: np.ndarray
@@ -132,9 +157,9 @@ class Network:
     biases: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.params.shape != (self.spec.num_params,):
-            raise ShapeError(f"params has shape {self.params.shape}, "
-                             f"expected ({self.spec.num_params},)")
+        if self.params.ndim > 2 or self.params.shape[-1:] != (self.spec.num_params,):
+            raise ShapeError(f"params has shape {self.params.shape}, expected "
+                             f"({self.spec.num_params},) or (seeds, {self.spec.num_params})")
         weights, biases = _views(self.spec, self.params)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
@@ -147,6 +172,7 @@ class ForwardTrace:
     inputs[i] is the matrix fed into dense layer i (inputs[0] is x);
     pre_activations[i] is inputs[i] @ W_i + b_i. masks holds the scaled
     dropout masks per hidden layer and is None when dropout was inactive.
+    A group's arrays carry its seed axis in front.
     """
 
     inputs: tuple
@@ -160,8 +186,8 @@ class ForwardTrace:
 class GradientSet:
     """The gradient of one scalar loss: vector w.r.t. the parameters of a
     network of the given spec, in spec.layout (every weight matrix
-    row-major in layer order, then every bias), and d_input w.r.t. the
-    input batch.
+    row-major in layer order, then every bias; one vector per seed of a
+    group), and d_input w.r.t. the input batch, None when not asked for.
 
     Adding two sets sums the parameter gradients; the sum carries no
     d_input, since its operands may come from different input batches.
@@ -216,9 +242,9 @@ def _activate_grad(z, kind):
 
 
 def _softmax(z):
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _sigmoid(z):
@@ -230,23 +256,35 @@ def _sigmoid(z):
     return out
 
 
-def forward(net: Network, x, mode: str = "eval", noise_seed: int = 0) -> ForwardTrace:
+def forward(net: Network, x, mode: str = "eval", noise_seed=0) -> ForwardTrace:
     """Run the network, recording the full trace.
 
     Deterministic given (net, x, mode, noise_seed): dropout masks are
     drawn from a generator keyed by noise_seed alone. Eval mode disables
-    dropout entirely.
+    dropout entirely. A stacked network takes a batch per seed, x of
+    shape (seeds, rows, columns), and one noise seed per seed.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = as_matrix(x)
+    x = np.asarray(x, dtype=np.float64)
     spec = net.spec
-    if x.shape[1] != spec.input_dim:
+    lead = net.params.shape[:-1]
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
+        raise ShapeError(f"x has shape {x.shape}, expected {(*lead, 'rows', 'columns')}")
+    if x.shape[-1] != spec.input_dim:
         raise ShapeError(
-            f"input has {x.shape[1]} columns, network expects {spec.input_dim}"
+            f"input has {x.shape[-1]} columns, network expects {spec.input_dim}"
         )
+    finite = np.isfinite(x)
+    if not finite.all():
+        seed_index = int(np.argmin(finite.reshape(math.prod(lead), -1).all(axis=1)))
+        raise DomainError("x contains non-finite entries", seed_index)
     use_dropout = mode == "train" and spec.dropout_rate > 0.0
-    rng = seeded_rng(noise_seed) if use_dropout else None
+    if use_dropout:
+        keys = tuple(noise_seed) if isinstance(noise_seed, (tuple, list)) else (noise_seed,)
+        if len(keys) != math.prod(lead):
+            raise ValueError(f"{len(keys)} noise seeds for {math.prod(lead)} seeds")
+        rngs = [seeded_rng(key) for key in keys]
     keep = 1.0 - spec.dropout_rate
 
     inputs = [x]
@@ -255,13 +293,20 @@ def forward(net: Network, x, mode: str = "eval", noise_seed: int = 0) -> Forward
     a = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
+        z = a @ w + b[..., None, :]
         pre_acts.append(z)
         if i == last:
             break
         h = _activate(z, spec.activation)
         if use_dropout:
-            mask = (rng.random(h.shape) >= spec.dropout_rate) / keep
+            # Each seed's generator fills its own slice, in layer order.
+            if lead:
+                draws = np.empty(h.shape)
+                for rng, out in zip(rngs, draws):
+                    rng.random(out=out)
+            else:
+                draws = rngs[0].random(h.shape)
+            mask = (draws >= spec.dropout_rate) / keep
             h = h * mask
             masks.append(mask)
         a = h
@@ -286,19 +331,21 @@ def _head_jvp(trace, d_probs, head):
     """Pull an upstream gradient on the head output back to the logits."""
     p = trace.probabilities
     if head == "softmax":
-        inner = (d_probs * p).sum(axis=1, keepdims=True)
+        inner = (d_probs * p).sum(axis=-1, keepdims=True)
         return p * (d_probs - inner)
     return d_probs * p * (1.0 - p)
 
 
-def backward(net: Network, trace: ForwardTrace, upstream, entry: str) -> GradientSet:
+def backward(net: Network, trace: ForwardTrace, upstream, entry: str,
+             input_gradient: bool = True) -> GradientSet:
     """Exact gradients of a scalar loss w.r.t. all parameters and the input.
 
     upstream is d(loss)/d(entry point); dropout masks recorded in the
     trace are reused, so the gradient matches the exact forward that
     produced the trace. Backward is linear in upstream. A penultimate tap
     on a net without hidden layers taps the input itself; its d_input is
-    then upstream.
+    then upstream. With input_gradient=False the first layer's input
+    gradient is not formed and d_input is None.
     """
     if entry not in ("probabilities", "logits", "features"):
         raise ValueError(f"unknown entry {entry!r}")
@@ -322,17 +369,18 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str) -> Gradien
         da = upstream
         start = top - 1
 
-    vector = np.zeros(spec.num_params)
+    vector = np.zeros(net.params.shape)
     d_weights, d_biases = _views(spec, vector)
     for i in range(start, -1, -1):
         if i < top:
             if trace.masks is not None:
                 da = da * trace.masks[i]
             dz = da * _activate_grad(trace.pre_activations[i], spec.activation)
-        np.matmul(trace.inputs[i].T, dz, out=d_weights[i])
-        dz.sum(axis=0, out=d_biases[i])
-        da = dz @ net.weights[i].T
-    return GradientSet(spec, vector, da)
+        np.matmul(trace.inputs[i].mT, dz, out=d_weights[i])
+        dz.sum(axis=-2, out=d_biases[i])
+        if i or input_gradient:
+            da = dz @ net.weights[i].mT
+    return GradientSet(spec, vector, da if input_gradient else None)
 
 
 def reverse_gradient(g, lam: float):

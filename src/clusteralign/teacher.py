@@ -6,14 +6,15 @@ fresh dropout noise and uses that second pass as the teacher prediction.
 per target sample, read back with bias correction so early averages are
 not shrunk toward zero. "self", the no_teacher ablation, uses the
 student's own prediction. Gradients never flow through teacher
-predictions.
+predictions. A group of seeds stacks its ensembles, step counts, batch
+indices and predictions along a leading seed axis.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from clusteralign.network import Network, forward
+from clusteralign.network import Network, forward, row_index
 
 TEACHER_MODES = ("pi", "temporal", "self")
 
@@ -54,14 +55,17 @@ def temporal_update(state: TeacherState, indices, probabilities) -> TeacherState
     """
     idx = np.asarray(indices, dtype=np.int64)
     probs = np.asarray(probabilities, dtype=np.float64)
-    if idx.shape[0] != probs.shape[0]:
+    if idx.shape != probs.shape[:-1]:
         raise ValueError("one probability row per index required")
-    if idx.size and (idx.min() < 0 or idx.max() >= state.ensemble.shape[0]):
+    num_rows, num_classes = state.ensemble.shape[-2:]
+    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
         raise IndexError("teacher update index out of range")
     ensemble = state.ensemble.copy()
     counts = state.step_counts.copy()
-    ensemble[idx] = state.decay * ensemble[idx] + (1.0 - state.decay) * probs
-    counts[idx] += 1
+    rows = row_index(idx, num_rows)
+    flat = ensemble.reshape(-1, num_classes)
+    flat[rows] = state.decay * flat[rows] + (1.0 - state.decay) * probs
+    counts.reshape(-1)[rows] += 1
     return TeacherState(ensemble, counts, state.decay)
 
 
@@ -73,8 +77,9 @@ def corrected_probabilities(state: TeacherState, indices=None) -> np.ndarray:
     """
     ensemble, counts = state.ensemble, state.step_counts
     if indices is not None:
-        idx = np.asarray(indices, dtype=np.int64)
-        ensemble, counts = ensemble[idx], counts[idx]
+        rows = row_index(np.asarray(indices, dtype=np.int64), ensemble.shape[-2])
+        ensemble = ensemble.reshape(-1, ensemble.shape[-1])[rows]
+        counts = counts.reshape(-1)[rows]
     probs = np.zeros_like(ensemble)
     seen = counts > 0
     corr = 1.0 - state.decay ** counts[seen]
@@ -90,6 +95,6 @@ def pseudo_labels(probabilities):
     0, which cannot occur for a real probability row.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
-    labels = np.argmax(probs, axis=1).astype(np.int64)
-    confidences = probs[np.arange(probs.shape[0]), labels]
-    return labels, confidences
+    labels = np.argmax(probs, axis=-1).astype(np.int64)
+    # The maximum is the entry at the argmax, bit for bit.
+    return labels, probs.max(axis=-1)

@@ -12,8 +12,15 @@ estimate is meaningful by the time adaptation starts).
 
 A whole run is a pure function of (config, dataset): every random draw is
 seeded from the config seed and the iteration counter.
+
+The seeds of one experiment train together as a group: their states,
+momentum buffers, temporal ensembles and batches are stacked along a
+leading seed axis, and one step advances every seed. Each seed's slice
+holds the bytes of a run of that seed alone; a state of one seed keeps
+its 2-D arrays.
 """
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,6 +33,7 @@ from clusteralign.losses import METRICS, objective
 from clusteralign.network import (
     FEATURE_TAPS,
     DomainError,
+    GradientSet,
     Network,
     NetworkSpec,
     OptimizerState,
@@ -52,7 +60,9 @@ LAMBDA_SCHEDULES = ("same_as_alpha", "constant")
 
 
 class TrainingAbort(RuntimeError):
-    """A loss or parameter went non-finite; carries a diagnostic snapshot."""
+    """A loss or parameter went non-finite; carries a diagnostic snapshot
+    whose seed_index is the position of the offending seed in its group
+    (0 for a run of one seed)."""
 
     def __init__(self, message, details):
         super().__init__(message)
@@ -154,14 +164,20 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """One point of a run; teacher is the temporal ensemble, None for the
-    other teacher modes."""
+    """One point of a run, or of a group of seeds run together.
+
+    teacher is the temporal ensemble, None for the other teacher modes.
+    seeds holds the TrainConfig.seed that keys each seed's dropout masks.
+    A group (more than one seed) stacks every array along a leading seed
+    axis in that order.
+    """
 
     student: Network
     critic: Network
     student_opt: OptimizerState
     critic_opt: OptimizerState
     teacher: TeacherState | None
+    seeds: tuple
     iteration: int = 0
 
 
@@ -201,6 +217,57 @@ def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
         student_opt=init_optimizer(student, cfg.momentum),
         critic_opt=init_optimizer(critic, cfg.momentum),
         teacher=teacher,
+        seeds=(cfg.seed,),
+    )
+
+
+def _stack(arrays):
+    """Per-seed arrays stacked along a new leading seed axis; a lone
+    seed's array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def stack_states(states) -> TrainState:
+    """The group state of per-seed states at one iteration, in order."""
+    first = states[0]
+
+    def stacked(get):
+        return _stack([get(s) for s in states])
+
+    teacher = None
+    if first.teacher is not None:
+        teacher = TeacherState(stacked(lambda s: s.teacher.ensemble),
+                               stacked(lambda s: s.teacher.step_counts), first.teacher.decay)
+    return TrainState(
+        student=Network(first.student.spec, stacked(lambda s: s.student.params)),
+        critic=Network(first.critic.spec, stacked(lambda s: s.critic.params)),
+        student_opt=OptimizerState(stacked(lambda s: s.student_opt.buffer),
+                                   first.student_opt.momentum),
+        critic_opt=OptimizerState(stacked(lambda s: s.critic_opt.buffer),
+                                  first.critic_opt.momentum),
+        teacher=teacher,
+        seeds=tuple(seed for s in states for seed in s.seeds),
+        iteration=first.iteration,
+    )
+
+
+def _seed_state(state: TrainState, index: int) -> TrainState:
+    """The state of the index-th seed of a group, as views into it; a
+    state of one seed is returned as it is."""
+    if len(state.seeds) == 1:
+        return state
+    teacher = state.teacher
+    if teacher is not None:
+        teacher = TeacherState(teacher.ensemble[index], teacher.step_counts[index],
+                               teacher.decay)
+    return TrainState(
+        student=Network(state.student.spec, state.student.params[index]),
+        critic=Network(state.critic.spec, state.critic.params[index]),
+        student_opt=OptimizerState(state.student_opt.buffer[index], state.student_opt.momentum),
+        critic_opt=OptimizerState(state.critic_opt.buffer[index], state.critic_opt.momentum),
+        teacher=teacher,
+        seeds=(state.seeds[index],),
+        iteration=state.iteration,
     )
 
 
@@ -225,19 +292,23 @@ def schedule_weights(cfg: TrainConfig, iteration: int):
     return alpha, lam
 
 
-def _noise_seed(state: TrainState, cfg: TrainConfig, slot: int) -> int:
-    """The dropout seed of one student train-mode pass, derived only when
-    the student draws a mask (forward ignores the seed otherwise)."""
+def _noise_seeds(state: TrainState, slot: int):
+    """The dropout seeds of one student train-mode pass, one per seed,
+    derived only when the student draws a mask (forward ignores them
+    otherwise)."""
     if state.student.spec.dropout_rate > 0.0:
-        return derive_seed(cfg.seed, state.iteration, slot)
+        return tuple(derive_seed(seed, state.iteration, slot) for seed in state.seeds)
     return 0
 
 
 def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
     """One optimization step; returns the advanced state and its losses.
 
-    The parameters are checked on entry and the losses after the update;
-    the parameters a step produces are checked when the next step or a
+    A group's batch carries the state's seed axis, and one step advances
+    every seed; cfg is the configuration all of them share, and each
+    seed's dropout is keyed by its own entry of state.seeds. The
+    parameters are checked on entry and the losses after the update; the
+    parameters a step produces are checked when the next step or a
     snapshot reads them (every run ends on a snapshot).
     """
     _check_parameters(state)
@@ -245,15 +316,15 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
     alpha, lam = schedule_weights(cfg, it)
     lr = lr_schedule(it / cfg.total_iters, cfg.lr_base)
 
-    trace_src = forward(state.student, batch.source_x, "train", _noise_seed(state, cfg, 1))
-    trace_tgt = forward(state.student, batch.target_x, "train", _noise_seed(state, cfg, 2))
+    trace_src = forward(state.student, batch.source_x, "train", _noise_seeds(state, 1))
+    trace_tgt = forward(state.student, batch.target_x, "train", _noise_seeds(state, 2))
 
     # The teacher's view of the target batch is read before any update.
     new_teacher = state.teacher
     if cfg.teacher_mode == "self":
         teacher_probs = trace_tgt.probabilities
     elif cfg.teacher_mode == "pi":
-        teacher_probs = pi_predict(state.student, batch.target_x, _noise_seed(state, cfg, 3))
+        teacher_probs = pi_predict(state.student, batch.target_x, _noise_seeds(state, 3))
     else:
         teacher_probs = corrected_probabilities(state.teacher, batch.target_indices)
         new_teacher = temporal_update(
@@ -266,20 +337,26 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
 
     # The critic descends the negated discrepancy (so it maximizes l_d);
     # the reversal connector then hands the student +lam * d(l_d)/d(features).
-    student_grads = backward(state.student, trace_src, grads.d_logits, "logits")
+    student_grads = backward(state.student, trace_src, grads.d_logits, "logits",
+                             input_gradient=False)
     critic_parts = []
     for trace, critic_trace, d_out, g_c, g_a in zip(
             (trace_src, trace_tgt), grads.critic_traces, grads.d_critic_out,
             grads.d_clustering, grads.d_alignment):
-        critic_part = backward(state.critic, critic_trace, -d_out[:, None], "probabilities")
+        critic_part = backward(state.critic, critic_trace, -d_out[..., None], "probabilities")
         critic_parts.append(critic_part)
         d_feat = reverse_gradient(critic_part.d_input, lam)
         if cfg.use_clustering:
             d_feat += alpha * g_c
         if cfg.use_alignment:
             d_feat += alpha * g_a
-        if np.any(d_feat):
-            student_grads = student_grads + backward(state.student, trace, d_feat, "features")
+        # A seed whose feature gradient is all zero skips this pass.
+        moving = np.any(d_feat, axis=(-2, -1))
+        if moving.any():
+            part = backward(state.student, trace, d_feat, "features", input_gradient=False)
+            vector = student_grads.vector
+            student_grads = GradientSet(student_grads.spec, np.where(
+                moving[..., None], vector + part.vector, vector), None)
     critic_grads = critic_parts[0] + critic_parts[1]
 
     new_student, new_student_opt = sgd_step(state.student, state.student_opt, student_grads, lr)
@@ -292,9 +369,15 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
         student_opt=new_student_opt,
         critic_opt=new_critic_opt,
         teacher=new_teacher,
+        seeds=state.seeds,
         iteration=it + 1,
     )
     return new_state, bundle
+
+
+def _first(flags) -> int:
+    """The position of the first true flag of a flag or a row of flags."""
+    return int(np.argmax(np.ravel(flags)))
 
 
 def _check_parameters(state: TrainState):
@@ -302,54 +385,82 @@ def _check_parameters(state: TrainState):
         if not np.isfinite(net.params).all():
             raise TrainingAbort(
                 f"non-finite {name} parameters at iteration {state.iteration}",
-                {"iteration": state.iteration, "parameter_set": name},
+                {"iteration": state.iteration, "parameter_set": name,
+                 "seed_index": _first(~np.isfinite(net.params).all(axis=-1))},
             )
 
 
 def _check_losses(bundle, iteration):
-    if not all(math.isfinite(v) for v in (bundle.l_y, bundle.l_c, bundle.l_a, bundle.l_d)):
-        raise TrainingAbort(
-            f"non-finite loss at iteration {iteration}",
-            {
-                "iteration": iteration,
-                "l_y": bundle.l_y,
-                "l_c": bundle.l_c,
-                "l_a": bundle.l_a,
-                "l_d": bundle.l_d,
-                "selection_count": bundle.selection_count,
-            },
-        )
+    finite = np.isfinite([bundle.l_y, bundle.l_c, bundle.l_a, bundle.l_d]).all(axis=0)
+    if not finite.all():
+        index = _first(~finite)
+        details = {name: np.ravel(getattr(bundle, name))[index].item()
+                   for name in ("l_y", "l_c", "l_a", "l_d", "selection_count")}
+        raise TrainingAbort(f"non-finite loss at iteration {iteration}",
+                            dict(details, iteration=iteration, seed_index=index))
 
 
-def run_training(cfg: TrainConfig, ds: DomainDataset, eval_every: int):
+def run_training(cfg, ds, eval_every: int):
     """Train to completion; returns (final state, metrics log, final view).
 
     The log holds one entry for iteration 0, one after every eval_every-th
     step and one for the final state; the final view is that state's
-    evaluate.StateView.
+    evaluate.StateView. cfg and ds may instead be equal-length sequences
+    of configs that differ in their seed only and of same-sized datasets:
+    the seeds then train as one group, the state is the group's, and the
+    log and the view become lists with one entry per seed. A non-finite
+    value stops the whole group at its iteration with a TrainingAbort
+    naming the seed.
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
+    group = not isinstance(cfg, TrainConfig)
+    cfgs, datasets = (tuple(cfg), tuple(ds)) if group else ((cfg,), (ds,))
+    shared = cfgs[0]
+    if len(cfgs) != len(datasets) or any(
+            dataclasses.replace(c, seed=shared.seed) != shared for c in cfgs):
+        raise ValueError("a group needs one dataset per config, and configs that "
+                         "differ in their seed only")
+    if len({(d.source_x.shape, d.target_x.shape, d.num_classes) for d in datasets}) > 1:
+        raise ValueError("the datasets of a group must have the same shapes")
+    streams = [_batches(c, d) for c, d in zip(cfgs, datasets)]
+    state = stack_states([init_train_state(c, d) for c, d in zip(cfgs, datasets)])
+    logs = [[] for _ in cfgs]
+    while True:
+        it = state.iteration
+        if it % eval_every == 0 or it == shared.total_iters:
+            _check_parameters(state)
+            views = []
+            for index, (c, d, log) in enumerate(zip(cfgs, datasets, logs)):
+                try:
+                    row, view = snapshot(_seed_state(state, index), c, d)
+                except DomainError as exc:
+                    raise _domain_abort(exc, it, index) from exc
+                log.append(row)
+                views.append(view)
+        if it == shared.total_iters:
+            return (state, logs, views) if group else (state, logs[0], views[0])
+        pairs = [next(stream) for stream in streams]
+        batch = BatchPair(*map(_stack, zip(*(vars(p).values() for p in pairs))))
+        try:
+            state, _ = train_step(state, batch, shared)
+        except DomainError as exc:
+            raise _domain_abort(exc, it, exc.seed_index) from exc
+
+
+def _batches(cfg: TrainConfig, ds: DomainDataset):
+    """One seed's endless stream of batch pairs, epoch after epoch."""
     batch_seed = derive_seed(cfg.seed, 17)
-    batches = itertools.chain.from_iterable(
+    return itertools.chain.from_iterable(
         iterate_batches(ds, cfg.batch_source, cfg.batch_target, batch_seed, epoch)
         for epoch in itertools.count()
     )
-    state = init_train_state(cfg, ds)
-    metrics = []
-    while True:
-        try:
-            if state.iteration % eval_every == 0 or state.iteration == cfg.total_iters:
-                _check_parameters(state)
-                row, view = snapshot(state, cfg, ds)
-                metrics.append(row)
-            if state.iteration == cfg.total_iters:
-                return state, metrics, view
-            state, _ = train_step(state, next(batches), cfg)
-        except DomainError as exc:
-            # Finite parameters can still overflow into non-finite features.
-            raise TrainingAbort(f"non-finite values at iteration {state.iteration}: {exc}",
-                                {"iteration": state.iteration}) from exc
+
+
+def _domain_abort(exc, iteration, index):
+    # Finite parameters can still overflow into non-finite features.
+    return TrainingAbort(f"non-finite values at iteration {iteration}: {exc}",
+                         {"iteration": iteration, "seed_index": index})
 
 
 def train(cfg: TrainConfig, ds: DomainDataset, eval_every: int):

@@ -1,10 +1,13 @@
+import functools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from clusteralign import cli
 from clusteralign.cli import (
     ConfigError,
     build_train_config,
@@ -357,10 +360,63 @@ def test_run_outputs_do_not_depend_on_blas_threads(tmp_path, name):
     assert outputs[0] == outputs[1]
 
 
-def test_overflowing_step_exits_1_naming_its_iteration(tmp_path):
+def run_cli(path, out_dir, seeds):
+    """One `run` of a config file in a fresh process, on the given seeds."""
+    return subprocess.run([sys.executable, "-m", "clusteralign.cli", "run", path,
+                           "--seed-override", ",".join(map(str, seeds)),
+                           "--output-dir", str(out_dir)],
+                          capture_output=True, text=True, env=module_env())
+
+
+# A dropout student with the temporal teacher, and the multimode Pi
+# teacher under the euclidean metric, whose third forward pass draws its
+# own dropout masks.
+GROUP_CONFIGS = {
+    "imbalanced_dropout_temporal": {"scenario": "imbalanced_gaussians",
+                                    "train": {"dropout_rate": 0.2}},
+    "multimode_pi_euclidean": THREAD_CONFIGS["multimode_pi_euclidean"],
+}
+
+
+@pytest.mark.parametrize("name", GROUP_CONFIGS)
+def test_seeds_trained_together_write_the_bytes_of_seeds_run_alone(tmp_path, name):
+    raw = dict(GROUP_CONFIGS[name], eval_every=100)
+    raw["train"] = dict(raw["train"], total_iters=300, pretrain_iters=100)
+    path = write_config(tmp_path, raw)
+    seeds = [0, 1, 2]
+    assert run_cli(path, tmp_path / "group", seeds).returncode == 0
+    group = json.loads((tmp_path / "group" / "summary.json").read_text())
+    for seed in seeds:
+        alone = tmp_path / f"alone_{seed}"
+        assert run_cli(path, alone, [seed]).returncode == 0
+        for kind in ("metrics", "features", "dataset"):
+            name = f"{kind}_{seed}.csv"
+            assert (tmp_path / "group" / name).read_bytes() == (alone / name).read_bytes(), name
+        summary = json.loads((alone / "summary.json").read_text())
+        assert (group["final_target_accuracy"]["per_seed"][str(seed)]
+                == summary["final_target_accuracy"]["per_seed"][str(seed)])
+
+
+def test_run_builds_each_dataset_once(tmp_path, monkeypatch):
+    calls = []
+    loader = cli.LOADERS["imbalanced_gaussians"]
+
+    @functools.wraps(loader)
+    def counting(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return loader(*args, **kwargs)
+
+    monkeypatch.setitem(cli.LOADERS, "imbalanced_gaussians", counting)
+    path = write_config(tmp_path, tiny_raw(seeds=[0, 1]))
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2 and len(set(calls)) == 2
+
+
+@pytest.mark.parametrize("seeds", [[0], [0, 1]], ids=["one-seed", "two-seeds"])
+def test_overflowing_step_exits_1_naming_its_iteration(tmp_path, seeds):
     # A subprocess, because the suite turns the overflow's RuntimeWarnings
     # into errors.
-    raw = tiny_raw()
+    raw = tiny_raw(seeds=seeds)
     raw["train"] = dict(raw["train"], lr_base=1000)
     path = write_config(tmp_path, raw)
     out_dir = tmp_path / "out"
@@ -368,6 +424,8 @@ def test_overflowing_step_exits_1_naming_its_iteration(tmp_path):
                            "--output-dir", str(out_dir)],
                           capture_output=True, text=True, env=module_env())
     assert done.returncode == 1
-    assert "iteration" in done.stderr
-    assert (out_dir / "dataset_0.csv").exists()
+    named = re.search(r"run failed: seed (\d+): .*at iteration \d+", done.stderr)
+    assert named and int(named.group(1)) in seeds, done.stderr
+    for seed in seeds:
+        assert (out_dir / f"dataset_{seed}.csv").exists()
     assert not (out_dir / "summary.json").exists()

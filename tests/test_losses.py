@@ -127,6 +127,19 @@ class TestAlignmentLoss:
         loss, d_src, d_tgt = alignment_loss(src, tgt)
         assert loss == 0.0
         assert np.all(d_src == 0.0) and np.all(d_tgt == 0.0)
+        assert not np.signbit(d_src).any() and not np.signbit(d_tgt).any()
+
+    def test_stacked_seeds_match_each_seed_alone(self):
+        # The second seed shares no class between its batches.
+        rng = seeded_rng(101)
+        sf, tf = rng.normal(size=(2, 6, 3)), rng.normal(size=(2, 5, 3))
+        sl = np.array([[0, 1, 2, 0, 1, 1], [0, 0, 0, 0, 0, 0]])
+        tl = np.array([[2, 2, 1, 0, 0], [1, 2, 1, 2, 2]])
+        stacked = alignment_loss(batch(sf, sl, 3), batch(tf, tl, 3))
+        for i in range(2):
+            alone = alignment_loss(batch(sf[i], sl[i], 3), batch(tf[i], tl[i], 3))
+            for grouped, single in zip(stacked, alone):
+                assert np.asarray(grouped[i]).tobytes() == np.asarray(single).tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_oracle_and_nonnegative(self, seed):

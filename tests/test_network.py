@@ -76,6 +76,46 @@ def test_forward_error_contracts():
         forward(net, np.array([[np.nan, 0.0, 1.0]]))
 
 
+def test_stacked_forward_and_backward_hold_each_seed_alone():
+    spec = NetworkSpec((3, 6, 4, 2), dropout_rate=0.3, feature_tap="penultimate")
+    nets = [init_network(spec, seed) for seed in (1, 2)]
+    x = seeded_rng(21).normal(size=(2, 5, 3))
+    probe = seeded_rng(22).normal(size=(2, 5, 4))
+    stacked = Network(spec, np.stack([net.params for net in nets]))
+    assert all(w.shape[0] == 2 and np.shares_memory(w, stacked.params)
+               for w in stacked.weights + stacked.biases)
+    trace = forward(stacked, x, "train", (7, 8))
+    grads = backward(stacked, trace, probe, "features")
+    for i, (net, noise_seed) in enumerate(zip(nets, (7, 8))):
+        alone = forward(net, x[i], "train", noise_seed)
+        assert np.array_equal(trace.features[i], alone.features)
+        single = backward(net, alone, probe[i], "features")
+        assert np.array_equal(grads.vector[i], single.vector)
+        assert np.array_equal(grads.d_input[i], single.d_input)
+
+
+def test_stacked_forward_names_the_seed_of_a_non_finite_input():
+    spec = NetworkSpec((3, 2))
+    stacked = Network(spec, np.zeros((3, spec.num_params)))
+    x = np.zeros((3, 4, 3))
+    x[1, 2, 0] = np.nan
+    with pytest.raises(DomainError) as err:
+        forward(stacked, x)
+    assert err.value.seed_index == 1
+    with pytest.raises(ShapeError):
+        forward(stacked, x[0])
+
+
+def test_backward_without_input_gradient_keeps_the_parameter_gradient():
+    net, x, seed = kink_free_instance(23, dropout=0.3)
+    trace = forward(net, x, "train", seed)
+    probe = seeded_rng(24).normal(size=trace.probabilities.shape)
+    full = backward(net, trace, probe, "logits")
+    lean = backward(net, trace, probe, "logits", input_gradient=False)
+    assert lean.d_input is None
+    assert np.array_equal(lean.vector, full.vector)
+
+
 def test_weight_init_bounds_and_zero_biases():
     # One uniform draw in [-s, s] per weight matrix, in layer order.
     net = init_network(NetworkSpec((4, 6, 5, 3)), 11)

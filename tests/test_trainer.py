@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from clusteralign.data import iterate_batches, make_imbalanced_gaussians
+from clusteralign.data import BatchPair, iterate_batches, make_imbalanced_gaussians
 from clusteralign.losses import cross_entropy, objective
 from clusteralign.network import Network, forward
 from clusteralign.seeding import derive_seed
@@ -16,7 +16,9 @@ from clusteralign.trainer import (
     alpha_logistic,
     init_train_state,
     lr_schedule,
+    run_training,
     schedule_weights,
+    stack_states,
     train,
     train_step,
 )
@@ -163,7 +165,7 @@ class TestTrainStep:
         setattr(state, name, Network(net.spec, params))
         with pytest.raises(TrainingAbort, match=f"non-finite {name} parameters") as err:
             train_step(state, first_batch(ds, cfg), cfg)
-        assert err.value.details == {"iteration": 0, "parameter_set": name}
+        assert err.value.details == {"iteration": 0, "parameter_set": name, "seed_index": 0}
 
     def test_pretraining_invariant_to_margin_threshold_decay_critic(self):
         ds = tiny_dataset()
@@ -264,6 +266,59 @@ class TestTrainLoop:
             tiny_config(margin=0.0)
         with pytest.raises(ValueError):
             tiny_config(alpha_schedule="linear")
+
+
+def state_arrays(state):
+    arrays = [state.student.params, state.critic.params, state.student_opt.buffer,
+              state.critic_opt.buffer]
+    if state.teacher is not None:
+        arrays += [state.teacher.ensemble, state.teacher.step_counts]
+    return arrays
+
+
+class TestSeedGroup:
+    SEEDS = (3, 4, 5)
+
+    def group(self, **over):
+        return ([tiny_config(seed=seed, **over) for seed in self.SEEDS],
+                [tiny_dataset(seed) for seed in range(len(self.SEEDS))])
+
+    @pytest.mark.parametrize("over", [
+        {"teacher_mode": "temporal", "dropout_rate": 0.3},
+        {"teacher_mode": "pi", "dropout_rate": 0.3, "metric": "euclidean"},
+        {"teacher_mode": "self", "hidden_layers": (), "feature_tap": "penultimate"},
+    ], ids=["temporal-dropout", "pi-euclidean", "self-no-hidden-layer"])
+    def test_group_holds_the_bytes_of_each_seed_run_alone(self, over):
+        cfgs, datasets = self.group(total_iters=20, pretrain_iters=5, **over)
+        state, logs, views = run_training(cfgs, datasets, eval_every=6)
+        for index, (cfg, ds) in enumerate(zip(cfgs, datasets)):
+            alone, log, view = run_training(cfg, ds, eval_every=6)
+            for grouped, single in zip(state_arrays(state), state_arrays(alone)):
+                # Signs of zeros included.
+                assert grouped[index].tobytes() == single.tobytes()
+            assert [m.__dict__ for m in logs[index]] == [m.__dict__ for m in log]
+            assert all(np.array_equal(getattr(views[index], f), getattr(view, f))
+                       for f in vars(view))
+
+    def test_group_configs_may_differ_in_their_seed_only(self):
+        cfgs, datasets = self.group()
+        cfgs[1] = tiny_config(seed=self.SEEDS[1], margin=9.0)
+        with pytest.raises(ValueError, match="seed only"):
+            run_training(cfgs, datasets, eval_every=4)
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_abort_names_the_seed_of_the_group(self, index):
+        cfgs, datasets = self.group()
+        states = [init_train_state(cfg, ds) for cfg, ds in zip(cfgs, datasets)]
+        params = states[index].critic.params.copy()
+        params[-1] = np.inf
+        states[index].critic = Network(states[index].critic.spec, params)
+        pairs = [first_batch(ds, cfg) for cfg, ds in zip(cfgs, datasets)]
+        batch = BatchPair(*(np.stack(parts) for parts in zip(*(vars(p).values() for p in pairs))))
+        with pytest.raises(TrainingAbort, match="non-finite critic parameters") as err:
+            train_step(stack_states(states), batch, cfgs[0])
+        assert err.value.details == {"iteration": 0, "parameter_set": "critic",
+                                     "seed_index": index}
 
 
 def objective_at(student, critic, teacher, batch, cfg, iteration):

@@ -46,6 +46,9 @@ CONFIGS = {
                  alpha_schedule="exp_ramp", lambda_schedule="constant"),
     "g": _config("imbalanced_gaussians", hidden_layers=[], feature_tap="penultimate",
                  dropout_rate=0.0),
+    # Three seeds trained as one group, each with its own dropout masks on
+    # all three student passes.
+    "h": _config("multimode", seeds=(0, 1, 2), teacher_mode="pi", dropout_rate=0.3),
 }
 
 
