@@ -150,9 +150,9 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
         teacher_probs = corrected_probabilities(state.teacher)
     labels, confidences = pseudo_labels(teacher_probs)
 
-    bundle, grads = objective(trace_src, trace_tgt, ds.source_y, labels, confidences,
-                              state.critic, cfg, gradient=False)
-    c_src, c_tgt = (trace.probabilities[:, 0] for trace in grads.critic_traces)
+    bundle, grads = objective((trace_src.features, trace_tgt.features), trace_src.probabilities,
+                              ds.source_y, labels, confidences, state.critic, cfg, gradient=False)
+    c_src, c_tgt = (grads.critic_traces[d].probabilities[:, 0] for d in (0, 1))
     l_d_all, _, _, _ = domain_adversarial_loss(c_src, c_tgt, np.ones_like(c_tgt), 0.0)
 
     combined = np.vstack([trace_src.features, trace_tgt.features])

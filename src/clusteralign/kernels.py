@@ -1,11 +1,13 @@
 """Hot numeric kernels.
 
 The k-means assignment and the squared metric's gradient mode of the
-pairwise margin loss work in Gram form, one BLAS matmul per call: squared
-distances come from ||a||^2 + ||b||^2 - 2 a.b, clamped at zero (the
-cancellation guard of scikit-learn's euclidean_distances), so each pair's
-squared distance carries an absolute error of a few ulps of
-||a||^2 + ||b||^2; the k-means inertia is summed from explicit
+pairwise margin loss work in Gram form, one BLAS matmul per matrix.
+pairwise_margin_loss takes one feature matrix; stacked_margin_loss takes
+a stack of them, such as a training step's every (domain, seed) slice, in
+one call. Squared distances come from ||a||^2 + ||b||^2 - 2 a.b, clamped
+at zero (the cancellation guard of scikit-learn's euclidean_distances),
+so each pair's squared distance carries an absolute error of a few ulps
+of ||a||^2 + ||b||^2; the k-means inertia is summed from explicit
 differences. Gram-form results are bit-reproducible for a given numpy and
 BLAS build at a fixed BLAS thread count: a multithreaded matmul may split
 its sums differently. Every other call of the pairwise margin loss forms
@@ -28,27 +30,44 @@ def pairwise_margin_loss(features, labels, margin, squared=True, gradient=True):
     Returns (loss, gradient w.r.t. features). The hinge contributes
     nothing at distance == margin (inactive subgradient). With
     gradient=False it returns (loss, None). Only the squared metric's
-    gradient mode allocates n x n buffers and calls a matmul.
+    gradient mode, which is stacked_margin_loss on one matrix, allocates
+    n x n buffers and calls a matmul.
+    """
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if squared and gradient:
+        loss, grad = stacked_margin_loss(features, labels, margin)
+        return float(loss), grad
+    n = features.shape[0]
+    loss, grad = _grouped_pairs(features, labels, float(margin), squared, gradient)
+    return loss / float(n * n), None if grad is None else grad / float(n * n)
+
+
+def stacked_margin_loss(features, labels, margin):
+    """The squared metric's pairwise_margin_loss, loss and gradient, of
+    every (rows, columns) matrix of a stack of features (..., rows,
+    columns) with labels (..., rows), in one batched matmul.
+
+    Returns (loss of shape (...), gradient of the shape of features).
+    Each matrix is its own problem, and its loss and gradient hold the
+    bits of a pairwise_margin_loss call on that matrix alone.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     margin = float(margin)
-    n = features.shape[0]
-    if not (squared and gradient):
-        loss, grad = _grouped_pairs(features, labels, margin, squared, gradient)
-        return loss / float(n * n), None if grad is None else grad / float(n * n)
+    lead, n = features.shape[:-2], features.shape[-2]
 
-    # Two n x n buffers do all the work, in place: page faults on fresh
-    # temporaries dominate at evaluation sizes. The diagonal of dist comes
-    # out as an exact zero.
-    dist = features @ features.T
-    norms = dist.diagonal().copy()
+    # Two n x n buffers per matrix do all the work, in place: page faults
+    # on fresh temporaries dominate at evaluation sizes. The diagonal of
+    # dist comes out as an exact zero.
+    dist = features @ features.mT
+    norms = np.diagonal(dist, axis1=-2, axis2=-1).copy()
     dist *= -2.0
-    dist += norms[:, None]
-    dist += norms[None, :]
+    dist += norms[..., :, None]
+    dist += norms[..., None, :]
     np.maximum(dist, 0.0, out=dist)
     buf = np.empty_like(dist)
-    same = labels[:, None] == labels[None, :]
+    same = labels[..., :, None] == labels[..., None, :]
 
     # buf holds the hinge, then each pair's loss term, then its weight.
     hinge = np.subtract(margin, dist, out=buf)
@@ -57,7 +76,7 @@ def pairwise_margin_loss(features, labels, margin, squared=True, gradient=True):
     active = hinge > 0.0
     np.greater(active, same, out=active)
     np.copyto(hinge, dist, where=same)
-    loss = float(hinge.sum())
+    loss = hinge.reshape(lead + (n * n,)).sum(axis=-1)
 
     # coef is d(term)/d(dist): +1 on same-label pairs, -1 on active hinges.
     coef = np.subtract(same, active, out=buf, dtype=np.float64)
@@ -65,9 +84,9 @@ def pairwise_margin_loss(features, labels, margin, squared=True, gradient=True):
     # symmetric up to rounding, so both orderings together give
     # 2 * (rowsum(w) f - w f).
     w = np.multiply(coef, 2.0, out=coef)
-    w.flat[:: n + 1] = 0.0
+    w.reshape(lead + (n * n,))[..., :: n + 1] = 0.0
     grad = np.zeros_like(features)
-    grad += 2.0 * (w.sum(axis=1)[:, None] * features - w @ features)
+    grad += 2.0 * (w.sum(axis=-1)[..., None] * features - w @ features)
     inv = 1.0 / float(n * n)
     return loss * inv, grad * inv
 

@@ -8,16 +8,19 @@ The training step and the evaluation snapshot both take them from
 
 Every input may carry a leading seed axis (a group of seeds trained
 together); each loss then returns one value per seed and gradients with
-that axis. The pairwise clustering kernel and the selected-target sum of
-the adversarial loss run once per seed, so each seed's bytes are those of
-a lone run.
+that axis. In a training step the clustering loss and the critic also see
+a domain axis in front of it: one stacked_margin_loss call and one critic
+pass cover every (domain, seed) slice, each slice its own problem. Every
+other clustering-kernel mode and the selected-target sum of the
+adversarial loss run once per slice, so each seed's bytes are those of a
+lone run.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from clusteralign.kernels import pairwise_margin_loss
+from clusteralign.kernels import pairwise_margin_loss, stacked_margin_loss
 from clusteralign.network import forward, row_index
 
 _EPS = 1e-12
@@ -59,14 +62,16 @@ class LossBundle:
 
 @dataclass(frozen=True)
 class ObjectiveGradients:
-    """Input-side gradients of one objective; each pair is (source, target).
-    d_critic_out is d(l_d)/d(critic output) of each critic trace."""
+    """Input-side gradients of one objective. Every field but d_logits is
+    indexed by domain, source first: one array (or trace) with a leading
+    domain axis when both domains have one shape, else a pair.
+    d_critic_out is d(l_d)/d(critic output) of critic_traces."""
 
     d_logits: np.ndarray
-    d_clustering: tuple
-    d_alignment: tuple
-    critic_traces: tuple
-    d_critic_out: tuple
+    d_clustering: np.ndarray
+    d_alignment: np.ndarray
+    critic_traces: object
+    d_critic_out: np.ndarray
 
 
 def cross_entropy(probabilities, labels):
@@ -92,15 +97,20 @@ def clustering_loss(batch: PseudoLabeledBatch, margin: float, metric: str = "sq_
     Averages over all ordered sample pairs (self-pairs contribute zero):
     same-label pairs add their distance, different-label pairs add
     max(0, margin - distance). Returns (loss, d_features), or (loss, None)
-    with gradient=False (the kernel's loss-only mode).
+    with gradient=False (the kernel's loss-only mode). Features with
+    leading axes, (..., rows, columns), give one loss per matrix; the
+    squared metric's gradient mode takes them all in one kernel call.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    squared = metric == "sq_euclidean"
     feats, labels = batch.features, batch.labels
+    if squared and gradient:
+        return stacked_margin_loss(feats, labels, margin)
     results = [
-        pairwise_margin_loss(f, y, margin, squared=metric == "sq_euclidean", gradient=gradient)
+        pairwise_margin_loss(f, y, margin, squared=squared, gradient=gradient)
         for f, y in zip(feats.reshape((-1,) + feats.shape[-2:]), labels.reshape(-1, labels.shape[-1]))
     ]
     lead = labels.shape[:-1]
@@ -173,52 +183,64 @@ def domain_adversarial_loss(source_critic_out, target_critic_out, target_confide
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    c_src = np.clip(np.asarray(source_critic_out, np.float64), _EPS, 1.0 - _EPS)
-    c_tgt = np.clip(np.asarray(target_critic_out, np.float64), _EPS, 1.0 - _EPS)
-    conf = np.asarray(target_confidences, dtype=np.float64)
-    selected = conf > threshold
-    n_sel = int(selected.sum())
+    c_src = np.minimum(np.maximum(np.asarray(source_critic_out, np.float64), _EPS), 1.0 - _EPS)
+    c_tgt = np.minimum(np.maximum(np.asarray(target_critic_out, np.float64), _EPS), 1.0 - _EPS)
+    selected = np.asarray(target_confidences, dtype=np.float64) > threshold
+    n_sel = int(np.count_nonzero(selected))
 
     n_src = c_src.shape[0]
-    loss = float(np.log(c_src).mean())
+    loss = float(np.log(c_src).sum() / n_src)
     d_src = 1.0 / (n_src * c_src)
     d_tgt = np.zeros_like(c_tgt)
     if n_sel:
-        loss += float(np.log(1.0 - c_tgt[selected]).sum() / n_sel)
-        d_tgt[selected] = -1.0 / (n_sel * (1.0 - c_tgt[selected]))
+        rest = 1.0 - c_tgt[selected]
+        loss += float(np.log(rest).sum() / n_sel)
+        d_tgt[selected] = -1.0 / (n_sel * rest)
     return loss, d_src, d_tgt, n_sel
 
 
-def objective(source_trace, target_trace, source_y, target_labels, target_confidences,
+def objective(features, source_probabilities, source_y, target_labels, target_confidences,
               critic, cfg, gradient: bool = True):
-    """The four losses of a pair of student traces, which the student
-    descends as l_y + alpha*(l_c + l_a) + lam*l_d.
+    """The four losses of the student's features on both domains, which
+    the student descends as l_y + alpha*(l_c + l_a) + lam*l_d.
 
-    Target labels and confidences are the teacher's; the critic (no
-    dropout) runs one eval pass per domain. cfg is a trainer.TrainConfig.
-    Returns (LossBundle, ObjectiveGradients); with gradient=False, l_c
-    comes from the clustering kernel's loss-only mode and d_clustering
-    holds None.
+    features holds the source's features, then the target's: one array
+    with a leading domain axis, or a pair. Domains of one shape (a
+    training step) share one clustering-loss call and one critic eval
+    pass; domains that differ in row count (the snapshot's datasets) take
+    one of each per domain. Target labels and confidences are the
+    teacher's. cfg is a trainer.TrainConfig. Returns (LossBundle,
+    ObjectiveGradients); with gradient=False, l_c comes from the
+    clustering kernel's loss-only mode and d_clustering holds None.
     """
-    num_classes = source_trace.probabilities.shape[-1]
-    src = PseudoLabeledBatch(source_trace.features, source_y, num_classes)
-    tgt = PseudoLabeledBatch(target_trace.features, target_labels, num_classes)
-    l_y, d_logits = cross_entropy(source_trace.probabilities, source_y)
-    l_c_src, g_c_src = clustering_loss(src, cfg.margin, cfg.metric, gradient)
-    l_c_tgt, g_c_tgt = clustering_loss(tgt, cfg.margin, cfg.metric, gradient)
+    num_classes = source_probabilities.shape[-1]
+    src = PseudoLabeledBatch(features[0], source_y, num_classes)
+    tgt = PseudoLabeledBatch(features[1], target_labels, num_classes)
+    l_y, d_logits = cross_entropy(source_probabilities, source_y)
     l_a, g_a_src, g_a_tgt = alignment_loss(src, tgt)
-    critic_src = forward(critic, source_trace.features)
-    critic_tgt = forward(critic, target_trace.features)
+    if src.features.shape == tgt.features.shape:
+        as_domains = np.asarray  # stacks a pair of same-shaped arrays
+        both = PseudoLabeledBatch(np.asarray(features), as_domains((src.labels, tgt.labels)),
+                                  num_classes)
+        l_c, d_clustering = clustering_loss(both, cfg.margin, cfg.metric, gradient)
+        critic_traces = forward(critic, both.features)
+        outputs = critic_traces.probabilities[..., 0]
+    else:
+        as_domains = tuple
+        l_c, d_clustering = zip(*(clustering_loss(b, cfg.margin, cfg.metric, gradient)
+                                  for b in (src, tgt)))
+        critic_traces = tuple(forward(critic, b.features) for b in (src, tgt))
+        outputs = tuple(trace.probabilities[..., 0] for trace in critic_traces)
     # The selected-target sum is taken per seed: a masked sum over the
     # group would reorder the summation.
-    outputs = (critic_src.probabilities[..., 0], critic_tgt.probabilities[..., 0],
-               np.asarray(target_confidences, dtype=np.float64))
-    per_seed = [domain_adversarial_loss(c_src, c_tgt, conf, cfg.threshold)
-                for c_src, c_tgt, conf in zip(*(a.reshape(-1, a.shape[-1]) for a in outputs))]
-    lead = outputs[0].shape[:-1]
-    l_d, d_out_src, d_out_tgt, selected = (_restack(list(v), lead) for v in zip(*per_seed))
-    bundle = LossBundle(l_y=l_y, l_c=l_c_src + l_c_tgt, l_a=l_a, l_d=l_d,
+    conf = np.asarray(target_confidences, dtype=np.float64)
+    per_seed = [domain_adversarial_loss(c_src, c_tgt, c, cfg.threshold)
+                for c_src, c_tgt, c in zip(*(a.reshape(-1, a.shape[-1])
+                                             for a in (outputs[0], outputs[1], conf)))]
+    l_d, d_out_src, d_out_tgt, selected = (_restack(list(v), conf.shape[:-1])
+                                           for v in zip(*per_seed))
+    bundle = LossBundle(l_y=l_y, l_c=l_c[0] + l_c[1], l_a=l_a, l_d=l_d,
                         selection_count=selected)
-    grads = ObjectiveGradients(d_logits, (g_c_src, g_c_tgt), (g_a_src, g_a_tgt),
-                               (critic_src, critic_tgt), (d_out_src, d_out_tgt))
+    grads = ObjectiveGradients(d_logits, d_clustering, as_domains((g_a_src, g_a_tgt)),
+                               critic_traces, as_domains((d_out_src, d_out_tgt)))
     return bundle, grads

@@ -19,8 +19,11 @@ through them.
 
 A group of seeds trained together stacks its networks: params gains a
 leading seed axis, and every batch, trace and gradient of the group
-carries the same axis in front of its (rows, columns) axes. Each seed's
-slice holds the bytes it would hold on its own.
+carries the same axis in front of its (rows, columns) axes. A batch may
+carry a further leading domain axis in front of that (a training step
+passes its source and target batches as one), and its trace and
+gradients keep it. Each (domain, seed) slice holds the bytes that a pass
+over that slice alone would hold.
 """
 
 import itertools
@@ -43,8 +46,8 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """An input value was outside the mathematical domain (e.g. NaN);
-    seed_index is the first entry of the seed axis that holds one (0
-    for an array without that axis)."""
+    seed_index is the seed of the first (domain, seed) slice that holds
+    one (0 for an array without a seed axis)."""
 
     def __init__(self, message, seed_index=0):
         super().__init__(message)
@@ -172,7 +175,8 @@ class ForwardTrace:
     inputs[i] is the matrix fed into dense layer i (inputs[0] is x);
     pre_activations[i] is inputs[i] @ W_i + b_i. masks holds the scaled
     dropout masks per hidden layer and is None when dropout was inactive.
-    A group's arrays carry its seed axis in front.
+    Every array carries the leading axes of x; indexing a trace indexes
+    its leading axis, e.g. trace[0] is the source domain's trace.
     """
 
     inputs: tuple
@@ -181,13 +185,21 @@ class ForwardTrace:
     features: np.ndarray
     probabilities: np.ndarray
 
+    def __getitem__(self, index):
+        masks = self.masks
+        return ForwardTrace(tuple([a[index] for a in self.inputs]),
+                            tuple([z[index] for z in self.pre_activations]),
+                            None if masks is None else tuple([m[index] for m in masks]),
+                            self.features[index], self.probabilities[index])
+
 
 @dataclass(frozen=True)
 class GradientSet:
     """The gradient of one scalar loss: vector w.r.t. the parameters of a
     network of the given spec, in spec.layout (every weight matrix
-    row-major in layer order, then every bias; one vector per seed of a
-    group), and d_input w.r.t. the input batch, None when not asked for.
+    row-major in layer order, then every bias; one vector per (domain,
+    seed) slice of the input batch), and d_input w.r.t. the input batch,
+    None when not asked for.
 
     Adding two sets sums the parameter gradients; the sum carries no
     d_input, since its operands may come from different input batches.
@@ -262,28 +274,32 @@ def forward(net: Network, x, mode: str = "eval", noise_seed=0) -> ForwardTrace:
     Deterministic given (net, x, mode, noise_seed): dropout masks are
     drawn from a generator keyed by noise_seed alone. Eval mode disables
     dropout entirely. A stacked network takes a batch per seed, x of
-    shape (seeds, rows, columns), and one noise seed per seed.
+    shape (seeds, rows, columns), optionally behind a leading domain
+    axis, (domains, seeds, rows, columns); noise_seed then holds one key
+    per (domain, seed) slice, domain-major.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     spec = net.spec
     lead = net.params.shape[:-1]
-    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
-        raise ShapeError(f"x has shape {x.shape}, expected {(*lead, 'rows', 'columns')}")
+    if x.ndim not in (len(lead) + 2, len(lead) + 3) or x.shape[x.ndim - 2 - len(lead):-2] != lead:
+        raise ShapeError(f"x has shape {x.shape}, expected {(*lead, 'rows', 'columns')}, "
+                         f"optionally behind a domain axis")
     if x.shape[-1] != spec.input_dim:
         raise ShapeError(
             f"input has {x.shape[-1]} columns, network expects {spec.input_dim}"
         )
+    slices = math.prod(x.shape[:-2])
     finite = np.isfinite(x)
     if not finite.all():
-        seed_index = int(np.argmin(finite.reshape(math.prod(lead), -1).all(axis=1)))
-        raise DomainError("x contains non-finite entries", seed_index)
+        first = int(np.argmin(finite.reshape(slices, -1).all(axis=1)))
+        raise DomainError("x contains non-finite entries", first % math.prod(lead))
     use_dropout = mode == "train" and spec.dropout_rate > 0.0
     if use_dropout:
         keys = tuple(noise_seed) if isinstance(noise_seed, (tuple, list)) else (noise_seed,)
-        if len(keys) != math.prod(lead):
-            raise ValueError(f"{len(keys)} noise seeds for {math.prod(lead)} seeds")
+        if len(keys) != slices:
+            raise ValueError(f"{len(keys)} noise seeds for {slices} (domain, seed) slices")
         rngs = [seeded_rng(key) for key in keys]
     keep = 1.0 - spec.dropout_rate
 
@@ -299,13 +315,10 @@ def forward(net: Network, x, mode: str = "eval", noise_seed=0) -> ForwardTrace:
             break
         h = _activate(z, spec.activation)
         if use_dropout:
-            # Each seed's generator fills its own slice, in layer order.
-            if lead:
-                draws = np.empty(h.shape)
-                for rng, out in zip(rngs, draws):
-                    rng.random(out=out)
-            else:
-                draws = rngs[0].random(h.shape)
+            # Each slice's generator fills that slice, in layer order.
+            draws = np.empty(h.shape)
+            for rng, out in zip(rngs, draws.reshape((slices,) + h.shape[-2:])):
+                rng.random(out=out)
             mask = (draws >= spec.dropout_rate) / keep
             h = h * mask
             masks.append(mask)
@@ -345,7 +358,9 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str,
     produced the trace. Backward is linear in upstream. A penultimate tap
     on a net without hidden layers taps the input itself; its d_input is
     then upstream. With input_gradient=False the first layer's input
-    gradient is not formed and d_input is None.
+    gradient is not formed and d_input is None. A trace with a domain
+    axis gives one parameter gradient per (domain, seed) slice, each
+    formed from its own slice's rows.
     """
     if entry not in ("probabilities", "logits", "features"):
         raise ValueError(f"unknown entry {entry!r}")
@@ -369,7 +384,7 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str,
         da = upstream
         start = top - 1
 
-    vector = np.zeros(net.params.shape)
+    vector = np.zeros(upstream.shape[:-2] + (spec.num_params,))
     d_weights, d_biases = _views(spec, vector)
     for i in range(start, -1, -1):
         if i < top:

@@ -1,14 +1,20 @@
 """The full training loop: schedules, loss composition, adversarial updates.
 
-Every step runs, in order: student train-mode forwards on both domains, a
-teacher read (and temporal update), pseudo labeling, the four losses, one
-shared gradient composition, and simultaneous momentum-SGD updates of the
-student and the critic. The critic ascends the domain discrepancy while
-the student descends it; the student picks that term up through the
-gradient-reversal connector on the feature path. During the pretraining
-phase the clustering, alignment, and adversarial weights are exactly zero
-for the student (the critic itself keeps learning, so its divergence
-estimate is meaningful by the time adaptation starts).
+Every step runs, in order: one student train-mode forward over both
+domains, a teacher read (and temporal update), pseudo labeling, the four
+losses, one shared gradient composition, and simultaneous momentum-SGD
+updates of the student and the critic. The source and target batches
+travel on a leading domain axis, source first, so the student's forward
+and feature backward, the critic's eval forward and backward, and the
+clustering kernel each run once per step; each (domain, seed) slice keeps
+its own gemms, row sums and dropout generator. Batches that differ in
+row count take one pass per domain instead. The critic ascends the
+domain discrepancy while the student descends it; the student picks that
+term up through the gradient-reversal connector on the feature path.
+During the pretraining phase the clustering, alignment, and adversarial
+weights are exactly zero for the student (the critic itself keeps
+learning, so its divergence estimate is meaningful by the time
+adaptation starts).
 
 A whole run is a pure function of (config, dataset): every random draw is
 seeded from the config seed and the iteration counter.
@@ -292,12 +298,13 @@ def schedule_weights(cfg: TrainConfig, iteration: int):
     return alpha, lam
 
 
-def _noise_seeds(state: TrainState, slot: int):
-    """The dropout seeds of one student train-mode pass, one per seed,
-    derived only when the student draws a mask (forward ignores them
-    otherwise)."""
+def _noise_seeds(state: TrainState, *slots):
+    """The dropout seeds of one student train-mode pass over the domains
+    of the given slots, one per (slot, seed), domain-major; derived only
+    when the student draws a mask (forward ignores them otherwise)."""
     if state.student.spec.dropout_rate > 0.0:
-        return tuple(derive_seed(seed, state.iteration, slot) for seed in state.seeds)
+        return tuple(derive_seed(seed, state.iteration, slot)
+                     for slot in slots for seed in state.seeds)
     return 0
 
 
@@ -306,58 +313,74 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
 
     A group's batch carries the state's seed axis, and one step advances
     every seed; cfg is the configuration all of them share, and each
-    seed's dropout is keyed by its own entry of state.seeds. The
-    parameters are checked on entry and the losses after the update; the
-    parameters a step produces are checked when the next step or a
-    snapshot reads them (every run ends on a snapshot).
+    seed's dropout is keyed by its own entry of state.seeds: slot 1 on
+    the source pass, 2 on the target pass. The parameters are checked on
+    entry and the losses after the update; the parameters a step
+    produces are checked when the next step or a snapshot reads them
+    (every run ends on a snapshot).
     """
     _check_parameters(state)
     it = state.iteration
     alpha, lam = schedule_weights(cfg, it)
     lr = lr_schedule(it / cfg.total_iters, cfg.lr_base)
 
-    trace_src = forward(state.student, batch.source_x, "train", _noise_seeds(state, 1))
-    trace_tgt = forward(state.student, batch.target_x, "train", _noise_seeds(state, 2))
+    x = (batch.source_x, batch.target_x)
+    stacked = x[0].shape == x[1].shape
+    if stacked:
+        # Both domains in one pass, on a leading domain axis (np.asarray
+        # stacks the pair).
+        trace = forward(state.student, np.asarray(x), "train", _noise_seeds(state, 1, 2))
+        features, probabilities = trace.features, trace.probabilities
+    else:
+        trace = tuple(forward(state.student, batch_x, "train", _noise_seeds(state, slot))
+                      for batch_x, slot in zip(x, (1, 2)))
+        features = tuple(t.features for t in trace)
+        probabilities = tuple(t.probabilities for t in trace)
 
     # The teacher's view of the target batch is read before any update.
     new_teacher = state.teacher
     if cfg.teacher_mode == "self":
-        teacher_probs = trace_tgt.probabilities
+        teacher_probs = probabilities[1]
     elif cfg.teacher_mode == "pi":
         teacher_probs = pi_predict(state.student, batch.target_x, _noise_seeds(state, 3))
     else:
         teacher_probs = corrected_probabilities(state.teacher, batch.target_indices)
         new_teacher = temporal_update(
-            state.teacher, batch.target_indices, trace_tgt.probabilities
+            state.teacher, batch.target_indices, probabilities[1]
         )
     tgt_labels, tgt_conf = pseudo_labels(teacher_probs)
 
-    bundle, grads = objective(trace_src, trace_tgt, batch.source_y, tgt_labels, tgt_conf,
-                              state.critic, cfg)
+    bundle, grads = objective(features, probabilities[0], batch.source_y, tgt_labels,
+                              tgt_conf, state.critic, cfg)
 
     # The critic descends the negated discrepancy (so it maximizes l_d);
     # the reversal connector then hands the student +lam * d(l_d)/d(features).
-    student_grads = backward(state.student, trace_src, grads.d_logits, "logits",
-                             input_gradient=False)
-    critic_parts = []
-    for trace, critic_trace, d_out, g_c, g_a in zip(
-            (trace_src, trace_tgt), grads.critic_traces, grads.d_critic_out,
-            grads.d_clustering, grads.d_alignment):
+    # Each backward gives one vector per (domain, seed) slice; they are
+    # added per seed in the order logits, source, target.
+    student_vector = backward(state.student, trace[0], grads.d_logits, "logits",
+                              input_gradient=False).vector
+    critic_vectors, feature_vectors = [], []
+    by_part = (trace, grads.critic_traces, grads.d_critic_out, grads.d_clustering,
+               grads.d_alignment)
+    for student_trace, critic_trace, d_out, g_c, g_a in (by_part,) if stacked else zip(*by_part):
         critic_part = backward(state.critic, critic_trace, -d_out[..., None], "probabilities")
-        critic_parts.append(critic_part)
+        critic_vectors.extend(_by_domain(critic_part.vector, state.critic.params.shape))
         d_feat = reverse_gradient(critic_part.d_input, lam)
         if cfg.use_clustering:
             d_feat += alpha * g_c
         if cfg.use_alignment:
             d_feat += alpha * g_a
-        # A seed whose feature gradient is all zero skips this pass.
+        # A slice whose feature gradient is all zero adds nothing.
         moving = np.any(d_feat, axis=(-2, -1))
         if moving.any():
-            part = backward(state.student, trace, d_feat, "features", input_gradient=False)
-            vector = student_grads.vector
-            student_grads = GradientSet(student_grads.spec, np.where(
-                moving[..., None], vector + part.vector, vector), None)
-    critic_grads = critic_parts[0] + critic_parts[1]
+            vector = backward(state.student, student_trace, d_feat, "features",
+                              input_gradient=False).vector
+            feature_vectors.extend(zip(_by_domain(moving, state.student.params.shape[:-1]),
+                                       _by_domain(vector, state.student.params.shape)))
+    for moving, vector in feature_vectors:
+        student_vector = np.where(moving[..., None], student_vector + vector, student_vector)
+    student_grads = GradientSet(state.student.spec, student_vector, None)
+    critic_grads = GradientSet(state.critic.spec, critic_vectors[0] + critic_vectors[1], None)
 
     new_student, new_student_opt = sgd_step(state.student, state.student_opt, student_grads, lr)
     new_critic, new_critic_opt = sgd_step(state.critic, state.critic_opt, critic_grads, lr)
@@ -373,6 +396,12 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
         iteration=it + 1,
     )
     return new_state, bundle
+
+
+def _by_domain(array, shape):
+    """The entries of array, of trailing shape shape, along the domain
+    axis in front of it (one entry when there is no such axis)."""
+    return array.reshape((-1,) + shape)
 
 
 def _first(flags) -> int:
@@ -391,7 +420,8 @@ def _check_parameters(state: TrainState):
 
 
 def _check_losses(bundle, iteration):
-    finite = np.isfinite([bundle.l_y, bundle.l_c, bundle.l_a, bundle.l_d]).all(axis=0)
+    finite = (np.isfinite(bundle.l_y) & np.isfinite(bundle.l_c) & np.isfinite(bundle.l_a)
+              & np.isfinite(bundle.l_d))
     if not finite.all():
         index = _first(~finite)
         details = {name: np.ravel(getattr(bundle, name))[index].item()

@@ -109,6 +109,20 @@ def test_euclidean_gradient_tiles_match_oracle(tile, monkeypatch):
     assert_matches_oracle(feats, labels, 2.5, squared=False)
 
 
+@pytest.mark.parametrize("dim", [2, 16])
+def test_stacked_margin_loss_holds_each_matrix_alone(dim):
+    # A training step's stack: (domains, seeds, rows, columns).
+    rng = seeded_rng(26, dim)
+    labels = rng.integers(3, size=(2, 3, 64))
+    feats = rng.normal(size=(2, 3, 64, dim)) + 1.5 * labels[..., None] / np.sqrt(dim)
+    loss, grad = kernels.stacked_margin_loss(feats, labels, 3.0)
+    assert loss.shape == (2, 3) and grad.shape == feats.shape
+    for index in np.ndindex(2, 3):
+        want_loss, want_grad = kernels.pairwise_margin_loss(feats[index], labels[index], 3.0)
+        assert loss[index] == want_loss
+        assert grad[index].tobytes() == want_grad.tobytes()
+
+
 @pytest.mark.parametrize("squared", [True, False])
 @pytest.mark.parametrize("seed", range(4))
 def test_loss_only_mode_matches_gradient_mode(seed, squared):

@@ -106,6 +106,45 @@ def test_stacked_forward_names_the_seed_of_a_non_finite_input():
         forward(stacked, x[0])
 
 
+@pytest.mark.parametrize("seeds", [0, 2], ids=["one-seed", "two-seeds"])
+def test_a_domain_axis_holds_each_domain_alone(seeds):
+    # A training step's batch: (domains, seeds, rows, columns), with one
+    # dropout key per (domain, seed) slice, domain-major.
+    spec = NetworkSpec((3, 6, 4, 2), dropout_rate=0.3, feature_tap="penultimate")
+    nets = [init_network(spec, seed) for seed in (1, 2)][:seeds or 1]
+    net = Network(spec, np.stack([n.params for n in nets])) if seeds else nets[0]
+    lead = (seeds,) if seeds else ()
+    x = seeded_rng(25).normal(size=(2, *lead, 5, 3))
+    probe = seeded_rng(26).normal(size=(2, *lead, 5, 4))
+    keys = tuple(range(7, 7 + x[..., 0, 0].size))
+    trace = forward(net, x, "train", keys)
+    grads = backward(net, trace, probe, "features")
+    assert grads.vector.shape == (2, *lead, spec.num_params)
+    per_domain = np.reshape(keys, (2, -1))
+    for d in range(2):
+        domain_keys = tuple(per_domain[d].tolist()) if seeds else int(per_domain[d, 0])
+        alone = forward(net, x[d], "train", domain_keys)
+        for got, want in zip(trace[d].inputs + trace[d].pre_activations + trace[d].masks,
+                             alone.inputs + alone.pre_activations + alone.masks):
+            assert got.tobytes() == want.tobytes()
+        assert trace[d].probabilities.tobytes() == alone.probabilities.tobytes()
+        single = backward(net, alone, probe[d], "features")
+        assert grads.vector[d].tobytes() == single.vector.tobytes()
+        assert grads.d_input[d].tobytes() == single.d_input.tobytes()
+
+
+def test_a_domain_axis_error_names_the_seed():
+    spec = NetworkSpec((3, 2))
+    stacked = Network(spec, np.zeros((3, spec.num_params)))
+    x = np.zeros((2, 3, 4, 3))
+    x[1, 2, 0, 0] = np.inf
+    with pytest.raises(DomainError) as err:
+        forward(stacked, x)
+    assert err.value.seed_index == 2
+    with pytest.raises(ShapeError):
+        forward(stacked, x[:, :2])
+
+
 def test_backward_without_input_gradient_keeps_the_parameter_gradient():
     net, x, seed = kink_free_instance(23, dropout=0.3)
     trace = forward(net, x, "train", seed)

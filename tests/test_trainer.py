@@ -1,9 +1,13 @@
+import collections
 import copy
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from clusteralign import losses as loss_module, trainer as trainer_module
 from clusteralign.data import BatchPair, iterate_batches, make_imbalanced_gaussians
 from clusteralign.losses import cross_entropy, objective
 from clusteralign.network import Network, forward
@@ -321,13 +325,75 @@ class TestSeedGroup:
                                      "seed_index": index}
 
 
+def group_step_inputs(seeds, **over):
+    """The stacked state, batch and configs of a group's first step (a
+    lone seed's own state and batch for one seed)."""
+    cfgs = [tiny_config(seed=seed, **over) for seed in seeds]
+    datasets = [tiny_dataset(i) for i in range(len(seeds))]
+    state = stack_states([init_train_state(c, d) for c, d in zip(cfgs, datasets)])
+    pairs = [first_batch(d, c) for c, d in zip(cfgs, datasets)]
+    batch = BatchPair(*(parts[0] if len(seeds) == 1 else np.stack(parts)
+                        for parts in zip(*(vars(p).values() for p in pairs))))
+    return state, batch, cfgs
+
+
+class TestDomainAxis:
+    @pytest.mark.parametrize("seeds, batch_target", [((3,), 16), ((3, 4), 16), ((3, 4), 8)],
+                             ids=["one-seed", "two-seeds", "unequal-batches"])
+    def test_the_target_pass_is_keyed_by_its_own_slot(self, seeds, batch_target):
+        # The temporal teacher's first update holds (1 - decay) times the
+        # target pass's probabilities; slot 1 keys the source pass.
+        state, batch, cfgs = group_step_inputs(seeds, dropout_rate=0.3,
+                                               batch_target=batch_target)
+        stepped, _ = train_step(state, batch, cfgs[0])
+        for index, cfg in enumerate(cfgs):
+            pick = (lambda a: a[index]) if len(seeds) > 1 else (lambda a: a)
+            student = Network(state.student.spec, pick(state.student.params))
+            alone = forward(student, pick(batch.target_x), "train", derive_seed(cfg.seed, 0, 2))
+            rows = pick(stepped.teacher.ensemble)[pick(batch.target_indices)]
+            assert np.array_equal(rows, (1.0 - cfg.decay) * alone.probabilities)
+
+    @pytest.mark.parametrize("seeds, batch_target, passes",
+                             [((3,), 16, 1), ((3, 4, 5), 16, 1), ((3,), 8, 2)],
+                             ids=["one-seed", "three-seeds", "unequal-batches"])
+    def test_a_step_makes_one_pass_per_network(self, monkeypatch, seeds, batch_target, passes):
+        calls = collections.Counter()
+
+        def count(module, name, key):
+            fn = getattr(module, name)
+
+            @functools.wraps(fn)
+            def counting(*args, **kwargs):
+                calls[key(*args)] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        def role(net):
+            return "student" if net.spec.head == "softmax" else "critic"
+
+        for module in (trainer_module, loss_module):
+            count(module, "forward", lambda net, *_: ("forward", role(net)))
+        count(trainer_module, "backward", lambda net, *_: ("backward", role(net)))
+        for name in ("stacked_margin_loss", "pairwise_margin_loss"):
+            count(loss_module, name, lambda *_, name=name: (name,))
+        state, batch, cfgs = group_step_inputs(seeds, dropout_rate=0.3,
+                                               batch_target=batch_target)
+        # Past pretraining, so the feature backward runs.
+        train_step(dataclasses.replace(state, iteration=6), batch, cfgs[0])
+        assert calls == {("forward", "student"): passes, ("forward", "critic"): passes,
+                         ("backward", "critic"): passes, ("backward", "student"): 1 + passes,
+                         ("stacked_margin_loss",): passes}
+
+
 def objective_at(student, critic, teacher, batch, cfg, iteration):
     """Mirror of the step's monitored objective with all noise held fixed."""
     alpha, lam = schedule_weights(cfg, iteration)
     trace_src = forward(student, batch.source_x, "train", derive_seed(cfg.seed, iteration, 1))
     trace_tgt = forward(student, batch.target_x, "train", derive_seed(cfg.seed, iteration, 2))
     labels, conf = pseudo_labels(corrected_probabilities(teacher)[batch.target_indices])
-    losses, _ = objective(trace_src, trace_tgt, batch.source_y, labels, conf, critic, cfg)
+    losses, _ = objective((trace_src.features, trace_tgt.features), trace_src.probabilities,
+                          batch.source_y, labels, conf, critic, cfg)
     return total_objective(losses.l_y, losses.l_c, losses.l_a, losses.l_d, alpha, lam)
 
 

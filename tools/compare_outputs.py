@@ -6,12 +6,14 @@ The revision is exported with `git archive` into a temporary directory.
 Each configuration below (400 iterations, pretraining 100, a snapshot every
 100) is then run with `python -m clusteralign.cli run` in a fresh process on
 both trees, with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, and
-every output file and the stdout are compared. A differing CSV whose
-header matches on both sides is named with its differing columns, as in
+every output file and the stdout are compared. Configurations (a) and (h)
+run once more at OPENBLAS_NUM_THREADS=2, numpy's default on a 2-core
+machine, and print their own lines. A differing CSV whose header matches
+on both sides is named with its differing columns, as in
 `metrics_0.csv[l_c]`. `validate` is compared the same way on each shipped
-`configs/*.json`. One line is printed per configuration; the exit status
-is 1 when anything differs. The script uses the standard library only and
-is not part of the test suite.
+`configs/*.json`. One line is printed per run; the exit status is 1 when
+anything differs. The script uses the standard library only and is not
+part of the test suite.
 """
 
 import csv
@@ -49,7 +51,11 @@ CONFIGS = {
     # Three seeds trained as one group, each with its own dropout masks on
     # all three student passes.
     "h": _config("multimode", seeds=(0, 1, 2), teacher_mode="pi", dropout_rate=0.3),
+    # Batches of unequal size: one pass per domain.
+    "i": _config("imbalanced_gaussians", seeds=(0, 1), batch_target=48, dropout_rate=0.2),
 }
+# The configurations also run at 2 BLAS threads.
+TWO_THREADS = ("a", "h")
 
 
 def export(revision, dest):
@@ -60,21 +66,21 @@ def export(revision, dest):
         tar.extractall(dest, **safe)
 
 
-def cli(tree, args, cwd):
+def cli(tree, args, cwd, threads=1):
     """The exit status and stdout of one CLI call on a tree."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"),
-               OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+               OPENBLAS_NUM_THREADS=str(threads), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-m", "clusteralign.cli", *args],
                           cwd=cwd, env=env, capture_output=True)
     return done.returncode, done.stdout
 
 
-def outputs(tree, raw, work):
+def outputs(tree, raw, work, threads):
     """Every byte a run of raw on tree produces, keyed by file name."""
     work.mkdir()
     path = work / "config.json"
     path.write_text(json.dumps(raw))
-    status, stdout = cli(tree, ["run", str(path), "--output-dir", "out"], work)
+    status, stdout = cli(tree, ["run", str(path), "--output-dir", "out"], work, threads)
     out = work / "out"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
     return status, dict(files, stdout=stdout)
@@ -103,16 +109,19 @@ def main(argv=None):
         tmp = Path(tmp)
         parent = tmp / "parent"
         export(argv[0], parent)
-        for name, raw in CONFIGS.items():
-            status, ours = outputs(ROOT, raw, tmp / f"ours_{name}")
-            parent_status, theirs = outputs(parent, raw, tmp / f"theirs_{name}")
+        runs = [(name, 1) for name in CONFIGS] + [(name, 2) for name in TWO_THREADS]
+        for name, threads in runs:
+            raw, label = CONFIGS[name], f"{name}_{threads}"
+            status, ours = outputs(ROOT, raw, tmp / f"ours_{label}", threads)
+            parent_status, theirs = outputs(parent, raw, tmp / f"theirs_{label}", threads)
             diff = ["exit status"] if status != parent_status else []
-            diff += [describe(name, ours.get(name), theirs.get(name))
-                     for name in sorted(ours.keys() | theirs.keys())
-                     if ours.get(name) != theirs.get(name)]
+            diff += [describe(file, ours.get(file), theirs.get(file))
+                     for file in sorted(ours.keys() | theirs.keys())
+                     if ours.get(file) != theirs.get(file)]
             failed |= bool(diff)
             verdict = f"differs: {', '.join(diff)}" if diff else "identical"
-            print(f"({name}) exit {status}, {len(ours) - 1} files and stdout, {verdict}",
+            at = "" if threads == 1 else f" at {threads} BLAS threads"
+            print(f"({name}){at} exit {status}, {len(ours) - 1} files and stdout, {verdict}",
                   flush=True)
         for path in sorted((ROOT / "configs").glob("*.json")):
             ours = cli(ROOT, ["validate", str(path)], tmp)
