@@ -168,10 +168,10 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
         clustering_accuracy=cluster_acc,
         jsd_proxy=jsd_proxy(l_d_all),
         selection_rate=selection_rate(confidences, cfg.threshold),
-        l_y=bundle.l_y,
-        l_c=bundle.l_c,
-        l_a=bundle.l_a,
-        l_d=bundle.l_d,
+        l_y=float(bundle.l_y),
+        l_c=float(bundle.l_c),
+        l_a=float(bundle.l_a),
+        l_d=float(bundle.l_d),
     )
     view = StateView(trace_src.features, trace_src.probabilities, trace_tgt.features,
                      labels, confidences)

@@ -13,7 +13,7 @@ a domain axis in front of it: one stacked_margin_loss call and one critic
 pass cover every (domain, seed) slice, each slice its own problem. Every
 other clustering-kernel mode and the selected-target sum of the
 adversarial loss run once per slice, so each seed's bytes are those of a
-lone run.
+run of that seed alone.
 """
 
 from dataclasses import dataclass
@@ -84,7 +84,7 @@ def cross_entropy(probabilities, labels):
     y = np.asarray(labels, dtype=np.int64)
     entries = (np.arange(y.size), y.ravel())
     picked = p.reshape(-1, p.shape[-1])[entries].reshape(y.shape)
-    loss = -np.log(np.maximum(picked, _EPS)).mean(axis=-1)
+    loss = -np.log(np.maximum(picked, _EPS)).sum(axis=-1) / y.shape[-1]
     d_logits = p.copy()
     d_logits.reshape(-1, p.shape[-1])[entries] -= 1.0
     return loss, d_logits / y.shape[-1]
@@ -109,19 +109,12 @@ def clustering_loss(batch: PseudoLabeledBatch, margin: float, metric: str = "sq_
     feats, labels = batch.features, batch.labels
     if squared and gradient:
         return stacked_margin_loss(feats, labels, margin)
-    results = [
+    values, grads = zip(*(
         pairwise_margin_loss(f, y, margin, squared=squared, gradient=gradient)
         for f, y in zip(feats.reshape((-1,) + feats.shape[-2:]), labels.reshape(-1, labels.shape[-1]))
-    ]
-    lead = labels.shape[:-1]
-    loss = _restack([value for value, _ in results], lead)
-    return loss, _restack([grad for _, grad in results], lead) if gradient else None
-
-
-def _restack(values, lead):
-    """Per-seed results, in seed order, as one array with the leading seed
-    axes lead; the result itself when there are none."""
-    return np.asarray(values).reshape(lead + np.shape(values[0])) if lead else values[0]
+    ))
+    loss = np.asarray(values).reshape(labels.shape[:-1])
+    return loss, np.asarray(grads).reshape(feats.shape) if gradient else None
 
 
 def alignment_loss(source: PseudoLabeledBatch, target: PseudoLabeledBatch):
@@ -234,11 +227,13 @@ def objective(features, source_probabilities, source_y, target_labels, target_co
     # The selected-target sum is taken per seed: a masked sum over the
     # group would reorder the summation.
     conf = np.asarray(target_confidences, dtype=np.float64)
-    per_seed = [domain_adversarial_loss(c_src, c_tgt, c, cfg.threshold)
-                for c_src, c_tgt, c in zip(*(a.reshape(-1, a.shape[-1])
-                                             for a in (outputs[0], outputs[1], conf)))]
-    l_d, d_out_src, d_out_tgt, selected = (_restack(list(v), conf.shape[:-1])
-                                           for v in zip(*per_seed))
+    per_seed = zip(*(domain_adversarial_loss(c_src, c_tgt, c, cfg.threshold)
+                     for c_src, c_tgt, c in zip(*(a.reshape(-1, a.shape[-1])
+                                                  for a in (outputs[0], outputs[1], conf)))))
+    lead = conf.shape[:-1]
+    l_d, d_out_src, d_out_tgt, selected = (
+        np.asarray(values).reshape(shape)
+        for values, shape in zip(per_seed, (lead, outputs[0].shape, outputs[1].shape, lead)))
     bundle = LossBundle(l_y=l_y, l_c=l_c[0] + l_c[1], l_a=l_a, l_d=l_d,
                         selection_count=selected)
     grads = ObjectiveGradients(d_logits, d_clustering, as_domains((g_a_src, g_a_tgt)),

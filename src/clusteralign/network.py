@@ -132,19 +132,18 @@ def row_index(indices, num_rows):
     (..., num_rows, m) read as (-1, m): each entry of the leading seed
     axis picks from its own num_rows rows."""
     lead = indices.shape[:-1]
-    if not lead:
-        return indices
-    return indices + num_rows * np.arange(math.prod(lead)).reshape(lead + (1,))
+    return indices + np.arange(0, num_rows * math.prod(lead), num_rows).reshape(lead + (1,))
 
 
 def _views(spec, vector):
     """The per-layer weight views and bias views of a vector in spec.layout
     (of each seed's vector, for a stacked one)."""
     lead = vector.shape[:-1]
-    views = tuple(vector[..., start:stop].reshape(lead + shape)
-                  for start, stop, shape in spec.layout)
-    half = len(views) // 2
-    return views[:half], views[half:]
+    half = len(spec.layout) // 2
+    # A bias slice already has the shape of its view.
+    return (tuple(vector[..., start:stop].reshape(lead + shape)
+                  for start, stop, shape in spec.layout[:half]),
+            tuple(vector[..., start:stop] for start, stop, _ in spec.layout[half:]))
 
 
 @dataclass(frozen=True)
@@ -200,17 +199,11 @@ class GradientSet:
     row-major in layer order, then every bias; one vector per (domain,
     seed) slice of the input batch), and d_input w.r.t. the input batch,
     None when not asked for.
-
-    Adding two sets sums the parameter gradients; the sum carries no
-    d_input, since its operands may come from different input batches.
     """
 
     spec: NetworkSpec
     vector: np.ndarray
     d_input: np.ndarray
-
-    def __add__(self, other):
-        return GradientSet(self.spec, self.vector + other.vector, None)
 
 
 @dataclass(frozen=True)
@@ -260,12 +253,10 @@ def _softmax(z):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so no
+    # exp overflows.
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def forward(net: Network, x, mode: str = "eval", noise_seed=0) -> ForwardTrace:
@@ -309,7 +300,8 @@ def forward(net: Network, x, mode: str = "eval", noise_seed=0) -> ForwardTrace:
     a = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b[..., None, :]
+        z = a @ w
+        z += b[..., None, :]
         pre_acts.append(z)
         if i == last:
             break

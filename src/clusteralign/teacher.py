@@ -80,11 +80,9 @@ def corrected_probabilities(state: TeacherState, indices=None) -> np.ndarray:
         rows = row_index(np.asarray(indices, dtype=np.int64), ensemble.shape[-2])
         ensemble = ensemble.reshape(-1, ensemble.shape[-1])[rows]
         counts = counts.reshape(-1)[rows]
-    probs = np.zeros_like(ensemble)
-    seen = counts > 0
-    corr = 1.0 - state.decay ** counts[seen]
-    probs[seen] = ensemble[seen] / corr[:, None]
-    return probs
+    corr = 1.0 - state.decay ** counts
+    return np.divide(ensemble, corr[..., None], out=np.zeros_like(ensemble),
+                     where=counts[..., None] > 0)
 
 
 def pseudo_labels(probabilities):

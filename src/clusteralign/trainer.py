@@ -21,9 +21,9 @@ seeded from the config seed and the iteration counter.
 
 The seeds of one experiment train together as a group: their states,
 momentum buffers, temporal ensembles and batches are stacked along a
-leading seed axis, and one step advances every seed. Each seed's slice
-holds the bytes of a run of that seed alone; a state of one seed keeps
-its 2-D arrays.
+leading seed axis, and one step advances every seed. A lone seed is a
+group of one and keeps the axis. Each seed's slice holds the bytes that
+its own 2-D state (init_train_state), stepped alone, would hold.
 """
 
 import dataclasses
@@ -67,8 +67,7 @@ LAMBDA_SCHEDULES = ("same_as_alpha", "constant")
 
 class TrainingAbort(RuntimeError):
     """A loss or parameter went non-finite; carries a diagnostic snapshot
-    whose seed_index is the position of the offending seed in its group
-    (0 for a run of one seed)."""
+    whose seed_index is the position of the offending seed in its group."""
 
     def __init__(self, message, details):
         super().__init__(message)
@@ -170,12 +169,13 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """One point of a run, or of a group of seeds run together.
+    """One point of a group of seeds run together.
 
     teacher is the temporal ensemble, None for the other teacher modes.
     seeds holds the TrainConfig.seed that keys each seed's dropout masks.
-    A group (more than one seed) stacks every array along a leading seed
-    axis in that order.
+    A group's state (stack_states) stacks every array along a leading seed
+    axis in that order, one entry for a lone seed; a state of one seed
+    from init_train_state has no such axis.
     """
 
     student: Network
@@ -227,18 +227,12 @@ def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
     )
 
 
-def _stack(arrays):
-    """Per-seed arrays stacked along a new leading seed axis; a lone
-    seed's array as it is."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
-
-
 def stack_states(states) -> TrainState:
     """The group state of per-seed states at one iteration, in order."""
     first = states[0]
 
     def stacked(get):
-        return _stack([get(s) for s in states])
+        return np.stack([get(s) for s in states])
 
     teacher = None
     if first.teacher is not None:
@@ -258,10 +252,7 @@ def stack_states(states) -> TrainState:
 
 
 def _seed_state(state: TrainState, index: int) -> TrainState:
-    """The state of the index-th seed of a group, as views into it; a
-    state of one seed is returned as it is."""
-    if len(state.seeds) == 1:
-        return state
+    """The state of the index-th seed of a group, as views into it."""
     teacher = state.teacher
     if teacher is not None:
         teacher = TeacherState(teacher.ensemble[index], teacher.step_counts[index],
@@ -430,22 +421,21 @@ def _check_losses(bundle, iteration):
                             dict(details, iteration=iteration, seed_index=index))
 
 
-def run_training(cfg, ds, eval_every: int):
-    """Train to completion; returns (final state, metrics log, final view).
+def run_training(cfgs, datasets, eval_every: int):
+    """Train a group of seeds to completion; returns (final state, metrics
+    logs, final views).
 
-    The log holds one entry for iteration 0, one after every eval_every-th
-    step and one for the final state; the final view is that state's
-    evaluate.StateView. cfg and ds may instead be equal-length sequences
-    of configs that differ in their seed only and of same-sized datasets:
-    the seeds then train as one group, the state is the group's, and the
-    log and the view become lists with one entry per seed. A non-finite
-    value stops the whole group at its iteration with a TrainingAbort
-    naming the seed.
+    cfgs and datasets are equal-length sequences: configs that differ in
+    their seed only and one same-sized dataset per config. The seeds train
+    as one group, and the state is the group's, with a seed axis even for
+    one seed. logs and views hold one entry per seed: its metrics log,
+    with one entry for iteration 0, one after every eval_every-th step and
+    one for the final state, and the final state's evaluate.StateView. A
+    non-finite value stops the whole group at its iteration with a
+    TrainingAbort naming the seed.
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
-    group = not isinstance(cfg, TrainConfig)
-    cfgs, datasets = (tuple(cfg), tuple(ds)) if group else ((cfg,), (ds,))
     shared = cfgs[0]
     if len(cfgs) != len(datasets) or any(
             dataclasses.replace(c, seed=shared.seed) != shared for c in cfgs):
@@ -469,9 +459,11 @@ def run_training(cfg, ds, eval_every: int):
                 log.append(row)
                 views.append(view)
         if it == shared.total_iters:
-            return (state, logs, views) if group else (state, logs[0], views[0])
+            return state, logs, views
         pairs = [next(stream) for stream in streams]
-        batch = BatchPair(*map(_stack, zip(*(vars(p).values() for p in pairs))))
+        # np.asarray stacks each field's per-seed arrays along the seed axis,
+        # at a fraction of np.stack's per-call cost.
+        batch = BatchPair(*map(np.asarray, zip(*(vars(p).values() for p in pairs))))
         try:
             state, _ = train_step(state, batch, shared)
         except DomainError as exc:
@@ -494,5 +486,5 @@ def _domain_abort(exc, iteration, index):
 
 
 def train(cfg: TrainConfig, ds: DomainDataset, eval_every: int):
-    """Run the full schedule and return the metrics log."""
-    return run_training(cfg, ds, eval_every)[1]
+    """Run the full schedule of one seed and return its metrics log."""
+    return run_training([cfg], [ds], eval_every)[1][0]

@@ -192,7 +192,8 @@ def test_criterion_3_gradient_correctness():
         pls = PseudoLabeledBatch(tr_s.features, ys, 3)
         plt = PseudoLabeledBatch(tr_t.features, yt, 3)
         _, d_s, d_t = alignment_loss(pls, plt)
-        grads = backward(net, tr_s, d_s, "features") + backward(net, tr_t, d_t, "features")
+        grads = GradientSet(net.spec, backward(net, tr_s, d_s, "features").vector
+                            + backward(net, tr_t, d_t, "features").vector, None)
 
         def la_loss(c, xs=xs, xt=xt, noise_s=noise_s, noise_t=noise_t, ys=ys, yt=yt):
             fs = forward(c, xs, "train", noise_s).features
@@ -216,8 +217,10 @@ def test_criterion_3_gradient_correctness():
         _, d_cs, d_ct, _ = domain_adversarial_loss(
             tr_s.probabilities[:, 0], tr_t.probabilities[:, 0], conf, 0.5
         )
-        grads = (backward(critic, tr_s, d_cs[:, None], "probabilities")
-                 + backward(critic, tr_t, d_ct[:, None], "probabilities"))
+        grads = GradientSet(critic.spec,
+                            backward(critic, tr_s, d_cs[:, None], "probabilities").vector
+                            + backward(critic, tr_t, d_ct[:, None], "probabilities").vector,
+                            None)
 
         def ld_loss(c, feats_s=feats_s, feats_t=feats_t, conf=conf):
             ps = forward(c, feats_s, "eval").probabilities[:, 0]

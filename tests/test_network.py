@@ -190,8 +190,8 @@ def test_backward_linearity(entry):
     g1 = rng.normal(size=shape)
     g2 = rng.normal(size=shape)
     combined = backward(net, trace, g1 + g2, entry)
-    separate = backward(net, trace, g1, entry) + backward(net, trace, g2, entry)
-    assert np.all(np.abs(combined.vector - separate.vector) < 1e-10)
+    separate = backward(net, trace, g1, entry).vector + backward(net, trace, g2, entry).vector
+    assert np.all(np.abs(combined.vector - separate) < 1e-10)
 
 
 def test_backward_shape_errors():

@@ -9,6 +9,7 @@ import pytest
 
 from clusteralign import losses as loss_module, trainer as trainer_module
 from clusteralign.data import BatchPair, iterate_batches, make_imbalanced_gaussians
+from clusteralign.evaluate import snapshot
 from clusteralign.losses import cross_entropy, objective
 from clusteralign.network import Network, forward
 from clusteralign.seeding import derive_seed
@@ -233,10 +234,8 @@ class TestTrainLoop:
             np.roll(ds.target_y_hidden, 7), ds.num_classes,
         )
         cfg = tiny_config(total_iters=10, pretrain_iters=2, **teacher)
-        from clusteralign.trainer import run_training
-
-        state_a, metrics_a, _ = run_training(cfg, ds, eval_every=10)
-        state_b, metrics_b, _ = run_training(cfg, shuffled, eval_every=10)
+        state_a, (metrics_a,), _ = run_training([cfg], [ds], eval_every=10)
+        state_b, (metrics_b,), _ = run_training([cfg], [shuffled], eval_every=10)
         assert np.array_equal(state_a.student.params, state_b.student.params)
         assert metrics_a[-1].l_y == metrics_b[-1].l_y
         assert metrics_a[-1].selection_rate == metrics_b[-1].selection_rate
@@ -245,11 +244,9 @@ class TestTrainLoop:
         # Without dropout a Pi teacher's train-mode pass is the student's
         # own prediction, so both teachers give the same run.
         ds = tiny_dataset()
-        from clusteralign.trainer import run_training
-
-        runs = [run_training(tiny_config(teacher_mode=mode, dropout_rate=0.0), ds, eval_every=4)
+        runs = [run_training([tiny_config(teacher_mode=mode, dropout_rate=0.0)], [ds], eval_every=4)
                 for mode in ("pi", "self")]
-        (state_pi, metrics_pi, _), (state_self, metrics_self, _) = runs
+        (state_pi, (metrics_pi,), _), (state_self, (metrics_self,), _) = runs
         assert np.array_equal(state_pi.student.params, state_self.student.params)
         assert [m.__dict__ for m in metrics_pi] == [m.__dict__ for m in metrics_self]
 
@@ -270,6 +267,22 @@ class TestTrainLoop:
             tiny_config(margin=0.0)
         with pytest.raises(ValueError):
             tiny_config(alpha_schedule="linear")
+
+
+def run_alone(cfg, ds, eval_every):
+    """One seed run step by step on its own 2-D state: the final state,
+    the metrics log and the final view that its slice of a group must
+    hold."""
+    state = init_train_state(cfg, ds)
+    stream = trainer_module._batches(cfg, ds)
+    log = []
+    while True:
+        if state.iteration % eval_every == 0 or state.iteration == cfg.total_iters:
+            row, view = snapshot(state, cfg, ds)
+            log.append(row)
+        if state.iteration == cfg.total_iters:
+            return state, log, view
+        state, _ = train_step(state, next(stream), cfg)
 
 
 def state_arrays(state):
@@ -296,13 +309,22 @@ class TestSeedGroup:
         cfgs, datasets = self.group(total_iters=20, pretrain_iters=5, **over)
         state, logs, views = run_training(cfgs, datasets, eval_every=6)
         for index, (cfg, ds) in enumerate(zip(cfgs, datasets)):
-            alone, log, view = run_training(cfg, ds, eval_every=6)
+            alone, log, view = run_alone(cfg, ds, eval_every=6)
             for grouped, single in zip(state_arrays(state), state_arrays(alone)):
                 # Signs of zeros included.
                 assert grouped[index].tobytes() == single.tobytes()
             assert [m.__dict__ for m in logs[index]] == [m.__dict__ for m in log]
             assert all(np.array_equal(getattr(views[index], f), getattr(view, f))
                        for f in vars(view))
+
+    def test_a_lone_seed_trains_as_a_group_of_one(self):
+        cfg = tiny_config()
+        state, logs, views = run_training([cfg], [tiny_dataset()], eval_every=4)
+        assert state.seeds == (cfg.seed,)
+        assert all(a.shape[0] == 1 for a in state_arrays(state))
+        assert state.student.params.shape == (1, state.student.spec.num_params)
+        assert len(logs) == len(views) == 1
+        assert [m.iteration for m in logs[0]] == [0, 4, 8, 12]
 
     def test_group_configs_may_differ_in_their_seed_only(self):
         cfgs, datasets = self.group()
@@ -326,14 +348,12 @@ class TestSeedGroup:
 
 
 def group_step_inputs(seeds, **over):
-    """The stacked state, batch and configs of a group's first step (a
-    lone seed's own state and batch for one seed)."""
+    """The stacked state, batch and configs of a group's first step."""
     cfgs = [tiny_config(seed=seed, **over) for seed in seeds]
     datasets = [tiny_dataset(i) for i in range(len(seeds))]
     state = stack_states([init_train_state(c, d) for c, d in zip(cfgs, datasets)])
     pairs = [first_batch(d, c) for c, d in zip(cfgs, datasets)]
-    batch = BatchPair(*(parts[0] if len(seeds) == 1 else np.stack(parts)
-                        for parts in zip(*(vars(p).values() for p in pairs))))
+    batch = BatchPair(*(np.stack(parts) for parts in zip(*(vars(p).values() for p in pairs))))
     return state, batch, cfgs
 
 
@@ -347,10 +367,9 @@ class TestDomainAxis:
                                                batch_target=batch_target)
         stepped, _ = train_step(state, batch, cfgs[0])
         for index, cfg in enumerate(cfgs):
-            pick = (lambda a: a[index]) if len(seeds) > 1 else (lambda a: a)
-            student = Network(state.student.spec, pick(state.student.params))
-            alone = forward(student, pick(batch.target_x), "train", derive_seed(cfg.seed, 0, 2))
-            rows = pick(stepped.teacher.ensemble)[pick(batch.target_indices)]
+            student = Network(state.student.spec, state.student.params[index])
+            alone = forward(student, batch.target_x[index], "train", derive_seed(cfg.seed, 0, 2))
+            rows = stepped.teacher.ensemble[index][batch.target_indices[index]]
             assert np.array_equal(rows, (1.0 - cfg.decay) * alone.probabilities)
 
     @pytest.mark.parametrize("seeds, batch_target, passes",

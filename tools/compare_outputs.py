@@ -6,10 +6,11 @@ The revision is exported with `git archive` into a temporary directory.
 Each configuration below (400 iterations, pretraining 100, a snapshot every
 100) is then run with `python -m clusteralign.cli run` in a fresh process on
 both trees, with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, and
-every output file and the stdout are compared. Configurations (a) and (h)
-run once more at OPENBLAS_NUM_THREADS=2, numpy's default on a 2-core
-machine, and print their own lines. A differing CSV whose header matches
-on both sides is named with its differing columns, as in
+every output file and the stdout are compared. Configurations (a), (f) and
+(h) run once more at OPENBLAS_NUM_THREADS=2, numpy's default on a 2-core
+machine, and print their own lines: two seed groups and a lone seed, each
+with the squared metric's matmul kernel. A differing CSV whose header
+matches on both sides is named with its differing columns, as in
 `metrics_0.csv[l_c]`. `validate` is compared the same way on each shipped
 `configs/*.json`. One line is printed per run; the exit status is 1 when
 anything differs. The script uses the standard library only and is not
@@ -55,7 +56,7 @@ CONFIGS = {
     "i": _config("imbalanced_gaussians", seeds=(0, 1), batch_target=48, dropout_rate=0.2),
 }
 # The configurations also run at 2 BLAS threads.
-TWO_THREADS = ("a", "h")
+TWO_THREADS = ("a", "f", "h")
 
 
 def export(revision, dest):
