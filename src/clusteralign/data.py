@@ -160,42 +160,37 @@ def make_multimode_domains(
     )
 
 
-def iterate_batches(ds: DomainDataset, batch_source: int, batch_target: int,
-                    seed: int, epoch: int):
-    """Batch pairs for one epoch.
+def batch_indices(n_src: int, n_tgt: int, batch_source: int, batch_target: int,
+                  seed: int, epoch: int):
+    """The sample indices of one epoch's batch pairs over domains of n_src
+    and n_tgt samples: (source indices, target indices), int64 arrays of
+    shape (batches, batch_source) and (batches, batch_target).
 
     Both domains are reshuffled per epoch from a seed derived from
     (seed, epoch); partial final batches are dropped. When the domains
     yield different batch counts, the epoch covers the longer stream and
     the shorter one cycles through its own permutation again.
     """
-    n_src = ds.source_x.shape[0]
-    n_tgt = ds.target_x.shape[0]
     if not 1 <= batch_source <= n_src:
         raise ValueError("batch_source must lie in [1, len(source)]")
     if not 1 <= batch_target <= n_tgt:
         raise ValueError("batch_target must lie in [1, len(target)]")
-
-    src_perm = seeded_rng(seed, epoch, 0).permutation(n_src)
-    tgt_perm = seeded_rng(seed, epoch, 1).permutation(n_tgt)
     src_batches = n_src // batch_source
     tgt_batches = n_tgt // batch_target
+    batch = np.arange(max(src_batches, tgt_batches))[:, None]
+    return tuple(
+        seeded_rng(seed, epoch, domain).permutation(n)[(batch % batches) * size + np.arange(size)]
+        for domain, (n, size, batches) in enumerate(((n_src, batch_source, src_batches),
+                                                     (n_tgt, batch_target, tgt_batches))))
 
-    pairs = []
-    for i in range(max(src_batches, tgt_batches)):
-        si = (i % src_batches) * batch_source
-        ti = (i % tgt_batches) * batch_target
-        src_idx = src_perm[si:si + batch_source]
-        tgt_idx = tgt_perm[ti:ti + batch_target]
-        pairs.append(
-            BatchPair(
-                ds.source_x[src_idx],
-                ds.source_y[src_idx],
-                ds.target_x[tgt_idx],
-                tgt_idx.astype(np.int64),
-            )
-        )
-    return pairs
+
+def iterate_batches(ds: DomainDataset, batch_source: int, batch_target: int,
+                    seed: int, epoch: int):
+    """Batch pairs for one epoch, at the indices of batch_indices."""
+    src, tgt = batch_indices(ds.source_x.shape[0], ds.target_x.shape[0], batch_source,
+                             batch_target, seed, epoch)
+    return [BatchPair(ds.source_x[src_idx], ds.source_y[src_idx], ds.target_x[tgt_idx], tgt_idx)
+            for src_idx, tgt_idx in zip(src, tgt)]
 
 
 # IDX files are big-endian:

@@ -12,6 +12,11 @@ differences. Gram-form results are bit-reproducible for a given numpy and
 BLAS build at a fixed BLAS thread count: a multithreaded matmul may split
 its sums differently. Every other call of the pairwise margin loss forms
 each pair from explicit differences and uses no BLAS.
+
+stacked_margin_loss trims its n x n passes without moving a bit: label
+flags compared in the narrowest label dtype, the masked copy by
+np.putmask, pair weights from int8 flags, and their row sums, which are
+small integers and so exact in any order, from a matrix-vector product.
 """
 
 import numpy as np
@@ -50,10 +55,11 @@ def stacked_margin_loss(features, labels, margin):
 
     Returns (loss of shape (...), gradient of the shape of features).
     Each matrix is its own problem, and its loss and gradient hold the
-    bits of a pairwise_margin_loss call on that matrix alone.
+    bits of a pairwise_margin_loss call on that matrix alone. labels may
+    have any integer dtype; a narrow one compares fastest.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     margin = float(margin)
     lead, n = features.shape[:-2], features.shape[-2]
 
@@ -75,18 +81,21 @@ def stacked_margin_loss(features, labels, margin):
     # Active hinges: different labels, inside the margin (True > False).
     active = hinge > 0.0
     np.greater(active, same, out=active)
-    np.copyto(hinge, dist, where=same)
+    np.putmask(hinge, same, dist)
     loss = hinge.reshape(lead + (n * n,)).sum(axis=-1)
 
-    # coef is d(term)/d(dist): +1 on same-label pairs, -1 on active hinges.
-    coef = np.subtract(same, active, out=buf, dtype=np.float64)
-    # w[i, j] * (f_i - f_j) is pair (i, j)'s gradient on f_i. w is
-    # symmetric up to rounding, so both orderings together give
-    # 2 * (rowsum(w) f - w f).
-    w = np.multiply(coef, 2.0, out=coef)
-    w.reshape(lead + (n * n,))[..., :: n + 1] = 0.0
+    # coef is d(term)/d(dist): +1 on same-label pairs, -1 on active hinges
+    # (the flags as int8 subtract exactly).
+    coef = np.subtract(same.view(np.int8), active.view(np.int8), out=buf)
+    coef.reshape(lead + (n * n,))[..., :: n + 1] = 0.0
+    # w = 2 coef, and w[i, j] * (f_i - f_j) is pair (i, j)'s gradient on
+    # f_i. w is symmetric up to rounding, so both orderings together give
+    # 2 * (rowsum(w) f - w f). Doubling is exact, so w f is 2 (coef f) bit
+    # for bit, and a row of coef sums small integers, exactly in any order:
+    # a matrix-vector product gives the bits of coef.sum(axis=-1).
+    rowsum = 2.0 * (coef @ np.ones(n))
     grad = np.zeros_like(features)
-    grad += 2.0 * (w.sum(axis=-1)[..., None] * features - w @ features)
+    grad += 2.0 * (rowsum[..., None] * features - 2.0 * (coef @ features))
     inv = 1.0 / float(n * n)
     return loss * inv, grad * inv
 

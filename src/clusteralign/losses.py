@@ -108,7 +108,9 @@ def clustering_loss(batch: PseudoLabeledBatch, margin: float, metric: str = "sq_
     squared = metric == "sq_euclidean"
     feats, labels = batch.features, batch.labels
     if squared and gradient:
-        return stacked_margin_loss(feats, labels, margin)
+        # The narrowest dtype that holds every class id compares fastest.
+        return stacked_margin_loss(feats, labels.astype(np.min_scalar_type(batch.num_classes - 1)),
+                                   margin)
     values, grads = zip(*(
         pairwise_margin_loss(f, y, margin, squared=squared, gradient=gradient)
         for f, y in zip(feats.reshape((-1,) + feats.shape[-2:]), labels.reshape(-1, labels.shape[-1]))
@@ -123,32 +125,42 @@ def alignment_loss(source: PseudoLabeledBatch, target: PseudoLabeledBatch):
 
     Classes missing from either batch contribute nothing (their term is
     removed and the mean runs over the remainder). Returns
-    (loss, d_features_source, d_features_target).
+    (loss, d_features_source, d_features_target). Batches of one shape
+    take one pass over both domains, on a leading domain axis.
     """
     if source.num_classes != target.num_classes:
         raise ValueError("batches must share the class count")
     k = source.num_classes
-    src_onehot = _onehot(source.labels, k)
-    tgt_onehot = _onehot(target.labels, k)
-    # Exact integer counts, one per class and seed.
-    src_n = src_onehot.sum(axis=-1, keepdims=True)
-    tgt_n = tgt_onehot.sum(axis=-1, keepdims=True)
-    present = (src_n > 0) & (tgt_n > 0)
+    labels = (source.labels, target.labels)
+    if source.features.shape == target.features.shape:
+        labels = np.asarray(labels)
+        onehot = _onehot(labels, k)
+        sums = onehot @ np.asarray((source.features, target.features))
+        counts = onehot.sum(axis=-1, keepdims=True)
+    else:
+        onehots = [_onehot(b.labels, k) for b in (source, target)]
+        sums = np.asarray([o @ b.features for o, b in zip(onehots, (source, target))])
+        counts = np.asarray([o.sum(axis=-1, keepdims=True) for o in onehots])
+    # Exact integer counts, one per domain, seed and class.
+    present = (counts[0] > 0) & (counts[1] > 0)
     n_present = present.sum(axis=-2, keepdims=True)
-    np.maximum(src_n, 1.0, out=src_n)
-    np.maximum(tgt_n, 1.0, out=tgt_n)
-    gap = np.where(present,
-                   src_onehot @ source.features / src_n - tgt_onehot @ target.features / tgt_n,
-                   0.0)
+    np.maximum(counts, 1.0, out=counts)
+    means = sums / counts
+    gap = np.where(present, means[0] - means[1], 0.0)
     inv_classes = 1.0 / np.maximum(n_present, 1)
     loss = (gap * gap).reshape(gap.shape[:-2] + (-1,)).sum(axis=-1) * inv_classes[..., 0, 0]
-    # Each sample moves its own class mean by 1/count of its domain.
-    d_src = _class_rows(2.0 * inv_classes / src_n * gap, source.labels)
-    d_tgt = _class_rows(-2.0 * inv_classes / tgt_n * gap, target.labels)
+    # Each sample moves its own class mean by 1/count of its domain, the
+    # target's with the opposite sign (a negation is exact).
+    per_class = 2.0 * inv_classes / counts * gap
+    per_class[1] *= -1.0
     if not n_present.all():
         # No shared class: no term, and no gradient (not even a negative zero).
-        d_tgt[n_present[..., 0, 0] == 0] = 0.0
-    return loss, d_src, d_tgt
+        per_class[1][n_present[..., 0, 0] == 0] = 0.0
+    if isinstance(labels, np.ndarray):
+        d = _class_rows(per_class, labels)
+    else:
+        d = [_class_rows(table, y) for table, y in zip(per_class, labels)]
+    return loss, d[0], d[1]
 
 
 def _onehot(labels, k):

@@ -241,15 +241,29 @@ def _activate(z, kind):
 
 def _activate_grad(z, kind):
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        # A product with a bool array multiplies by 1.0 or 0.0.
+        return z > 0.0
     t = np.tanh(z)
     return 1.0 - t * t
 
 
+def reduce_rows(ufunc, a):
+    """ufunc (np.add or np.maximum) reduced along the last axis of a, kept
+    as an axis of length 1. numpy reduces a row of fewer than 8 entries as
+    a left fold, so below 8 columns this folds column slices, with the
+    same bits and without numpy's per-row reduction loop."""
+    if a.shape[-1] >= 8:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j:j + 1], out=out)
+    return out
+
+
 def _softmax(z):
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - reduce_rows(np.maximum, z)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / reduce_rows(np.add, e)
 
 
 def _sigmoid(z):
@@ -259,15 +273,19 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def forward(net: Network, x, mode: str = "eval", noise_seed=0) -> ForwardTrace:
+def forward(net: Network, x, mode: str = "eval", noise=0) -> ForwardTrace:
     """Run the network, recording the full trace.
 
-    Deterministic given (net, x, mode, noise_seed): dropout masks are
-    drawn from a generator keyed by noise_seed alone. Eval mode disables
-    dropout entirely. A stacked network takes a batch per seed, x of
-    shape (seeds, rows, columns), optionally behind a leading domain
-    axis, (domains, seeds, rows, columns); noise_seed then holds one key
-    per (domain, seed) slice, domain-major.
+    Deterministic given (net, x, mode, noise). A stacked network takes a
+    batch per seed, x of shape (seeds, rows, columns), optionally behind a
+    leading domain axis, (domains, seeds, rows, columns). Eval mode
+    disables dropout and ignores noise. In train mode, noise gives every
+    (domain, seed) slice, domain-major, a stream of uniforms in [0, 1):
+    a key (one slice) or one key per slice, whose generator seeded_rng(key)
+    draws the stream, or the streams themselves, an array of shape
+    (slices, rows * hidden units). A slice's stream covers its hidden
+    layers in layer order, each row-major; a unit whose uniform is below
+    the dropout rate is dropped.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -288,11 +306,9 @@ def forward(net: Network, x, mode: str = "eval", noise_seed=0) -> ForwardTrace:
         raise DomainError("x contains non-finite entries", first % math.prod(lead))
     use_dropout = mode == "train" and spec.dropout_rate > 0.0
     if use_dropout:
-        keys = tuple(noise_seed) if isinstance(noise_seed, (tuple, list)) else (noise_seed,)
-        if len(keys) != slices:
-            raise ValueError(f"{len(keys)} noise seeds for {slices} (domain, seed) slices")
-        rngs = [seeded_rng(key) for key in keys]
-    keep = 1.0 - spec.dropout_rate
+        kept = _keep_masks(noise, slices, x.shape[-2] * sum(spec.layer_sizes[1:-1]),
+                           spec.dropout_rate)
+        offset = 0
 
     inputs = [x]
     pre_acts = []
@@ -307,12 +323,10 @@ def forward(net: Network, x, mode: str = "eval", noise_seed=0) -> ForwardTrace:
             break
         h = _activate(z, spec.activation)
         if use_dropout:
-            # Each slice's generator fills that slice, in layer order.
-            draws = np.empty(h.shape)
-            for rng, out in zip(rngs, draws.reshape((slices,) + h.shape[-2:])):
-                rng.random(out=out)
-            mask = (draws >= spec.dropout_rate) / keep
-            h = h * mask
+            size = h.shape[-2] * h.shape[-1]
+            mask = kept[:, offset:offset + size].reshape(h.shape)
+            offset += size
+            h *= mask
             masks.append(mask)
         a = h
         inputs.append(a)
@@ -332,11 +346,29 @@ def forward(net: Network, x, mode: str = "eval", noise_seed=0) -> ForwardTrace:
     )
 
 
+def _keep_masks(noise, slices, count, rate):
+    """The scaled keep masks of every slice's stream of count uniforms (see
+    forward), one row per slice: 1 / (1 - rate) where the uniform is at
+    least the rate, else 0."""
+    if isinstance(noise, np.ndarray):
+        if noise.shape != (slices, count):
+            raise ShapeError(f"noise has shape {noise.shape}, expected {(slices, count)}")
+        draws = noise
+    else:
+        keys = tuple(noise) if isinstance(noise, (tuple, list)) else (noise,)
+        if len(keys) != slices:
+            raise ValueError(f"{len(keys)} noise seeds for {slices} (domain, seed) slices")
+        draws = np.empty((slices, count))
+        for key, row in zip(keys, draws):
+            seeded_rng(key).random(out=row)
+    return (draws >= rate) / (1.0 - rate)
+
+
 def _head_jvp(trace, d_probs, head):
     """Pull an upstream gradient on the head output back to the logits."""
     p = trace.probabilities
     if head == "softmax":
-        inner = (d_probs * p).sum(axis=-1, keepdims=True)
+        inner = reduce_rows(np.add, d_probs * p)
         return p * (d_probs - inner)
     return d_probs * p * (1.0 - p)
 
@@ -381,13 +413,26 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str,
     for i in range(start, -1, -1):
         if i < top:
             if trace.masks is not None:
-                da = da * trace.masks[i]
-            dz = da * _activate_grad(trace.pre_activations[i], spec.activation)
+                dz = da * trace.masks[i]
+                dz *= _activate_grad(trace.pre_activations[i], spec.activation)
+            else:
+                dz = da * _activate_grad(trace.pre_activations[i], spec.activation)
         np.matmul(trace.inputs[i].mT, dz, out=d_weights[i])
-        dz.sum(axis=-2, out=d_biases[i])
+        _row_sum(dz, d_biases[i])
         if i or input_gradient:
             da = dz @ net.weights[i].mT
     return GradientSet(spec, vector, da if input_gradient else None)
+
+
+def _row_sum(a, out):
+    """a.sum(axis=-2, out=out), the bias gradient of a batch. numpy adds
+    the rows one after another when a row holds more than one entry, and
+    so does einsum, at about half the cost; a single column is summed
+    pairwise, which einsum does not do."""
+    if a.shape[-1] > 1:
+        np.einsum("...ij->...j", a, out=out)
+    else:
+        a.sum(axis=-2, out=out)
 
 
 def reverse_gradient(g, lam: float):

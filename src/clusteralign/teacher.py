@@ -7,14 +7,17 @@ per target sample, read back with bias correction so early averages are
 not shrunk toward zero. "self", the no_teacher ablation, uses the
 student's own prediction. Gradients never flow through teacher
 predictions. A group of seeds stacks its ensembles, step counts, batch
-indices and predictions along a leading seed axis.
+indices and predictions along a leading seed axis. A training step reads
+and updates the temporal ensemble in one pass over its batch rows
+(temporal_step), with the bits of corrected_probabilities followed by
+temporal_update.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from clusteralign.network import Network, forward, row_index
+from clusteralign.network import Network, forward, reduce_rows, row_index
 
 TEACHER_MODES = ("pi", "temporal", "self")
 
@@ -38,13 +41,14 @@ def init_teacher(num_target: int, num_classes: int, decay: float = 0.6) -> Teach
     )
 
 
-def pi_predict(net: Network, target_x, noise_seed: int) -> np.ndarray:
-    """Teacher probabilities from an independent train-mode pass.
+def pi_predict(net: Network, target_x, noise) -> np.ndarray:
+    """Teacher probabilities from an independent train-mode pass whose
+    dropout noise (as in network.forward) is noise.
 
     With dropout disabled the pass is deterministic and the teacher
     coincides with the student.
     """
-    return forward(net, target_x, mode="train", noise_seed=noise_seed).probabilities
+    return forward(net, target_x, mode="train", noise=noise).probabilities
 
 
 def temporal_update(state: TeacherState, indices, probabilities) -> TeacherState:
@@ -69,6 +73,33 @@ def temporal_update(state: TeacherState, indices, probabilities) -> TeacherState
     return TeacherState(ensemble, counts, state.decay)
 
 
+def temporal_step(state: TeacherState, indices, probabilities):
+    """corrected_probabilities(state, indices) and temporal_update(state,
+    indices, probabilities), from one read of the batch rows: returns (the
+    bias-corrected rows before the update, the updated state).
+
+    indices and probabilities carry the state's leading seed axis, if
+    any, and the indices must lie in range (a training step's batch).
+    """
+    num_rows, num_classes = state.ensemble.shape[-2:]
+    rows = row_index(indices, num_rows)
+    ensemble = state.ensemble.copy()
+    counts = state.step_counts.copy()
+    flat, flat_counts = ensemble.reshape(-1, num_classes), counts.reshape(-1)
+    old, old_counts = flat[rows], flat_counts[rows]
+    read = _corrected(old, old_counts, state.decay)
+    # Repeated indices write the same count, and their last row, as the
+    # separate update does.
+    flat[rows] = state.decay * old + (1.0 - state.decay) * probabilities
+    flat_counts[rows] = old_counts + 1
+    return read, TeacherState(ensemble, counts, state.decay)
+
+
+def _corrected(ensemble, counts, decay):
+    # A never-updated row is all +0.0, and stays so divided by 1.
+    return ensemble / np.where(counts > 0, 1.0 - decay ** counts, 1.0)[..., None]
+
+
 def corrected_probabilities(state: TeacherState, indices=None) -> np.ndarray:
     """Bias-corrected ensemble rows; never-updated rows stay all zero.
 
@@ -80,9 +111,7 @@ def corrected_probabilities(state: TeacherState, indices=None) -> np.ndarray:
         rows = row_index(np.asarray(indices, dtype=np.int64), ensemble.shape[-2])
         ensemble = ensemble.reshape(-1, ensemble.shape[-1])[rows]
         counts = counts.reshape(-1)[rows]
-    corr = 1.0 - state.decay ** counts
-    return np.divide(ensemble, corr[..., None], out=np.zeros_like(ensemble),
-                     where=counts[..., None] > 0)
+    return _corrected(ensemble, counts, state.decay)
 
 
 def pseudo_labels(probabilities):
@@ -93,6 +122,6 @@ def pseudo_labels(probabilities):
     0, which cannot occur for a real probability row.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
-    labels = np.argmax(probs, axis=-1).astype(np.int64)
+    labels = np.argmax(probs, axis=-1).astype(np.int64, copy=False)
     # The maximum is the entry at the argmax, bit for bit.
-    return labels, probs.max(axis=-1)
+    return labels, reduce_rows(np.maximum, probs)[..., 0]

@@ -17,13 +17,19 @@ learning, so its divergence estimate is meaningful by the time
 adaptation starts).
 
 A whole run is a pure function of (config, dataset): every random draw is
-seeded from the config seed and the iteration counter.
+seeded from the config seed and the iteration counter. A dropout mask's
+uniforms come from seeded_rng(derive_seed(seed, iteration, slot)); a run
+hashes those keys for a block of _PLAN_BLOCK iterations at once
+(_DropoutPlan, built when run_training starts) and replays each stream
+from its PCG64 state, so no generator is constructed per step.
 
 The seeds of one experiment train together as a group: their states,
 momentum buffers, temporal ensembles and batches are stacked along a
 leading seed axis, and one step advances every seed. A lone seed is a
 group of one and keeps the axis. Each seed's slice holds the bytes that
-its own 2-D state (init_train_state), stepped alone, would hold.
+its own 2-D state (init_train_state), stepped alone, would hold. A group
+gathers its batches a whole epoch at a time, from each seed's own
+shuffle.
 """
 
 import dataclasses
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from clusteralign.data import BatchPair, DomainDataset, iterate_batches
+from clusteralign.data import BatchPair, DomainDataset, batch_indices
 from clusteralign.evaluate import snapshot
 from clusteralign.losses import METRICS, objective
 from clusteralign.network import (
@@ -50,19 +56,20 @@ from clusteralign.network import (
     reverse_gradient,
     sgd_step,
 )
-from clusteralign.seeding import derive_seed
+from clusteralign.seeding import Streams, derive_seed, derived_rng_states
 from clusteralign.teacher import (
     TEACHER_MODES,
     TeacherState,
-    corrected_probabilities,
     init_teacher,
     pi_predict,
     pseudo_labels,
-    temporal_update,
+    temporal_step,
 )
 
 ALPHA_SCHEDULES = ("logistic", "exp_ramp", "constant")
 LAMBDA_SCHEDULES = ("same_as_alpha", "constant")
+# The dropout generator states of this many iterations are hashed at once.
+_PLAN_BLOCK = 64
 
 
 class TrainingAbort(RuntimeError):
@@ -289,41 +296,86 @@ def schedule_weights(cfg: TrainConfig, iteration: int):
     return alpha, lam
 
 
-def _noise_seeds(state: TrainState, *slots):
-    """The dropout seeds of one student train-mode pass over the domains
-    of the given slots, one per (slot, seed), domain-major; derived only
-    when the student draws a mask (forward ignores them otherwise)."""
+class _DropoutPlan:
+    """The dropout streams of a group's student passes: the stream of
+    (iteration, slot, seed) is that of seeded_rng(derive_seed(seed,
+    iteration, slot)). The PCG64 states of a block of _PLAN_BLOCK
+    iterations, every slot and every seed, are hashed in one vectorised
+    pass; one Streams pair then draws each stream from its state. Only a
+    block's states are held, never its draws."""
+
+    def __init__(self, seeds, slot_count: int):
+        # Config seeds may take 64 bits or more; every key column gets their dtype.
+        self._seeds = np.array(seeds, dtype=np.uint64 if max(seeds) < 2**64 else object)
+        self._slots = slot_count
+        self._start = self._stop = 0
+        self._streams = Streams()
+
+    def uniforms(self, iteration, slots, count):
+        """The first count uniforms of the streams of iteration and the given
+        consecutive slots (from 1 to the plan's slot count), slot-major: one
+        row per (slot, seed)."""
+        if not self._start <= iteration < self._stop:
+            dtype = self._seeds.dtype
+            keys = np.broadcast_arrays(
+                self._seeds,
+                np.arange(iteration, iteration + _PLAN_BLOCK).astype(dtype)[:, None, None],
+                np.arange(1, self._slots + 1).astype(dtype)[:, None])
+            states = derived_rng_states(np.stack(keys, axis=-1).reshape(-1, 3))
+            self._states = states.reshape(_PLAN_BLOCK, self._slots, len(self._seeds), 4)
+            self._start, self._stop = iteration, iteration + _PLAN_BLOCK
+        states = self._states[iteration - self._start, slots[0] - 1:slots[-1]].reshape(-1, 4)
+        return self._streams.fill(states, np.empty((len(states), count)))
+
+
+def _dropout_plan(state: TrainState, cfg):
+    """A plan for the state's seeds, None when the student draws no mask.
+    Slots: 1 keys the source pass, 2 the target pass, 3 the Pi teacher's."""
     if state.student.spec.dropout_rate > 0.0:
-        return tuple(derive_seed(seed, state.iteration, slot)
-                     for slot in slots for seed in state.seeds)
-    return 0
+        return _DropoutPlan(state.seeds, 3 if cfg.teacher_mode == "pi" else 2)
+    return None
 
 
-def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
+def _noise(plan, state: TrainState, rows, *slots):
+    """The dropout noise of one student train-mode pass over batches of rows
+    rows in the given slots (forward ignores it without dropout)."""
+    if plan is None:
+        return 0
+    return plan.uniforms(state.iteration, slots,
+                         rows * sum(state.student.spec.layer_sizes[1:-1]))
+
+
+def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None):
     """One optimization step; returns the advanced state and its losses.
 
     A group's batch carries the state's seed axis, and one step advances
     every seed; cfg is the configuration all of them share, and each
     seed's dropout is keyed by its own entry of state.seeds: slot 1 on
-    the source pass, 2 on the target pass. The parameters are checked on
-    entry and the losses after the update; the parameters a step
-    produces are checked when the next step or a snapshot reads them
-    (every run ends on a snapshot).
+    the source pass, 2 on the target pass, 3 on the Pi teacher's. plan is
+    the run's _dropout_plan (run_training passes one); without one, the
+    step hashes its own. The parameters are checked on entry and the
+    losses after the update; the parameters a step produces are checked
+    when the next step or a snapshot reads them (every run ends on a
+    snapshot).
     """
     _check_parameters(state)
     it = state.iteration
     alpha, lam = schedule_weights(cfg, it)
     lr = lr_schedule(it / cfg.total_iters, cfg.lr_base)
+    if plan is None:
+        plan = _dropout_plan(state, cfg)
 
     x = (batch.source_x, batch.target_x)
     stacked = x[0].shape == x[1].shape
     if stacked:
         # Both domains in one pass, on a leading domain axis (np.asarray
         # stacks the pair).
-        trace = forward(state.student, np.asarray(x), "train", _noise_seeds(state, 1, 2))
+        trace = forward(state.student, np.asarray(x), "train",
+                        _noise(plan, state, x[0].shape[-2], 1, 2))
         features, probabilities = trace.features, trace.probabilities
     else:
-        trace = tuple(forward(state.student, batch_x, "train", _noise_seeds(state, slot))
+        trace = tuple(forward(state.student, batch_x, "train",
+                              _noise(plan, state, batch_x.shape[-2], slot))
                       for batch_x, slot in zip(x, (1, 2)))
         features = tuple(t.features for t in trace)
         probabilities = tuple(t.probabilities for t in trace)
@@ -333,12 +385,11 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig):
     if cfg.teacher_mode == "self":
         teacher_probs = probabilities[1]
     elif cfg.teacher_mode == "pi":
-        teacher_probs = pi_predict(state.student, batch.target_x, _noise_seeds(state, 3))
+        teacher_probs = pi_predict(state.student, batch.target_x,
+                                   _noise(plan, state, x[1].shape[-2], 3))
     else:
-        teacher_probs = corrected_probabilities(state.teacher, batch.target_indices)
-        new_teacher = temporal_update(
-            state.teacher, batch.target_indices, probabilities[1]
-        )
+        teacher_probs, new_teacher = temporal_step(state.teacher, batch.target_indices,
+                                                   probabilities[1])
     tgt_labels, tgt_conf = pseudo_labels(teacher_probs)
 
     bundle, grads = objective(features, probabilities[0], batch.source_y, tgt_labels,
@@ -411,8 +462,7 @@ def _check_parameters(state: TrainState):
 
 
 def _check_losses(bundle, iteration):
-    finite = (np.isfinite(bundle.l_y) & np.isfinite(bundle.l_c) & np.isfinite(bundle.l_a)
-              & np.isfinite(bundle.l_d))
+    finite = np.isfinite((bundle.l_y, bundle.l_c, bundle.l_a, bundle.l_d)).all(axis=0)
     if not finite.all():
         index = _first(~finite)
         details = {name: np.ravel(getattr(bundle, name))[index].item()
@@ -443,8 +493,9 @@ def run_training(cfgs, datasets, eval_every: int):
                          "differ in their seed only")
     if len({(d.source_x.shape, d.target_x.shape, d.num_classes) for d in datasets}) > 1:
         raise ValueError("the datasets of a group must have the same shapes")
-    streams = [_batches(c, d) for c, d in zip(cfgs, datasets)]
+    batches = _batches(cfgs, datasets)
     state = stack_states([init_train_state(c, d) for c, d in zip(cfgs, datasets)])
+    plan = _dropout_plan(state, shared)
     logs = [[] for _ in cfgs]
     while True:
         it = state.iteration
@@ -460,23 +511,31 @@ def run_training(cfgs, datasets, eval_every: int):
                 views.append(view)
         if it == shared.total_iters:
             return state, logs, views
-        pairs = [next(stream) for stream in streams]
-        # np.asarray stacks each field's per-seed arrays along the seed axis,
-        # at a fraction of np.stack's per-call cost.
-        batch = BatchPair(*map(np.asarray, zip(*(vars(p).values() for p in pairs))))
         try:
-            state, _ = train_step(state, batch, shared)
+            state, _ = train_step(state, next(batches), shared, plan)
         except DomainError as exc:
             raise _domain_abort(exc, it, exc.seed_index) from exc
 
 
-def _batches(cfg: TrainConfig, ds: DomainDataset):
-    """One seed's endless stream of batch pairs, epoch after epoch."""
-    batch_seed = derive_seed(cfg.seed, 17)
-    return itertools.chain.from_iterable(
-        iterate_batches(ds, cfg.batch_source, cfg.batch_target, batch_seed, epoch)
-        for epoch in itertools.count()
-    )
+def _batches(cfgs, datasets):
+    """A group's endless stream of batch pairs, epoch after epoch: each
+    seed's batches hold the rows of iterate_batches, gathered for a whole
+    epoch at a time and stacked along the seed axis. The seeds' datasets
+    have one shape, so their epochs hold the same number of batches."""
+    first = datasets[0]
+    sizes = (first.source_x.shape[0], first.target_x.shape[0], cfgs[0].batch_source,
+             cfgs[0].batch_target)
+    batch_seeds = [derive_seed(c.seed, 17) for c in cfgs]
+    for epoch in itertools.count():
+        indices = [batch_indices(*sizes, seed, epoch) for seed in batch_seeds]
+        # One array per field, of shape (batches, seeds, ...); np.take gathers
+        # rows far faster than fancy indexing by a 2-D index array.
+        fields = [np.stack([np.take(getattr(d, name), idx[domain], axis=0)
+                            for d, idx in zip(datasets, indices)], axis=1)
+                  for name, domain in (("source_x", 0), ("source_y", 0), ("target_x", 1))]
+        fields.append(np.stack([idx[1] for idx in indices], axis=1))
+        for i in range(len(fields[0])):
+            yield BatchPair(*(field[i] for field in fields))
 
 
 def _domain_abort(exc, iteration, index):

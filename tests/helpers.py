@@ -12,7 +12,7 @@ from clusteralign.seeding import seeded_rng
 
 
 def min_abs_preactivation(net, x, noise_seed):
-    trace = forward(net, x, mode="train", noise_seed=noise_seed)
+    trace = forward(net, x, mode="train", noise=noise_seed)
     return min(float(np.abs(z).min()) for z in trace.pre_activations)
 
 

@@ -33,7 +33,7 @@ from clusteralign.teacher import (
     pi_predict,
     temporal_update,
 )
-from clusteralign.trainer import TrainConfig, train
+from clusteralign.trainer import TrainConfig, run_training, train
 from clusteralign.evaluate import selection_rate  # noqa: F401  (re-exported surface)
 
 from helpers import (
@@ -56,18 +56,18 @@ def report(criterion, ok, detail):
 
 
 def run_scenario(scenario, ablation, seeds=SEEDS):
+    """The seeds' runs, trained as one group as `run` trains them; each
+    run's runtime is the wall time of its whole group."""
     resolved = resolve_config(
         {"scenario": scenario, "seeds": list(seeds), "ablation": ablation}
     )
-    runs = []
-    for seed in seeds:
-        ds = build_dataset(resolved, seed)
-        cfg = build_train_config(resolved, seed)
-        start = time.perf_counter()
-        metrics = train(cfg, ds, resolved["eval_every"])
-        runs.append({"metrics": metrics, "runtime": time.perf_counter() - start,
-                     "pretrain": cfg.pretrain_iters})
-    return runs
+    datasets = [build_dataset(resolved, seed) for seed in seeds]
+    cfgs = [build_train_config(resolved, seed) for seed in seeds]
+    start = time.perf_counter()
+    _, logs, _ = run_training(cfgs, datasets, resolved["eval_every"])
+    runtime = time.perf_counter() - start
+    return [{"metrics": metrics, "runtime": runtime, "pretrain": cfg.pretrain_iters}
+            for metrics, cfg in zip(logs, cfgs)]
 
 
 def final_accuracy(runs):
@@ -295,7 +295,7 @@ def test_criterion_5_teacher_exactness():
         ))))
 
     net, x, _ = kink_free_instance(9100, sizes=(3, 8, 2), dropout=0.0)
-    pi = pi_predict(net, x, noise_seed=77)
+    pi = pi_predict(net, x, noise=77)
     student = forward(net, x, mode="eval").probabilities
     exact = np.array_equal(pi, student)
 

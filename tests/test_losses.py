@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clusteralign.kernels import stacked_margin_loss
 from clusteralign.losses import (
     PseudoLabeledBatch,
     alignment_loss,
@@ -261,3 +262,17 @@ class TestTotalObjective:
             assert total_objective(ly, lc, la, ld, alpha, lam) == pytest.approx(
                 expected, abs=1e-12
             )
+
+
+@pytest.mark.parametrize("num_classes", [2, 200, 300])
+def test_clustering_loss_narrow_labels_keep_the_kernel_bits(num_classes):
+    # Labels go to the kernel in the narrowest dtype that holds every class
+    # id (uint8 below 256 classes, uint16 above): no id may wrap.
+    rng = seeded_rng(16, num_classes)
+    feats = rng.normal(size=(2, 3, 50, 4))
+    labels = rng.integers(num_classes, size=(2, 3, 50))
+    labels[0, 0, :3] = (0, num_classes - 1, num_classes - 1)
+    labels[1, 2, :2] = (num_classes - 1, (num_classes - 1) % 256)
+    loss, grad = clustering_loss(PseudoLabeledBatch(feats, labels, num_classes), 3.0)
+    ref_loss, ref_grad = stacked_margin_loss(feats, labels.astype(np.int64), 3.0)
+    assert loss.tobytes() == ref_loss.tobytes() and grad.tobytes() == ref_grad.tobytes()

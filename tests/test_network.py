@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clusteralign import network as network_module
 from clusteralign.losses import clustering_loss, cross_entropy, PseudoLabeledBatch
 from clusteralign.network import (
     DomainError,
@@ -12,6 +13,7 @@ from clusteralign.network import (
     forward,
     init_network,
     init_optimizer,
+    reduce_rows,
     reverse_gradient,
     sgd_step,
 )
@@ -54,8 +56,8 @@ def test_eval_mode_has_no_dropout():
     spec = NetworkSpec((3, 8, 2), dropout_rate=0.5)
     net = init_network(spec, 5)
     x = seeded_rng(2).normal(size=(6, 3))
-    t1 = forward(net, x, mode="eval", noise_seed=1)
-    t2 = forward(net, x, mode="eval", noise_seed=99)
+    t1 = forward(net, x, mode="eval", noise=1)
+    t2 = forward(net, x, mode="eval", noise=99)
     assert np.array_equal(t1.probabilities, t2.probabilities)
     assert t1.masks is None
 
@@ -63,7 +65,7 @@ def test_eval_mode_has_no_dropout():
 def test_dropout_masks_are_inverted():
     spec = NetworkSpec((3, 64, 2), dropout_rate=0.25)
     net = init_network(spec, 5)
-    trace = forward(net, np.ones((2, 3)), mode="train", noise_seed=7)
+    trace = forward(net, np.ones((2, 3)), mode="train", noise=7)
     values = np.unique(trace.masks[0])
     assert set(values).issubset({0.0, 1.0 / 0.75})
 
@@ -384,3 +386,26 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         NetworkSpec((3, 2), head="sigmoid")
     NetworkSpec((3, 1), head="sigmoid")
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+@pytest.mark.parametrize("lead", [(), (7,), (2, 3, 64), (1100,)])
+def test_reduce_rows_holds_the_bits_of_numpy_reductions(lead, width):
+    # Magnitudes over many decades make any reordering of a sum visible.
+    rng = seeded_rng(27, width)
+    a = rng.uniform(-1.0, 1.0, size=lead + (width,)) * 10.0 ** rng.integers(-8, 9, size=lead + (width,))
+    for ufunc in (np.add, np.maximum):
+        assert (reduce_rows(ufunc, a).tobytes()
+                == ufunc.reduce(a, axis=-1, keepdims=True).tobytes())
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 16, 17])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_bias_row_sums_hold_the_bits_of_numpy_sums(lead, width):
+    rng = seeded_rng(28, width)
+    for rows in (1, 7, 64, 65, 300):
+        a = rng.uniform(-1.0, 1.0, size=lead + (rows, width)) * 10.0 ** rng.integers(
+            -8, 9, size=lead + (rows, width))
+        out = np.empty(lead + (width,))
+        network_module._row_sum(a, out)
+        assert out.tobytes() == a.sum(axis=-2).tobytes()

@@ -4,10 +4,12 @@ import pytest
 from clusteralign.network import NetworkSpec, forward, init_network
 from clusteralign.seeding import seeded_rng
 from clusteralign.teacher import (
+    TeacherState,
     corrected_probabilities,
     init_teacher,
     pi_predict,
     pseudo_labels,
+    temporal_step,
     temporal_update,
 )
 
@@ -18,7 +20,7 @@ class TestPiPredict:
     def test_no_dropout_matches_student(self):
         net = init_network(NetworkSpec((3, 8, 2), dropout_rate=0.0), 1)
         x = seeded_rng(0).normal(size=(6, 3))
-        teacher = pi_predict(net, x, noise_seed=99)
+        teacher = pi_predict(net, x, noise=99)
         student = forward(net, x, mode="eval").probabilities
         assert np.array_equal(teacher, student)
 
@@ -96,6 +98,28 @@ class TestTemporalEnsemble:
         assert np.array_equal(corrected_probabilities(state, idx),
                               corrected_probabilities(state)[idx])
         assert np.all(corrected_probabilities(state, idx)[[0, 2, 6]] == 0.0)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-table", "seed-axis"])
+    def test_fused_step_equals_read_then_update(self, lead):
+        # Never-updated rows, repeated indices within a batch, and a decay
+        # whose powers round.
+        rng = seeded_rng(54)
+        seeds = lead[0] if lead else 1
+        state = TeacherState(np.zeros(lead + (10, 3)), np.zeros(lead + (10,), np.int64), 0.7)
+        for step in range(8):
+            idx = rng.integers(8, size=lead + (6,))
+            if step % 3 == 0:
+                idx[..., 1] = idx[..., 4]
+            rows = rng.uniform(size=lead + (6, 3))
+            rows /= rows.sum(axis=-1, keepdims=True)
+            read, fused = temporal_step(state, idx, rows)
+            expected = temporal_update(state, idx, rows)
+            assert read.tobytes() == corrected_probabilities(state, idx).tobytes()
+            assert fused.ensemble.tobytes() == expected.ensemble.tobytes()
+            assert np.array_equal(fused.step_counts, expected.step_counts)
+            assert fused.decay == expected.decay
+            state = fused
+        assert np.all(state.step_counts.reshape(seeds, 10)[:, 8:] == 0)
 
     def test_only_batch_rows_update(self):
         state = init_teacher(3, 2, decay=0.6)

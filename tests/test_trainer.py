@@ -2,6 +2,7 @@ import collections
 import copy
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -274,7 +275,9 @@ def run_alone(cfg, ds, eval_every):
     the metrics log and the final view that its slice of a group must
     hold."""
     state = init_train_state(cfg, ds)
-    stream = trainer_module._batches(cfg, ds)
+    stream = itertools.chain.from_iterable(
+        iterate_batches(ds, cfg.batch_source, cfg.batch_target, derive_seed(cfg.seed, 17), epoch)
+        for epoch in itertools.count())
     log = []
     while True:
         if state.iteration % eval_every == 0 or state.iteration == cfg.total_iters:

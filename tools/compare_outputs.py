@@ -6,10 +6,10 @@ The revision is exported with `git archive` into a temporary directory.
 Each configuration below (400 iterations, pretraining 100, a snapshot every
 100) is then run with `python -m clusteralign.cli run` in a fresh process on
 both trees, with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, and
-every output file and the stdout are compared. Configurations (a), (f) and
-(h) run once more at OPENBLAS_NUM_THREADS=2, numpy's default on a 2-core
-machine, and print their own lines: two seed groups and a lone seed, each
-with the squared metric's matmul kernel. A differing CSV whose header
+every output file and the stdout are compared. Configurations (a), (f), (h)
+and (j) run once more at OPENBLAS_NUM_THREADS=2, numpy's default on a
+2-core machine, and print their own lines: three seed groups and a lone
+seed, each with the squared metric's matmul kernel. A differing CSV whose header
 matches on both sides is named with its differing columns, as in
 `metrics_0.csv[l_c]`. `validate` is compared the same way on each shipped
 `configs/*.json`. One line is printed per run; the exit status is 1 when
@@ -54,9 +54,13 @@ CONFIGS = {
     "h": _config("multimode", seeds=(0, 1, 2), teacher_mode="pi", dropout_rate=0.3),
     # Batches of unequal size: one pass per domain.
     "i": _config("imbalanced_gaussians", seeds=(0, 1), batch_target=48, dropout_rate=0.2),
+    # Each slice's dropout stream split over two hidden layers of different
+    # widths, three seeds as one group.
+    "j": _config("imbalanced_gaussians", seeds=(0, 1, 2), hidden_layers=[12, 7],
+                 dropout_rate=0.3),
 }
 # The configurations also run at 2 BLAS threads.
-TWO_THREADS = ("a", "f", "h")
+TWO_THREADS = ("a", "f", "h", "j")
 
 
 def export(revision, dest):
