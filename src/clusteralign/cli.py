@@ -31,7 +31,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from clusteralign.data import (
     load_idx_domains,
     make_imbalanced_gaussians,
     make_multimode_domains,
+    write_csv,
 )
 from clusteralign.seeding import derive_seed
 from clusteralign.trainer import TrainConfig, TrainingAbort, init_train_state, run_training
@@ -61,10 +62,9 @@ ABLATIONS = {
 }
 ABLATION_FLAGS = tuple(ABLATIONS)
 
-METRICS_HEADER = (
-    "iteration,target_acc,source_acc,cluster_acc,jsd_proxy,"
-    "selection_rate,l_y,l_c,l_a,l_d"
-)
+# One column per evaluate.RunMetrics field, in field order.
+METRICS_HEADER = ("iteration", "target_acc", "source_acc", "cluster_acc", "jsd_proxy",
+                  "selection_rate", "l_y", "l_c", "l_a", "l_d")
 
 # TrainConfig fields set from the seed and the ablation flags, not config keys.
 _FLAG_FIELDS = ("seed", "use_clustering", "use_alignment")
@@ -259,24 +259,8 @@ def build_dataset(resolved: dict, seed: int) -> DomainDataset:
     return LOADERS[resolved["scenario"]](seed=derive_seed(seed, 1), **resolved["dataset"])
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def write_metrics_csv(metrics, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for m in metrics:
-            fh.write(
-                ",".join(
-                    [str(m.iteration)]
-                    + [_fmt(v) for v in (
-                        m.target_accuracy, m.source_accuracy, m.clustering_accuracy,
-                        m.jsd_proxy, m.selection_rate, m.l_y, m.l_c, m.l_a, m.l_d,
-                    )]
-                )
-                + "\n"
-            )
+    write_csv(path, METRICS_HEADER, map(astuple, metrics))
 
 
 def write_features_csv(view, ds, path) -> None:
@@ -284,22 +268,18 @@ def write_features_csv(view, ds, path) -> None:
     labels and teacher annotations."""
     src_pred = np.argmax(view.source_probabilities, axis=1)
     src_conf = view.source_probabilities[np.arange(len(src_pred)), src_pred]
-    dim = view.source_features.shape[1]
-    header = "domain,true_class,pseudo_class,confidence," + ",".join(
-        f"f{i}" for i in range(dim)
-    )
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    header = ["domain", "true_class", "pseudo_class", "confidence",
+              *(f"f{i}" for i in range(view.source_features.shape[1]))]
+    write_csv(path, header, (
+        [domain, y, p_cls, c, *row]
         for domain, feats, true_y, pseudo, conf in (
             ("source", view.source_features, ds.source_y, src_pred, src_conf),
             ("target", view.target_features, ds.target_y_hidden,
              view.teacher_labels, view.teacher_confidences),
-        ):
-            for row, y, p_cls, c in zip(feats, true_y, pseudo, conf):
-                fh.write(
-                    f"{domain},{int(y)},{int(p_cls)},{_fmt(c)},"
-                    + ",".join(_fmt(v) for v in row) + "\n"
-                )
+        )
+        for row, y, p_cls, c in zip(feats.tolist(), true_y.tolist(), pseudo.tolist(),
+                                    conf.tolist())
+    ))
 
 
 def run_experiment(resolved: dict, output_dir: str, first_dataset: DomainDataset) -> dict:

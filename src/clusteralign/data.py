@@ -5,6 +5,7 @@ calling them twice yields identical arrays. Target labels are carried for
 evaluation only; training code never reads them.
 """
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -267,13 +268,20 @@ def load_idx_domains(source_images, source_labels, target_images, target_labels,
     return DomainDataset(src_x, src_y, tgt_x, tgt_y, num_classes)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the header's names, then each row, as lines of values joined
+    by commas with str: a Python float in its shortest round-trip form
+    (its repr). Rows hold Python scalars, as `.tolist()` gives them."""
+    with open(path, "w") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in itertools.chain([header], rows))
+
+
 def dump_dataset_csv(ds: DomainDataset, path):
     """Write both domains as rows of `domain,class,x0,x1,...`."""
-    dim = ds.source_x.shape[1]
-    header = "domain,class," + ",".join(f"x{i}" for i in range(dim))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for x, y in zip(ds.source_x, ds.source_y):
-            fh.write("source," + str(int(y)) + "," + ",".join(repr(float(v)) for v in x) + "\n")
-        for x, y in zip(ds.target_x, ds.target_y_hidden):
-            fh.write("target," + str(int(y)) + "," + ",".join(repr(float(v)) for v in x) + "\n")
+    header = ["domain", "class", *(f"x{i}" for i in range(ds.source_x.shape[1]))]
+    write_csv(path, header, (
+        [domain, y, *x]
+        for domain, xs, ys in (("source", ds.source_x, ds.source_y),
+                               ("target", ds.target_x, ds.target_y_hidden))
+        for x, y in zip(xs.tolist(), ys.tolist())
+    ))

@@ -65,8 +65,11 @@ def stacked_margin_loss(features, labels, margin):
 
     # Two n x n buffers per matrix do all the work, in place: page faults
     # on fresh temporaries dominate at evaluation sizes. The diagonal of
-    # dist comes out as an exact zero.
-    dist = features @ features.mT
+    # dist comes out as an exact zero. The Gram product takes a transposed
+    # copy: numpy sends an array times its own transpose view to BLAS syrk
+    # and mirrors the triangle, two to three times slower at a step's batch
+    # shapes, where both give the same bits (tests/test_kernels.py).
+    dist = features @ np.ascontiguousarray(features.mT)
     norms = np.diagonal(dist, axis1=-2, axis2=-1).copy()
     dist *= -2.0
     dist += norms[..., :, None]

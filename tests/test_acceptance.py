@@ -1,13 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The scenario criteria drive the shipped presets end to end (3 seeds each)
-through the same resolution path the CLI uses; training runs are shared
-across criteria via module-scoped fixtures.
+through the same resolution path the CLI uses; each variant's group is
+trained once, in a process pool, and shared across criteria via fixtures.
 """
 
 import json
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -57,7 +59,8 @@ def report(criterion, ok, detail):
 
 def run_scenario(scenario, ablation, seeds=SEEDS):
     """The seeds' runs, trained as one group as `run` trains them; each
-    run's runtime is the wall time of its whole group."""
+    run's runtime is the wall time of its whole group, measured where it
+    trains."""
     resolved = resolve_config(
         {"scenario": scenario, "seeds": list(seeds), "ablation": ablation}
     )
@@ -74,34 +77,59 @@ def final_accuracy(runs):
     return float(np.mean([r["metrics"][-1].target_accuracy for r in runs]))
 
 
-@pytest.fixture(scope="module")
-def imbalanced_cat():
-    return run_scenario("imbalanced_gaussians", [])
+# Each scenario fixture's group, in the order the criteria first ask for
+# them.
+GROUPS = {
+    "imbalanced_cat": ("imbalanced_gaussians", []),
+    "imbalanced_marginal": ("imbalanced_gaussians", ["marginal_only"]),
+    "multimode_cat": ("multimode", []),
+    "multimode_no_lc": ("multimode", ["no_Lc"]),
+    "multimode_no_la": ("multimode", ["no_La"]),
+    "multimode_marginal": ("multimode", ["marginal_only"]),
+}
+
+
+@pytest.fixture(scope="session")
+def trained_groups():
+    """Every group of GROUPS, submitted at once to a pool of spawned
+    workers, each of which trains with one BLAS thread (runs do not depend
+    on the count). os.putenv sets it in the worker's C environment, which
+    OpenBLAS reads when numpy loads with the worker's first task."""
+    with ProcessPoolExecutor(min(os.cpu_count() or 1, len(GROUPS)),
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=os.putenv,
+                             initargs=("OPENBLAS_NUM_THREADS", "1")) as pool:
+        yield {name: pool.submit(run_scenario, *args) for name, args in GROUPS.items()}
 
 
 @pytest.fixture(scope="module")
-def imbalanced_marginal():
-    return run_scenario("imbalanced_gaussians", ["marginal_only"])
+def imbalanced_cat(trained_groups):
+    return trained_groups["imbalanced_cat"].result()
 
 
 @pytest.fixture(scope="module")
-def multimode_cat():
-    return run_scenario("multimode", [])
+def imbalanced_marginal(trained_groups):
+    return trained_groups["imbalanced_marginal"].result()
 
 
 @pytest.fixture(scope="module")
-def multimode_no_lc():
-    return run_scenario("multimode", ["no_Lc"])
+def multimode_cat(trained_groups):
+    return trained_groups["multimode_cat"].result()
 
 
 @pytest.fixture(scope="module")
-def multimode_no_la():
-    return run_scenario("multimode", ["no_La"])
+def multimode_no_lc(trained_groups):
+    return trained_groups["multimode_no_lc"].result()
 
 
 @pytest.fixture(scope="module")
-def multimode_marginal():
-    return run_scenario("multimode", ["marginal_only"])
+def multimode_no_la(trained_groups):
+    return trained_groups["multimode_no_la"].result()
+
+
+@pytest.fixture(scope="module")
+def multimode_marginal(trained_groups):
+    return trained_groups["multimode_marginal"].result()
 
 
 def test_criterion_1_imbalanced_separation(imbalanced_cat, imbalanced_marginal):

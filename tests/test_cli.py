@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import re
@@ -15,6 +16,7 @@ from clusteralign.cli import (
     main,
     resolve_config,
 )
+from clusteralign.evaluate import RunMetrics
 
 from helpers import module_env
 
@@ -319,6 +321,25 @@ class TestRunCommand:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
         assert "broken.json" in capsys.readouterr().err
+
+
+def test_metrics_csv_puts_each_field_under_its_column(tmp_path):
+    columns = {
+        "iteration": "iteration", "target_accuracy": "target_acc",
+        "source_accuracy": "source_acc", "clustering_accuracy": "cluster_acc",
+        "jsd_proxy": "jsd_proxy", "selection_rate": "selection_rate",
+        "l_y": "l_y", "l_c": "l_c", "l_a": "l_a", "l_d": "l_d",
+    }
+    values = {field: 0.125 * (i + 1) for i, field in enumerate(columns)}
+    values["iteration"] = 7
+    path = tmp_path / "metrics.csv"
+    cli.write_metrics_csv([RunMetrics(**values)], path)
+    assert path.read_text().splitlines()[0] == ",".join(columns.values())
+    with open(path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert {field: row[column] for field, column in columns.items()} == {
+        field: repr(value) for field, value in values.items()
+    }
 
 
 def test_module_entry_point_runs_main(tmp_path):

@@ -10,6 +10,7 @@ from clusteralign.data import (
     load_idx,
     make_imbalanced_gaussians,
     make_multimode_domains,
+    write_csv,
 )
 
 
@@ -171,6 +172,21 @@ def test_dataset_csv_dump(tmp_path):
     assert len(lines) == 1 + 5 + 5
     assert lines[1].startswith("source,0,")
     assert lines[-1].startswith("target,1,")
+
+
+def test_write_csv_writes_floats_as_repr_and_ints_in_full(tmp_path):
+    # A CSV holds each float as repr(float(v)) and each label as
+    # str(int(v)); str of a .tolist() scalar must give the same text,
+    # signed zero, subnormals and exponent forms included.
+    floats = np.array([-0.0, 5e-324, 1e-7, 1 / 3, 1e16, 1.5e300])
+    ints = np.array([0, -3, 2**53 + 1, 2**62, -2**63, 2**63 - 1], dtype=np.int64)
+    path = tmp_path / "values.csv"
+    write_csv(path, [f"c{i}" for i in range(6)], [floats.tolist(), ints.tolist()])
+    assert path.read_text() == "\n".join([
+        "c0,c1,c2,c3,c4,c5",
+        ",".join(repr(float(v)) for v in floats),
+        ",".join(str(int(v)) for v in ints),
+    ]) + "\n"
 
 
 def test_hidden_labels_not_used_by_generators():

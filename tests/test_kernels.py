@@ -123,6 +123,16 @@ def test_stacked_margin_loss_holds_each_matrix_alone(dim):
         assert grad[index].tobytes() == want_grad.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 64, 2), (2, 1, 64, 16), (2, 3, 64, 16)])
+def test_gram_product_with_a_transposed_copy_keeps_the_syrk_bits(shape):
+    # stacked_margin_loss multiplies by a transposed copy to avoid numpy's
+    # syrk path; at a training step's shapes the run's bytes rest on both
+    # forms agreeing bit for bit.
+    feats = seeded_rng(27, shape[-1]).normal(size=shape)
+    want = feats @ feats.mT
+    assert (feats @ np.ascontiguousarray(feats.mT)).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("squared", [True, False])
 @pytest.mark.parametrize("seed", range(4))
 def test_loss_only_mode_matches_gradient_mode(seed, squared):
