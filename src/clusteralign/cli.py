@@ -202,9 +202,11 @@ def _resolve(raw: dict):
     if not isinstance(ablation, list):
         errors.append("ablation: must be a list of flags")
         ablation = []
-    for flag in ablation:
-        if flag not in ABLATION_FLAGS:
-            errors.append(f"ablation: unknown flag {flag!r}")
+    unknown = [flag for flag in ablation if flag not in ABLATION_FLAGS]
+    for flag in unknown:
+        errors.append(f"ablation: unknown flag {flag!r}")
+    if not unknown and len(set(ablation)) < len(ablation):
+        errors.append(f"ablation: must be distinct; got {ablation!r}")
 
     loader_params = inspect.signature(LOADERS[scenario]).parameters.values()
     dataset = _section(raw, "dataset", {

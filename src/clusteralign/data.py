@@ -20,6 +20,12 @@ class FormatError(ValueError):
     """A binary input file did not match its declared format."""
 
 
+def _max_coordinate(dim):
+    """The largest coordinate magnitude m at which 4 dim m^2, the largest
+    squared distance between two points of dim such coordinates, is finite."""
+    return math.sqrt(np.finfo(np.float64).max / (4 * max(dim, 1)))
+
+
 @dataclass(frozen=True)
 class DomainDataset:
     """A labeled source sample set plus an unlabeled target sample set.
@@ -35,10 +41,19 @@ class DomainDataset:
     num_classes: int
 
     def __post_init__(self):
-        as_matrix(self.source_x, "source_x")
-        as_matrix(self.target_x, "target_x")
-        if len(np.unique(self.source_y)) < 2:
+        domains = (as_matrix(self.source_x, "source_x"), as_matrix(self.target_x, "target_x"))
+        # min and max, not np.unique: without counts, np.unique asks
+        # np.ma.is_masked, which imports numpy.ma (1.2 MiB) into the process.
+        source_y = np.asarray(self.source_y)
+        if source_y.size == 0 or source_y.min() == source_y.max():
             raise ValueError("source labels must cover at least 2 classes")
+        # The clustering kernels and the k-means probe need every squared
+        # distance between two points finite.
+        largest = max(float(max(x.max(initial=0.0), -x.min(initial=0.0))) for x in domains)
+        limit = _max_coordinate(domains[0].shape[1])
+        if largest > limit:
+            raise ValueError(f"coordinates reach {largest:.3g}, past {limit:.3g}, "
+                             f"where squared distances overflow")
 
 
 @dataclass(frozen=True)
@@ -47,6 +62,24 @@ class BatchPair:
     source_y: np.ndarray
     target_x: np.ndarray
     target_indices: np.ndarray
+
+
+def _check_scale(name, value):
+    """Refuse a spread or radius past the coordinates DomainDataset
+    accepts, before sampling with it can overflow."""
+    if abs(value) > _max_coordinate(2):
+        raise ValueError(f"{name} must be at most {_max_coordinate(2):.3g} in magnitude")
+
+
+def _two_points(name, points):
+    try:
+        points = np.asarray(points, dtype=np.float64)
+    except ValueError:
+        # A ragged list, such as [[1], [1, 2]].
+        points = None
+    if points is None or points.shape != (2, 2):
+        raise ValueError(f"{name} must be two 2-D points")
+    return points
 
 
 def make_imbalanced_gaussians(
@@ -70,11 +103,9 @@ def make_imbalanced_gaussians(
             raise ValueError(f"{name} must be at least 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    source_means = np.asarray(source_means, dtype=np.float64)
-    target_means = np.asarray(target_means, dtype=np.float64)
-    for name, means in (("source_means", source_means), ("target_means", target_means)):
-        if means.shape != (2, 2):
-            raise ValueError(f"{name} must be two 2-D points")
+    _check_scale("sigma", sigma)
+    source_means, target_means = (_two_points(name, means) for name, means in (
+        ("source_means", source_means), ("target_means", target_means)))
 
     rng = seeded_rng(seed)
     dim = source_means.shape[1]
@@ -129,6 +160,9 @@ def make_multimode_domains(
         raise ValueError("n_per_mode must be at least 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    for name, value in (("sigma", sigma), ("ring_radius", ring_radius),
+                        ("extra_radius", extra_radius)):
+        _check_scale(name, value)
 
     num_classes = 2
     rng = seeded_rng(seed)

@@ -114,7 +114,10 @@ def _grouped_pairs(features, labels, margin, squared, gradient):
     order = np.argsort(labels, kind="stable")
     feats = features[order]
     grad = np.zeros_like(feats) if gradient else None
-    ends = np.cumsum(np.unique(labels, return_counts=True)[1])
+    # A group ends where the sorted labels change, and the last at the last
+    # row: np.unique(labels, return_counts=True) would sort them again.
+    grouped = labels[order]
+    ends = [*(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(grouped)]
     same = cross = 0.0
     start = 0
     for end in ends:

@@ -124,6 +124,17 @@ PROBES = [
     ("dataset.modes_per_class", {"scenario": "multimode", "dataset": {"modes_per_class": 1}}),
     ("output_dir", {"output_dir": 5}),
     ("train.ramp_length", {"train": {"ramp_length": -5}}),
+    # Squared distances of these coordinates overflow; once such a config
+    # validated, and `run` failed in the first snapshot's k-means.
+    ("dataset: coordinates reach 1e+200",
+     {"dataset": {"source_means": [[1e200, 0.0], [2.0, 0.0]]}}),
+    ("dataset.ring_radius", {"scenario": "multimode",
+                             "dataset": {"ring_radius": 1e308, "extra_radius": 1e308}}),
+    ("dataset.sigma", {"dataset": {"sigma": 1e308}}),
+    ("dataset.source_means must be two 2-D points", {"dataset": {"source_means": [[1], [1, 2]]}}),
+    ("dataset.target_means must be two 2-D points",
+     {"dataset": {"target_means": [[1, 2], [1, 2, 3]]}}),
+    ("ablation: must be distinct", {"ablation": ["no_Lc", "no_Lc"]}),
 ]
 
 
@@ -352,6 +363,21 @@ def test_module_entry_point_runs_main(tmp_path):
     bad = subprocess.run([sys.executable, "-m", "clusteralign.cli", "validate",
                           str(tmp_path / "missing.json")], capture_output=True, text=True, env=env)
     assert bad.returncode == 2
+
+
+def test_validate_and_run_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs every process 1.2 MiB; np.unique without counts imports
+    # it to ask whether its array is masked. A fresh process shows it.
+    path = write_config(tmp_path, tiny_raw(seeds=[0, 1]))
+    code = ("import sys\n"
+            "from clusteralign.cli import main\n"
+            "assert main(['validate', sys.argv[1]]) == 0\n"
+            "assert main(['run', sys.argv[1], '--output-dir', sys.argv[2]]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code, path, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=module_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 # Two short runs that reach both presets' feature widths: the imbalanced

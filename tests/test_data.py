@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clusteralign.data import (
+    DomainDataset,
     FormatError,
     dump_dataset_csv,
     iterate_batches,
@@ -187,6 +188,26 @@ def test_write_csv_writes_floats_as_repr_and_ints_in_full(tmp_path):
         ",".join(repr(float(v)) for v in floats),
         ",".join(str(int(v)) for v in ints),
     ]) + "\n"
+
+
+def test_dataset_rejects_a_source_of_one_class():
+    x = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="^source labels must cover at least 2 classes$"):
+        DomainDataset(x, np.ones(4, np.int64), x, np.array([0, 0, 1, 1]), 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 784])
+def test_dataset_rejects_coordinates_whose_squared_distances_overflow(dim):
+    # Opposite corners of the cube [-m, m]^dim lie 4 dim m^2 apart: the
+    # largest accepted m keeps that finite, and the next float is refused.
+    m = float(np.sqrt(np.finfo(np.float64).max / (4 * dim)))
+    labels = np.array([0, 1])
+    corners = np.array([np.full(dim, m), np.full(dim, -m)])
+    ds = DomainDataset(corners, labels, corners, labels, 2)
+    assert np.isfinite(np.sum((ds.source_x[0] - ds.target_x[1]) ** 2))
+    corners[1, -1] = np.nextafter(-m, -np.inf)
+    with pytest.raises(ValueError, match="where squared distances overflow"):
+        DomainDataset(corners, labels, corners[::-1], labels, 2)
 
 
 def test_hidden_labels_not_used_by_generators():

@@ -101,6 +101,25 @@ class TestClusterAccuracy:
             assignments[perm], labels[perm]
         )
 
+    def test_matches_brute_force_majority_count(self):
+        # Cluster ids drawn from 0..11 with gaps, and clusters where two
+        # labels tie for the majority.
+        gaps = ties = 0
+        for case in range(40):
+            rng = seeded_rng(8, case)
+            n = int(rng.integers(1, 30))
+            assignments = rng.choice(12, size=4, replace=False)[rng.integers(4, size=n)]
+            labels = rng.integers(3, size=n)
+            correct = 0
+            for c in set(assignments.tolist()):
+                members = labels[assignments == c].tolist()
+                counts = sorted((members.count(y) for y in set(members)), reverse=True)
+                correct += counts[0]
+                ties += len(counts) > 1 and counts[0] == counts[1]
+            gaps += assignments.max() + 1 > len(set(assignments.tolist()))
+            assert cluster_accuracy(assignments, labels) == correct / n
+        assert gaps and ties
+
 
 class TestJsdProxy:
     def test_uninformative_critic_is_zero(self):
