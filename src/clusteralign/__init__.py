@@ -29,7 +29,6 @@ from clusteralign.data import (
     BatchPair,
     DomainDataset,
     dump_dataset_csv,
-    iterate_batches,
     load_idx,
     make_imbalanced_gaussians,
     make_multimode_domains,
@@ -49,7 +48,6 @@ from clusteralign.teacher import (
     init_teacher,
     pi_predict,
     pseudo_labels,
-    temporal_update,
 )
 from clusteralign.trainer import (
     TrainConfig,

@@ -219,15 +219,6 @@ def batch_indices(n_src: int, n_tgt: int, batch_source: int, batch_target: int,
                                                      (n_tgt, batch_target, tgt_batches))))
 
 
-def iterate_batches(ds: DomainDataset, batch_source: int, batch_target: int,
-                    seed: int, epoch: int):
-    """Batch pairs for one epoch, at the indices of batch_indices."""
-    src, tgt = batch_indices(ds.source_x.shape[0], ds.target_x.shape[0], batch_source,
-                             batch_target, seed, epoch)
-    return [BatchPair(ds.source_x[src_idx], ds.source_y[src_idx], ds.target_x[tgt_idx], tgt_idx)
-            for src_idx, tgt_idx in zip(src, tgt)]
-
-
 # IDX files are big-endian:
 #   images: int32 magic 0x00000803, int32 count, int32 rows, int32 cols, uint8 pixels
 #   labels: int32 magic 0x00000801, int32 count, uint8 labels

@@ -63,7 +63,10 @@ def _lloyd(features, k, seed, max_iters):
                 new_centers[c] = features[int(np.argmax(dist))]
         new_assignments, new_inertia = kmeans_assign(features, new_centers)
         if new_inertia > inertia + 1e-9:
-            raise AssertionError("k-means inertia increased")
+            # Features so large that the Gram-form scores of kmeans_assign
+            # cancel can make a Lloyd step worse.
+            raise FloatingPointError(f"k-means inertia increased from {inertia:.6g} "
+                                     f"to {new_inertia:.6g}")
         centers = new_centers
         if np.array_equal(new_assignments, assignments):
             assignments, inertia = new_assignments, new_inertia
@@ -73,14 +76,17 @@ def _lloyd(features, k, seed, max_iters):
 
 
 def kmeans_best(features, k: int, seed: int, restarts: int = 5, max_iters: int = 100):
-    """Lowest-inertia assignments over several seeded restarts."""
+    """Lowest-inertia assignments over several seeded restarts. Features
+    too large for the search raise FloatingPointError: a sum that
+    overflows, or a Lloyd step that raises the inertia."""
     features = np.asarray(features, dtype=np.float64)
     best = None
     best_inertia = np.inf
-    for r in range(restarts):
-        assignments, inertia = _lloyd(features, k, derive_seed(seed, r), max_iters)
-        if inertia < best_inertia:
-            best, best_inertia = assignments, inertia
+    with np.errstate(over="raise"):
+        for r in range(restarts):
+            assignments, inertia = _lloyd(features, k, derive_seed(seed, r), max_iters)
+            if inertia < best_inertia:
+                best, best_inertia = assignments, inertia
     return best
 
 
@@ -137,27 +143,31 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
     comparable across training. The logged l_c comes from the clustering
     kernel's loss-only mode, which uses no BLAS.
     """
-    trace_src = forward(state.student, ds.source_x, mode="eval")
-    trace_tgt = forward(state.student, ds.target_x, mode="eval")
+    # Untraced passes: evaluation reads only features and probabilities.
+    src = forward(state.student, ds.source_x, traced=False)
+    tgt = forward(state.student, ds.target_x, traced=False)
 
-    src_acc = float(np.mean(np.argmax(trace_src.probabilities, axis=1) == ds.source_y))
-    tgt_acc = float(np.mean(np.argmax(trace_tgt.probabilities, axis=1) == ds.target_y_hidden))
+    src_acc = float(np.mean(np.argmax(src.probabilities, axis=1) == ds.source_y))
+    tgt_acc = float(np.mean(np.argmax(tgt.probabilities, axis=1) == ds.target_y_hidden))
 
     if cfg.teacher_mode == "self":
-        teacher_probs = trace_tgt.probabilities
+        teacher_probs = tgt.probabilities
     elif cfg.teacher_mode == "pi":
         teacher_probs = pi_predict(state.student, ds.target_x,
                                    derive_seed(cfg.seed, 23, state.iteration))
     else:
         teacher_probs = corrected_probabilities(state.teacher)
     labels, confidences = pseudo_labels(teacher_probs)
+    del teacher_probs
 
-    bundle, grads = objective((trace_src.features, trace_tgt.features), trace_src.probabilities,
+    bundle, grads = objective((src.features, tgt.features), src.probabilities,
                               ds.source_y, labels, confidences, state.critic, cfg, gradient=False)
     c_src, c_tgt = (grads.critic_traces[d].probabilities[:, 0] for d in (0, 1))
+    # Of the gradients, only the critic outputs are read.
+    del grads
     l_d_all, _, _, _ = domain_adversarial_loss(c_src, c_tgt, np.ones_like(c_tgt), 0.0)
 
-    combined = np.vstack([trace_src.features, trace_tgt.features])
+    combined = np.vstack([src.features, tgt.features])
     true_labels = np.concatenate([ds.source_y, ds.target_y_hidden])
     assignments = kmeans_best(combined, ds.num_classes,
                               derive_seed(cfg.seed, 29, state.iteration))
@@ -175,6 +185,5 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
         l_a=float(bundle.l_a),
         l_d=float(bundle.l_d),
     )
-    view = StateView(trace_src.features, trace_src.probabilities, trace_tgt.features,
-                     labels, confidences)
+    view = StateView(src.features, src.probabilities, tgt.features, labels, confidences)
     return metrics, view

@@ -158,17 +158,20 @@ def _pair_sum(feats, a, b, squared, margin=None, grad=None):
                 np.sqrt(dist, out=dist)
             if upper:
                 # The pairs j <= i lie in the tile's leading columns.
-                head = dist[:, :max(0, i + len(diff) - lo)]
-                head[np.tri(*head.shape, i - lo, dtype=bool)] = 0.0
+                width = max(0, i + len(diff) - lo)
+                dist[:, :width][np.tri(len(diff), width, i - lo, dtype=bool)] = 0.0
             if grad is not None:
                 coef = 2.0 if margin is None else np.where(dist < margin, -2.0, 0.0)
                 w = np.divide(coef, dist, out=np.zeros_like(dist), where=dist > 0.0)
                 grad[i:i + len(diff)] += np.einsum("ij,ijk->ik", w, diff)
                 grad[lo:stop] -= np.einsum("ij,ijk->jk", w, diff)
+                del coef, w
             if margin is not None:
                 np.subtract(margin, dist, out=dist)
                 np.maximum(dist, 0.0, out=dist)
             total += float(dist.sum())
+            # Free the tile before the next one is formed.
+            del diff, dist
     return total
 
 

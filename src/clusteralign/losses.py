@@ -216,7 +216,8 @@ def objective(features, source_probabilities, source_y, target_labels, target_co
     one of each per domain. Target labels and confidences are the
     teacher's. cfg is a trainer.TrainConfig. Returns (LossBundle,
     ObjectiveGradients); with gradient=False, l_c comes from the
-    clustering kernel's loss-only mode and d_clustering holds None.
+    clustering kernel's loss-only mode, d_clustering holds None and the
+    critic pass is untraced.
     """
     num_classes = source_probabilities.shape[-1]
     src = PseudoLabeledBatch(features[0], source_y, num_classes)
@@ -228,13 +229,13 @@ def objective(features, source_probabilities, source_y, target_labels, target_co
         both = PseudoLabeledBatch(np.asarray(features), as_domains((src.labels, tgt.labels)),
                                   num_classes)
         l_c, d_clustering = clustering_loss(both, cfg.margin, cfg.metric, gradient)
-        critic_traces = forward(critic, both.features)
+        critic_traces = forward(critic, both.features, traced=gradient)
         outputs = critic_traces.probabilities[..., 0]
     else:
         as_domains = tuple
         l_c, d_clustering = zip(*(clustering_loss(b, cfg.margin, cfg.metric, gradient)
                                   for b in (src, tgt)))
-        critic_traces = tuple(forward(critic, b.features) for b in (src, tgt))
+        critic_traces = tuple(forward(critic, b.features, traced=gradient) for b in (src, tgt))
         outputs = tuple(trace.probabilities[..., 0] for trace in critic_traces)
     # The selected-target sum is taken per seed: a masked sum over the
     # group would reorder the summation.

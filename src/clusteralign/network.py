@@ -10,6 +10,13 @@ one of three entry points:
     logits        - the final pre-activation
     features      - the slice selected by the configured feature tap
 
+A caller that reads only the features and probabilities (evaluation, the
+Pi teacher, a critic pass without gradients) runs an untraced pass
+(traced=False): the same layer loop with the same arithmetic, which
+records nothing and lets each layer's arrays go as soon as the next layer
+has been formed, so its features and probabilities hold the traced
+pass's bits.
+
 A network's parameters, a gradient and a momentum buffer are each one
 float64 vector in NetworkSpec.layout: every weight matrix row-major in
 layer order, then every bias. All state is value-semantic: operations
@@ -174,8 +181,10 @@ class ForwardTrace:
     inputs[i] is the matrix fed into dense layer i (inputs[0] is x);
     pre_activations[i] is inputs[i] @ W_i + b_i. masks holds the scaled
     dropout masks per hidden layer and is None when dropout was inactive.
-    Every array carries the leading axes of x; indexing a trace indexes
-    its leading axis, e.g. trace[0] is the source domain's trace.
+    An untraced pass (forward with traced=False) holds None in inputs,
+    pre_activations and masks, and backward refuses it. Every array
+    carries the leading axes of x; indexing a trace indexes its leading
+    axis, e.g. trace[0] is the source domain's trace.
     """
 
     inputs: tuple
@@ -185,10 +194,10 @@ class ForwardTrace:
     probabilities: np.ndarray
 
     def __getitem__(self, index):
-        masks = self.masks
-        return ForwardTrace(tuple([a[index] for a in self.inputs]),
-                            tuple([z[index] for z in self.pre_activations]),
-                            None if masks is None else tuple([m[index] for m in masks]),
+        def pick(arrays):
+            return None if arrays is None else tuple([a[index] for a in arrays])
+
+        return ForwardTrace(pick(self.inputs), pick(self.pre_activations), pick(self.masks),
                             self.features[index], self.probabilities[index])
 
 
@@ -273,8 +282,9 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def forward(net: Network, x, mode: str = "eval", noise=0) -> ForwardTrace:
-    """Run the network, recording the full trace.
+def forward(net: Network, x, mode: str = "eval", noise=0, traced: bool = True) -> ForwardTrace:
+    """Run the network, recording the full trace (with traced=False, only
+    the features and probabilities: see ForwardTrace).
 
     Deterministic given (net, x, mode, noise). A stacked network takes a
     batch per seed, x of shape (seeds, rows, columns), optionally behind a
@@ -318,25 +328,29 @@ def forward(net: Network, x, mode: str = "eval", noise=0) -> ForwardTrace:
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w
         z += b[..., None, :]
-        pre_acts.append(z)
         if i == last:
             break
-        h = _activate(z, spec.activation)
+        a = _activate(z, spec.activation)
         if use_dropout:
-            size = h.shape[-2] * h.shape[-1]
-            mask = kept[:, offset:offset + size].reshape(h.shape)
+            size = a.shape[-2] * a.shape[-1]
+            mask = kept[:, offset:offset + size].reshape(a.shape)
             offset += size
-            h *= mask
+            a *= mask
             masks.append(mask)
-        a = h
-        inputs.append(a)
+        if traced:
+            pre_acts.append(z)
+            inputs.append(a)
+        # Untraced, a layer's arrays go once the next layer no longer needs them.
+        del z
 
-    logits = pre_acts[-1]
     if spec.head == "softmax":
-        probs = _softmax(logits)
+        probs = _softmax(z)
     else:
-        probs = _sigmoid(logits)
-    features = logits if spec.feature_tap == "logits" else inputs[-1]
+        probs = _sigmoid(z)
+    features = z if spec.feature_tap == "logits" else a
+    if not traced:
+        return ForwardTrace(None, None, None, features, probs)
+    pre_acts.append(z)
     return ForwardTrace(
         inputs=tuple(inputs),
         pre_activations=tuple(pre_acts),
@@ -388,6 +402,8 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str,
     """
     if entry not in ("probabilities", "logits", "features"):
         raise ValueError(f"unknown entry {entry!r}")
+    if trace.inputs is None:
+        raise ValueError("backward needs the trace of a traced forward pass")
     spec = net.spec
     upstream = np.asarray(upstream, dtype=np.float64)
     # A logit-tap feature gradient has the shape of the head output.

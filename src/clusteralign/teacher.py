@@ -9,8 +9,8 @@ student's own prediction. Gradients never flow through teacher
 predictions. A group of seeds stacks its ensembles, step counts, batch
 indices and predictions along a leading seed axis. A training step reads
 and updates the temporal ensemble in one pass over its batch rows
-(temporal_step), with the bits of corrected_probabilities followed by
-temporal_update.
+(temporal_step); a snapshot reads the whole table
+(corrected_probabilities).
 """
 
 from dataclasses import dataclass
@@ -48,38 +48,19 @@ def pi_predict(net: Network, target_x, noise) -> np.ndarray:
     With dropout disabled the pass is deterministic and the teacher
     coincides with the student.
     """
-    return forward(net, target_x, mode="train", noise=noise).probabilities
-
-
-def temporal_update(state: TeacherState, indices, probabilities) -> TeacherState:
-    """Fold a batch of predictions into the running ensemble.
-
-    ensemble[i] <- decay * ensemble[i] + (1 - decay) * p[i] for each
-    batch sample, and its update count increments.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    probs = np.asarray(probabilities, dtype=np.float64)
-    if idx.shape != probs.shape[:-1]:
-        raise ValueError("one probability row per index required")
-    num_rows, num_classes = state.ensemble.shape[-2:]
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
-        raise IndexError("teacher update index out of range")
-    ensemble = state.ensemble.copy()
-    counts = state.step_counts.copy()
-    rows = row_index(idx, num_rows)
-    flat = ensemble.reshape(-1, num_classes)
-    flat[rows] = state.decay * flat[rows] + (1.0 - state.decay) * probs
-    counts.reshape(-1)[rows] += 1
-    return TeacherState(ensemble, counts, state.decay)
+    return forward(net, target_x, mode="train", noise=noise, traced=False).probabilities
 
 
 def temporal_step(state: TeacherState, indices, probabilities):
-    """corrected_probabilities(state, indices) and temporal_update(state,
-    indices, probabilities), from one read of the batch rows: returns (the
-    bias-corrected rows before the update, the updated state).
+    """Read a batch's rows of the ensemble and fold the batch's predictions
+    into them, from one read of those rows: returns (the bias-corrected
+    rows before the update, as corrected_probabilities gives them, and
+    the updated state).
 
-    indices and probabilities carry the state's leading seed axis, if
-    any, and the indices must lie in range (a training step's batch).
+    The update sets ensemble[i] <- decay * ensemble[i] + (1 - decay) * p[i]
+    for each batch sample and increments its count. indices and
+    probabilities carry the state's leading seed axis, if any, and the
+    indices must lie in range (a training step's batch).
     """
     num_rows, num_classes = state.ensemble.shape[-2:]
     rows = row_index(indices, num_rows)
@@ -88,8 +69,7 @@ def temporal_step(state: TeacherState, indices, probabilities):
     flat, flat_counts = ensemble.reshape(-1, num_classes), counts.reshape(-1)
     old, old_counts = flat[rows], flat_counts[rows]
     read = _corrected(old, old_counts, state.decay)
-    # Repeated indices write the same count, and their last row, as the
-    # separate update does.
+    # Repeated indices write the same count and their last row.
     flat[rows] = state.decay * old + (1.0 - state.decay) * probabilities
     flat_counts[rows] = old_counts + 1
     return read, TeacherState(ensemble, counts, state.decay)
@@ -100,18 +80,9 @@ def _corrected(ensemble, counts, decay):
     return ensemble / np.where(counts > 0, 1.0 - decay ** counts, 1.0)[..., None]
 
 
-def corrected_probabilities(state: TeacherState, indices=None) -> np.ndarray:
-    """Bias-corrected ensemble rows; never-updated rows stay all zero.
-
-    With indices, only those rows are read (in that order, repeats
-    allowed); the result equals the full table indexed the same way.
-    """
-    ensemble, counts = state.ensemble, state.step_counts
-    if indices is not None:
-        rows = row_index(np.asarray(indices, dtype=np.int64), ensemble.shape[-2])
-        ensemble = ensemble.reshape(-1, ensemble.shape[-1])[rows]
-        counts = counts.reshape(-1)[rows]
-    return _corrected(ensemble, counts, state.decay)
+def corrected_probabilities(state: TeacherState) -> np.ndarray:
+    """The bias-corrected ensemble table; never-updated rows stay all zero."""
+    return _corrected(state.ensemble, state.step_counts, state.decay)
 
 
 def pseudo_labels(probabilities):

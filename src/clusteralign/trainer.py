@@ -73,8 +73,9 @@ _PLAN_BLOCK = 64
 
 
 class TrainingAbort(RuntimeError):
-    """A loss or parameter went non-finite; carries a diagnostic snapshot
-    whose seed_index is the position of the offending seed in its group."""
+    """A loss or parameter went non-finite, or a snapshot's evaluation
+    failed; carries a diagnostic snapshot whose seed_index is the position
+    of the offending seed in its group."""
 
     def __init__(self, message, details):
         super().__init__(message)
@@ -481,8 +482,8 @@ def run_training(cfgs, datasets, eval_every: int):
     one seed. logs and views hold one entry per seed: its metrics log,
     with one entry for iteration 0, one after every eval_every-th step and
     one for the final state, and the final state's evaluate.StateView. A
-    non-finite value stops the whole group at its iteration with a
-    TrainingAbort naming the seed.
+    non-finite value, or an evaluation that fails, stops the whole group
+    at its iteration with a TrainingAbort naming the seed.
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
@@ -507,6 +508,10 @@ def run_training(cfgs, datasets, eval_every: int):
                     row, view = snapshot(_seed_state(state, index), c, d)
                 except DomainError as exc:
                     raise _domain_abort(exc, it, index) from exc
+                except (ArithmeticError, ValueError) as exc:
+                    # Such as k-means on features too large for its sums.
+                    raise TrainingAbort(f"evaluation failed at iteration {it}: {exc}",
+                                        {"iteration": it, "seed_index": index}) from exc
                 log.append(row)
                 views.append(view)
         if it == shared.total_iters:
@@ -519,9 +524,10 @@ def run_training(cfgs, datasets, eval_every: int):
 
 def _batches(cfgs, datasets):
     """A group's endless stream of batch pairs, epoch after epoch: each
-    seed's batches hold the rows of iterate_batches, gathered for a whole
-    epoch at a time and stacked along the seed axis. The seeds' datasets
-    have one shape, so their epochs hold the same number of batches."""
+    seed's batches hold the rows at its epoch's batch_indices, gathered
+    for a whole epoch at a time and stacked along the seed axis. The
+    seeds' datasets have one shape, so their epochs hold the same number
+    of batches."""
     first = datasets[0]
     sizes = (first.source_x.shape[0], first.target_x.shape[0], cfgs[0].batch_source,
              cfgs[0].batch_target)

@@ -7,8 +7,17 @@ from pathlib import Path
 import numpy as np
 
 import clusteralign
-from clusteralign.network import GradientSet, Network, NetworkSpec, forward, init_network
+from clusteralign.data import BatchPair, batch_indices
+from clusteralign.network import (
+    GradientSet,
+    Network,
+    NetworkSpec,
+    forward,
+    init_network,
+    row_index,
+)
 from clusteralign.seeding import seeded_rng
+from clusteralign.teacher import TeacherState
 
 
 def min_abs_preactivation(net, x, noise_seed):
@@ -119,6 +128,36 @@ def ewma_oracle(predictions, decay):
     for j, p in enumerate(predictions, start=1):
         acc += decay ** (t - j) * (1.0 - decay) * p
     return acc / (1.0 - decay ** t)
+
+
+def temporal_update(state, indices, probabilities):
+    """Fold a batch of predictions into the running ensemble: ensemble[i]
+    <- decay * ensemble[i] + (1 - decay) * p[i] for each batch sample, and
+    its update count increments. The update oracle of
+    teacher.temporal_step."""
+    idx = np.asarray(indices, dtype=np.int64)
+    probs = np.asarray(probabilities, dtype=np.float64)
+    if idx.shape != probs.shape[:-1]:
+        raise ValueError("one probability row per index required")
+    num_rows, num_classes = state.ensemble.shape[-2:]
+    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
+        raise IndexError("teacher update index out of range")
+    ensemble = state.ensemble.copy()
+    counts = state.step_counts.copy()
+    rows = row_index(idx, num_rows)
+    flat = ensemble.reshape(-1, num_classes)
+    flat[rows] = state.decay * flat[rows] + (1.0 - state.decay) * probs
+    counts.reshape(-1)[rows] += 1
+    return TeacherState(ensemble, counts, state.decay)
+
+
+def iterate_batches(ds, batch_source, batch_target, seed, epoch):
+    """One seed's batch pairs for one epoch, at the indices of
+    data.batch_indices; the batch oracle of the trainer's epoch gather."""
+    src, tgt = batch_indices(ds.source_x.shape[0], ds.target_x.shape[0], batch_source,
+                             batch_target, seed, epoch)
+    return [BatchPair(ds.source_x[src_idx], ds.source_y[src_idx], ds.target_x[tgt_idx], tgt_idx)
+            for src_idx, tgt_idx in zip(src, tgt)]
 
 
 def total_objective(l_y, l_c, l_a, l_d, alpha: float, lam: float) -> float:

@@ -33,7 +33,7 @@ from clusteralign.teacher import (
     corrected_probabilities,
     init_teacher,
     pi_predict,
-    temporal_update,
+    temporal_step,
 )
 from clusteralign.trainer import TrainConfig, run_training, train
 from clusteralign.evaluate import selection_rate  # noqa: F401  (re-exported surface)
@@ -316,8 +316,12 @@ def test_criterion_5_teacher_exactness():
         for _ in range(20):
             row = rng.uniform(size=4)
             row /= row.sum()
+            # The training step's teacher: a read of the batch rows, then
+            # their update.
+            read, state = temporal_step(state, np.array([0]), row[None, :])
+            if preds:
+                worst = max(worst, float(np.max(np.abs(read[0] - ewma_oracle(preds, decay)))))
             preds.append(row)
-            state = temporal_update(state, [0], row[None, :])
         worst = max(worst, float(np.max(np.abs(
             corrected_probabilities(state)[0] - ewma_oracle(preds, decay)
         ))))

@@ -476,3 +476,22 @@ def test_overflowing_step_exits_1_naming_its_iteration(tmp_path, seeds):
     for seed in seeds:
         assert (out_dir / f"dataset_{seed}.csv").exists()
     assert not (out_dir / "summary.json").exists()
+
+
+@pytest.mark.parametrize("offset", [1e20, 4e153], ids=["inertia-rises", "kmeans-pp-overflows"])
+def test_failing_kmeans_exits_1_naming_seed_and_iteration(tmp_path, offset):
+    # Features near 1e20 cancel in the Gram-form k-means scores, so a
+    # Lloyd step raises the inertia; near the dataset bound the k-means++
+    # weights overflow their sum. A subprocess, so that stderr is the
+    # whole of what the run prints.
+    raw = tiny_raw(dataset={"n_major": 40, "n_minor": 8,
+                            "source_means": [[offset, 0.0], [2.0, 0.0]]})
+    path = write_config(tmp_path, raw)
+    done = subprocess.run([sys.executable, "-m", "clusteralign.cli", "run", path,
+                           "--output-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=module_env())
+    assert done.returncode == 1
+    assert done.stderr.startswith("run failed: seed 0: evaluation failed at iteration 0: "), \
+        done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out" / "summary.json").exists()

@@ -7,12 +7,13 @@ from clusteralign.data import (
     DomainDataset,
     FormatError,
     dump_dataset_csv,
-    iterate_batches,
     load_idx,
     make_imbalanced_gaussians,
     make_multimode_domains,
     write_csv,
 )
+
+from helpers import iterate_batches
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2,

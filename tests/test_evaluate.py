@@ -21,18 +21,21 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def test_snapshot_allocates_no_pairwise_buffers():
     # The imbalanced preset evaluates 1100 rows per domain: one n x n
-    # float64 buffer alone would take 9.2 MiB.
-    resolved = resolve_config(json.loads((CONFIGS / "imbalanced.json").read_text()))
-    cfg = build_train_config(resolved, 0)
-    ds = build_dataset(resolved, 0)
-    state = init_train_state(cfg, ds)
-    tracemalloc.start()
-    try:
-        snapshot(state, cfg, ds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
+    # float64 buffer alone would take 9.2 MiB. The bound also leaves no
+    # room for the traces of both student passes and of the critic pass
+    # to live at once, nor for two of the loss kernel's 512 KiB tiles.
+    for preset in ("imbalanced", "multimode"):
+        resolved = resolve_config(json.loads((CONFIGS / f"{preset}.json").read_text()))
+        cfg = build_train_config(resolved, 0)
+        ds = build_dataset(resolved, 0)
+        state = init_train_state(cfg, ds)
+        tracemalloc.start()
+        try:
+            snapshot(state, cfg, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, (preset, peak)
 
 
 class TestKmeans:
@@ -51,6 +54,18 @@ class TestKmeans:
         assert len(set(assignments[:30].tolist())) == 1
         assert len(set(assignments[30:].tolist())) == 1
         assert assignments[0] != assignments[30]
+
+    def test_features_too_large_raise_floating_point_error(self):
+        # Spread 1e6 about a point near 6e19: the Gram-form scores cancel
+        # and a Lloyd step raises the inertia.
+        pts = np.array([6e19, -3e19]) + 1e6 * seeded_rng(30).normal(size=(200, 2))
+        with pytest.raises(FloatingPointError, match="inertia increased"):
+            kmeans_best(pts, 2, seed=0)
+        # The k-means++ weights of 100 points 2.8e153 apart overflow their sum.
+        pts = np.full((100, 2), 1e153)
+        pts[::2] *= -1.0
+        with pytest.raises(FloatingPointError, match="overflow"):
+            kmeans_best(pts, 2, seed=0)
 
     def test_deterministic(self):
         rng = seeded_rng(4)

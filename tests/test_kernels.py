@@ -191,6 +191,22 @@ def test_euclidean_gradient_allocates_no_pairwise_buffers():
     assert peak < 6 * 2**20
 
 
+@pytest.mark.parametrize("n, dim", [(1100, 2), (600, 16)])
+def test_squared_loss_only_frees_each_tile_before_the_next(n, dim):
+    # A 512 KiB tile of differences and its distances; two generations of
+    # them alive at once would pass 1 MiB. The shapes are a snapshot's.
+    rng = seeded_rng(20)
+    feats = rng.normal(size=(n, dim))
+    labels = rng.integers(2, size=n)
+    tracemalloc.start()
+    try:
+        kernels.pairwise_margin_loss(feats, labels, 3.0, squared=True, gradient=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def near_duplicates(offset, shared):
     """Twelve points at feature scale 30, each with a copy `offset` away;
     the first `shared` copies keep their original's label. Every other

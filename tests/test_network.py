@@ -147,6 +147,43 @@ def test_a_domain_axis_error_names_the_seed():
         forward(stacked, x[:, :2])
 
 
+@pytest.mark.parametrize("sizes, head, tap, seeds, domains, mode", [
+    ((3, 6, 4, 2), "softmax", "logits", 0, False, "eval"),
+    ((3, 6, 4, 2), "softmax", "penultimate", 0, False, "train"),
+    ((3, 6, 4, 2), "softmax", "penultimate", 2, False, "train"),
+    ((3, 6, 4, 2), "softmax", "logits", 2, True, "train"),
+    ((4, 8, 8, 1), "sigmoid", "penultimate", 0, True, "eval"),
+    ((4, 8, 8, 1), "sigmoid", "logits", 3, False, "train"),
+    ((3, 2), "softmax", "logits", 0, False, "train"),
+    ((3, 2), "softmax", "penultimate", 2, True, "eval"),
+], ids=["plain-logits", "plain-penultimate-train", "seed-axis-train", "domain-axis-train",
+        "sigmoid-domain-axis", "sigmoid-seed-axis-train", "no-hidden-logits",
+        "no-hidden-penultimate-domain-axis"])
+def test_an_untraced_pass_holds_the_bits_of_a_traced_one(sizes, head, tap, seeds, domains, mode):
+    spec = NetworkSpec(sizes, dropout_rate=0.3, feature_tap=tap, head=head)
+    nets = [init_network(spec, seed) for seed in range(max(seeds, 1))]
+    net = Network(spec, np.stack([n.params for n in nets])) if seeds else nets[0]
+    lead = ((2,) if domains else ()) + ((seeds,) if seeds else ())
+    x = seeded_rng(27).normal(size=(*lead, 5, sizes[0]))
+    keys = tuple(range(7, 7 + x[..., 0, 0].size))
+    traced = forward(net, x, mode, keys)
+    untraced = forward(net, x, mode, keys, traced=False)
+    assert untraced.inputs is None and untraced.pre_activations is None
+    assert untraced.masks is None
+    for got, want in ((untraced, traced), (untraced[-1], traced[-1])):
+        assert got.features.shape == want.features.shape
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.probabilities.shape == want.probabilities.shape
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+
+
+def test_backward_rejects_an_untraced_pass():
+    net, x, seed = kink_free_instance(28, dropout=0.3)
+    trace = forward(net, x, "train", seed, traced=False)
+    with pytest.raises(ValueError, match="traced forward pass"):
+        backward(net, trace, np.ones(trace.probabilities.shape), "logits")
+
+
 def test_backward_without_input_gradient_keeps_the_parameter_gradient():
     net, x, seed = kink_free_instance(23, dropout=0.3)
     trace = forward(net, x, "train", seed)

@@ -10,10 +10,19 @@ from clusteralign.teacher import (
     pi_predict,
     pseudo_labels,
     temporal_step,
-    temporal_update,
 )
 
-from helpers import ewma_oracle
+from helpers import ewma_oracle, temporal_update
+
+
+def update(state, indices, probabilities):
+    """The state after one temporal_step on a batch."""
+    return temporal_step(state, np.asarray(indices), probabilities)[1]
+
+
+def table_rows(state, indices):
+    """Rows indices[..., j] of each seed's corrected table."""
+    return np.take_along_axis(corrected_probabilities(state), indices[..., None], axis=-2)
 
 
 class TestPiPredict:
@@ -40,14 +49,14 @@ class TestPiPredict:
 class TestTemporalEnsemble:
     def test_first_update_bias_corrected(self):
         state = init_teacher(1, 2, decay=0.6)
-        state = temporal_update(state, [0], np.array([[1.0, 0.0]]))
+        state = update(state, [0], np.array([[1.0, 0.0]]))
         assert np.allclose(state.ensemble[0], [0.4, 0.0], atol=1e-12)
         assert np.allclose(corrected_probabilities(state)[0], [1.0, 0.0], atol=1e-12)
 
     def test_second_update_hand_values(self):
         state = init_teacher(1, 2, decay=0.6)
-        state = temporal_update(state, [0], np.array([[1.0, 0.0]]))
-        state = temporal_update(state, [0], np.array([[0.0, 1.0]]))
+        state = update(state, [0], np.array([[1.0, 0.0]]))
+        state = update(state, [0], np.array([[0.0, 1.0]]))
         assert np.allclose(state.ensemble[0], [0.24, 0.4], atol=1e-12)
         assert np.allclose(corrected_probabilities(state)[0], [0.375, 0.625], atol=1e-12)
         labels, conf = pseudo_labels(corrected_probabilities(state))
@@ -56,8 +65,8 @@ class TestTemporalEnsemble:
 
     def test_zero_decay_tracks_latest(self):
         state = init_teacher(1, 2, decay=0.0)
-        state = temporal_update(state, [0], np.array([[0.3, 0.7]]))
-        state = temporal_update(state, [0], np.array([[0.9, 0.1]]))
+        state = update(state, [0], np.array([[0.3, 0.7]]))
+        state = update(state, [0], np.array([[0.9, 0.1]]))
         assert np.allclose(corrected_probabilities(state)[0], [0.9, 0.1], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -69,8 +78,13 @@ class TestTemporalEnsemble:
         for _ in range(20):
             row = rng.uniform(size=3)
             row = row / row.sum()
+            read, state = temporal_step(state, np.array([0]), row[None, :])
+            # The read comes before the update.
+            if preds:
+                assert np.all(np.abs(read[0] - ewma_oracle(preds, decay)) < 1e-10)
+            else:
+                assert np.all(read == 0.0)
             preds.append(row)
-            state = temporal_update(state, [0], row[None, :])
         assert np.all(
             np.abs(corrected_probabilities(state)[0] - ewma_oracle(preds, decay)) < 1e-10
         )
@@ -81,7 +95,7 @@ class TestTemporalEnsemble:
         for _ in range(7):
             rows = rng.uniform(size=(2, 3))
             rows /= rows.sum(axis=1, keepdims=True)
-            state = temporal_update(state, rng.choice(4, 2, replace=False), rows)
+            state = update(state, rng.choice(4, 2, replace=False), rows)
         probs = corrected_probabilities(state)
         seen = state.step_counts > 0
         assert np.all(np.abs(probs[seen].sum(axis=1) - 1.0) < 1e-6)
@@ -92,12 +106,12 @@ class TestTemporalEnsemble:
         for _ in range(6):
             rows = rng.uniform(size=(3, 3))
             rows /= rows.sum(axis=1, keepdims=True)
-            state = temporal_update(state, rng.choice(8, 3, replace=False), rows)
+            state = update(state, rng.choice(8, 3, replace=False), rows)
         # Rows 8 and 9 are never updated; 2 and 8 repeat.
         idx = np.array([9, 2, 8, 0, 2, 5, 8, 1])
-        assert np.array_equal(corrected_probabilities(state, idx),
-                              corrected_probabilities(state)[idx])
-        assert np.all(corrected_probabilities(state, idx)[[0, 2, 6]] == 0.0)
+        read, _ = temporal_step(state, idx, np.full((8, 3), 1.0 / 3.0))
+        assert read.tobytes() == corrected_probabilities(state)[idx].tobytes()
+        assert np.all(read[[0, 2, 6]] == 0.0)
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-table", "seed-axis"])
     def test_fused_step_equals_read_then_update(self, lead):
@@ -114,7 +128,7 @@ class TestTemporalEnsemble:
             rows /= rows.sum(axis=-1, keepdims=True)
             read, fused = temporal_step(state, idx, rows)
             expected = temporal_update(state, idx, rows)
-            assert read.tobytes() == corrected_probabilities(state, idx).tobytes()
+            assert read.tobytes() == table_rows(state, idx).tobytes()
             assert fused.ensemble.tobytes() == expected.ensemble.tobytes()
             assert np.array_equal(fused.step_counts, expected.step_counts)
             assert fused.decay == expected.decay
@@ -123,14 +137,14 @@ class TestTemporalEnsemble:
 
     def test_only_batch_rows_update(self):
         state = init_teacher(3, 2, decay=0.6)
-        state = temporal_update(state, [1], np.array([[0.5, 0.5]]))
+        state = update(state, [1], np.array([[0.5, 0.5]]))
         assert state.step_counts.tolist() == [0, 1, 0]
         assert np.all(state.ensemble[0] == 0.0)
 
     def test_index_out_of_range(self):
         state = init_teacher(2, 2)
         with pytest.raises(IndexError):
-            temporal_update(state, [5], np.array([[0.5, 0.5]]))
+            update(state, [5], np.array([[0.5, 0.5]]))
 
 
 class TestPseudoLabels:
@@ -145,7 +159,7 @@ class TestPseudoLabels:
 
     def test_unseen_temporal_rows_flagged_by_zero_confidence(self):
         state = init_teacher(2, 2)
-        state = temporal_update(state, [1], np.array([[0.2, 0.8]]))
+        state = update(state, [1], np.array([[0.2, 0.8]]))
         labels, conf = pseudo_labels(corrected_probabilities(state))
         assert labels[0] == 0 and conf[0] == 0.0
         assert labels[1] == 1 and conf[1] > 0.0

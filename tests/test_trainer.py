@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from clusteralign import losses as loss_module, trainer as trainer_module
-from clusteralign.data import BatchPair, iterate_batches, make_imbalanced_gaussians
+from clusteralign.data import BatchPair, make_imbalanced_gaussians
 from clusteralign.evaluate import snapshot
 from clusteralign.losses import cross_entropy, objective
 from clusteralign.network import Network, forward
@@ -29,7 +29,7 @@ from clusteralign.trainer import (
     train_step,
 )
 
-from helpers import total_objective
+from helpers import iterate_batches, total_objective
 
 
 def tiny_dataset(seed=0):

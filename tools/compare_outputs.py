@@ -11,10 +11,12 @@ and (j) run once more at OPENBLAS_NUM_THREADS=2, numpy's default on a
 2-core machine, and print their own lines: three seed groups and a lone
 seed, each with the squared metric's matmul kernel. A differing CSV whose header
 matches on both sides is named with its differing columns, as in
-`metrics_0.csv[l_c]`. `validate` is compared the same way on each shipped
-`configs/*.json`. One line is printed per run; the exit status is 1 when
-anything differs. The script uses the standard library only and is not
-part of the test suite.
+`metrics_0.csv[l_c]`. Each run's line also gives the peak resident set of
+its process on this tree and on the revision (ru_maxrss from os.wait4),
+e.g. `peak 39.71/41.10 MiB`. `validate` is compared the same way on each
+shipped `configs/*.json`. One line is printed per run; the exit status is
+1 when anything differs. The script uses the standard library only and is
+not part of the test suite.
 """
 
 import csv
@@ -72,23 +74,31 @@ def export(revision, dest):
 
 
 def cli(tree, args, cwd, threads=1):
-    """The exit status and stdout of one CLI call on a tree."""
+    """The exit status, the stdout and the peak resident set in MiB of one
+    CLI call on a tree."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"),
                OPENBLAS_NUM_THREADS=str(threads), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-m", "clusteralign.cli", *args],
-                          cwd=cwd, env=env, capture_output=True)
-    return done.returncode, done.stdout
+    proc = subprocess.Popen([sys.executable, "-m", "clusteralign.cli", *args], cwd=cwd,
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    with proc.stdout:
+        stdout = proc.stdout.read()
+    # os.wait4 reaps the child and returns its own resource usage;
+    # ru_maxrss is in KiB on Linux.
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, stdout, usage.ru_maxrss / 1024
 
 
 def outputs(tree, raw, work, threads):
-    """Every byte a run of raw on tree produces, keyed by file name."""
+    """The exit status, every byte a run of raw on tree produces, keyed by
+    file name, and the run's peak resident set in MiB."""
     work.mkdir()
     path = work / "config.json"
     path.write_text(json.dumps(raw))
-    status, stdout = cli(tree, ["run", str(path), "--output-dir", "out"], work, threads)
+    status, stdout, peak = cli(tree, ["run", str(path), "--output-dir", "out"], work, threads)
     out = work / "out"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-    return status, dict(files, stdout=stdout)
+    return status, dict(files, stdout=stdout), peak
 
 
 def describe(name, ours, theirs):
@@ -117,8 +127,9 @@ def main(argv=None):
         runs = [(name, 1) for name in CONFIGS] + [(name, 2) for name in TWO_THREADS]
         for name, threads in runs:
             raw, label = CONFIGS[name], f"{name}_{threads}"
-            status, ours = outputs(ROOT, raw, tmp / f"ours_{label}", threads)
-            parent_status, theirs = outputs(parent, raw, tmp / f"theirs_{label}", threads)
+            status, ours, peak = outputs(ROOT, raw, tmp / f"ours_{label}", threads)
+            parent_status, theirs, parent_peak = outputs(parent, raw, tmp / f"theirs_{label}",
+                                                         threads)
             diff = ["exit status"] if status != parent_status else []
             diff += [describe(file, ours.get(file), theirs.get(file))
                      for file in sorted(ours.keys() | theirs.keys())
@@ -126,11 +137,11 @@ def main(argv=None):
             failed |= bool(diff)
             verdict = f"differs: {', '.join(diff)}" if diff else "identical"
             at = "" if threads == 1 else f" at {threads} BLAS threads"
-            print(f"({name}){at} exit {status}, {len(ours) - 1} files and stdout, {verdict}",
-                  flush=True)
+            print(f"({name}){at} exit {status}, {len(ours) - 1} files and stdout, "
+                  f"peak {peak:.2f}/{parent_peak:.2f} MiB, {verdict}", flush=True)
         for path in sorted((ROOT / "configs").glob("*.json")):
-            ours = cli(ROOT, ["validate", str(path)], tmp)
-            theirs = cli(parent, ["validate", str(path)], tmp)
+            ours = cli(ROOT, ["validate", str(path)], tmp)[:2]
+            theirs = cli(parent, ["validate", str(path)], tmp)[:2]
             failed |= ours != theirs
             print(f"validate {path.name}: {'differs' if ours != theirs else 'identical'}")
     return 1 if failed else 0
