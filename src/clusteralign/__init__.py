@@ -16,12 +16,10 @@ from clusteralign.network import (
     GradientSet,
     Network,
     NetworkSpec,
-    OptimizerState,
     ShapeError,
     backward,
     forward,
     init_network,
-    init_optimizer,
     reverse_gradient,
     sgd_step,
 )

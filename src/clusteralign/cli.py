@@ -44,6 +44,7 @@ from clusteralign.data import (
     write_csv,
 )
 from clusteralign.seeding import derive_seed
+from clusteralign.teacher import pseudo_labels
 from clusteralign.trainer import TrainConfig, TrainingAbort, init_train_state, run_training
 
 LOADERS = {
@@ -268,8 +269,7 @@ def write_metrics_csv(metrics, path) -> None:
 def write_features_csv(view, ds, path) -> None:
     """A run's final eval-mode features (an evaluate.StateView) with true
     labels and teacher annotations."""
-    src_pred = np.argmax(view.source_probabilities, axis=1)
-    src_conf = view.source_probabilities[np.arange(len(src_pred)), src_pred]
+    src_pred, src_conf = pseudo_labels(view.source_probabilities)
     header = ["domain", "true_class", "pseudo_class", "confidence",
               *(f"f{i}" for i in range(view.source_features.shape[1]))]
     write_csv(path, header, (

@@ -215,16 +215,6 @@ class GradientSet:
     d_input: np.ndarray
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Classical momentum: one zero-initialized buffer in the layout of
-    the network's params (every weight matrix row-major in layer order,
-    then every bias)."""
-
-    buffer: np.ndarray
-    momentum: float = 0.9
-
-
 def init_network(spec: NetworkSpec, seed: int) -> Network:
     """Uniform weight init in [-s, s] with s = sqrt(6/(fan_in+fan_out)); zero biases."""
     rng = seeded_rng(seed)
@@ -234,12 +224,6 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
         s = np.sqrt(6.0 / (fan_in + fan_out))
         w[...] = rng.uniform(-s, s, size=w.shape)
     return Network(spec, params)
-
-
-def init_optimizer(net: Network, momentum: float = 0.9) -> OptimizerState:
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError("momentum must lie in [0, 1)")
-    return OptimizerState(np.zeros_like(net.params), float(momentum))
 
 
 def _activate(z, kind):
@@ -458,13 +442,15 @@ def reverse_gradient(g, lam: float):
     return -float(lam) * np.asarray(g, dtype=np.float64)
 
 
-def sgd_step(net: Network, state: OptimizerState, grads: GradientSet, lr: float):
-    """One classical-momentum update: buffer <- m*buffer + g; theta <- theta - lr*buffer."""
+def sgd_step(net: Network, buffer, grads: GradientSet, lr: float, momentum: float):
+    """One classical-momentum update of net and its momentum buffer (shaped
+    like net.params, zeros before the first step): buffer <- momentum*buffer
+    + g; theta <- theta - lr*buffer. Returns (the new network, the new buffer)."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     if grads.spec.layer_sizes != net.spec.layer_sizes or grads.vector.shape != net.params.shape:
         raise ShapeError(f"gradient of shape {grads.vector.shape} for layer sizes "
                          f"{grads.spec.layer_sizes} does not fit {net.spec.layer_sizes}")
-    buffer = state.momentum * state.buffer + grads.vector
-    return Network(net.spec, net.params - lr * buffer), OptimizerState(buffer, state.momentum)
+    buffer = momentum * buffer + grads.vector
+    return Network(net.spec, net.params - lr * buffer), buffer
 

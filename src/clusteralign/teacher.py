@@ -26,14 +26,14 @@ TEACHER_MODES = ("pi", "temporal", "self")
 class TeacherState:
     ensemble: np.ndarray
     step_counts: np.ndarray
-    decay: float = 0.6
+    decay: float
 
     def __post_init__(self):
         if not 0.0 <= self.decay < 1.0:
             raise ValueError("decay must lie in [0, 1)")
 
 
-def init_teacher(num_target: int, num_classes: int, decay: float = 0.6) -> TeacherState:
+def init_teacher(num_target: int, num_classes: int, decay: float) -> TeacherState:
     return TeacherState(
         np.zeros((num_target, num_classes)),
         np.zeros(num_target, dtype=np.int64),

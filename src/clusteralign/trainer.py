@@ -48,11 +48,9 @@ from clusteralign.network import (
     GradientSet,
     Network,
     NetworkSpec,
-    OptimizerState,
     backward,
     forward,
     init_network,
-    init_optimizer,
     reverse_gradient,
     sgd_step,
 )
@@ -146,8 +144,9 @@ class TrainConfig:
             raise ValueError("pretrain_iters must lie in [0, total_iters)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if not 0.0 <= self.decay < 1.0:
-            raise ValueError("decay must lie in [0, 1)")
+        for name in ("decay", "momentum"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
         for name in ("margin", "lr_base"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite; "
@@ -179,6 +178,8 @@ class TrainConfig:
 class TrainState:
     """One point of a group of seeds run together.
 
+    student_momentum and critic_momentum are the networks' momentum
+    buffers, shaped like their params (zeros before the first step).
     teacher is the temporal ensemble, None for the other teacher modes.
     seeds holds the TrainConfig.seed that keys each seed's dropout masks.
     A group's state (stack_states) stacks every array along a leading seed
@@ -188,8 +189,8 @@ class TrainState:
 
     student: Network
     critic: Network
-    student_opt: OptimizerState
-    critic_opt: OptimizerState
+    student_momentum: np.ndarray
+    critic_momentum: np.ndarray
     teacher: TeacherState | None
     seeds: tuple
     iteration: int = 0
@@ -228,8 +229,8 @@ def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
     return TrainState(
         student=student,
         critic=critic,
-        student_opt=init_optimizer(student, cfg.momentum),
-        critic_opt=init_optimizer(critic, cfg.momentum),
+        student_momentum=np.zeros_like(student.params),
+        critic_momentum=np.zeros_like(critic.params),
         teacher=teacher,
         seeds=(cfg.seed,),
     )
@@ -249,10 +250,8 @@ def stack_states(states) -> TrainState:
     return TrainState(
         student=Network(first.student.spec, stacked(lambda s: s.student.params)),
         critic=Network(first.critic.spec, stacked(lambda s: s.critic.params)),
-        student_opt=OptimizerState(stacked(lambda s: s.student_opt.buffer),
-                                   first.student_opt.momentum),
-        critic_opt=OptimizerState(stacked(lambda s: s.critic_opt.buffer),
-                                  first.critic_opt.momentum),
+        student_momentum=stacked(lambda s: s.student_momentum),
+        critic_momentum=stacked(lambda s: s.critic_momentum),
         teacher=teacher,
         seeds=tuple(seed for s in states for seed in s.seeds),
         iteration=first.iteration,
@@ -268,8 +267,8 @@ def _seed_state(state: TrainState, index: int) -> TrainState:
     return TrainState(
         student=Network(state.student.spec, state.student.params[index]),
         critic=Network(state.critic.spec, state.critic.params[index]),
-        student_opt=OptimizerState(state.student_opt.buffer[index], state.student_opt.momentum),
-        critic_opt=OptimizerState(state.critic_opt.buffer[index], state.critic_opt.momentum),
+        student_momentum=state.student_momentum[index],
+        critic_momentum=state.critic_momentum[index],
         teacher=teacher,
         seeds=(state.seeds[index],),
         iteration=state.iteration,
@@ -425,15 +424,17 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     student_grads = GradientSet(state.student.spec, student_vector, None)
     critic_grads = GradientSet(state.critic.spec, critic_vectors[0] + critic_vectors[1], None)
 
-    new_student, new_student_opt = sgd_step(state.student, state.student_opt, student_grads, lr)
-    new_critic, new_critic_opt = sgd_step(state.critic, state.critic_opt, critic_grads, lr)
+    new_student, student_momentum = sgd_step(state.student, state.student_momentum,
+                                             student_grads, lr, cfg.momentum)
+    new_critic, critic_momentum = sgd_step(state.critic, state.critic_momentum,
+                                           critic_grads, lr, cfg.momentum)
     _check_losses(bundle, it)
 
     new_state = TrainState(
         student=new_student,
         critic=new_critic,
-        student_opt=new_student_opt,
-        critic_opt=new_critic_opt,
+        student_momentum=student_momentum,
+        critic_momentum=critic_momentum,
         teacher=new_teacher,
         seeds=state.seeds,
         iteration=it + 1,

@@ -12,6 +12,7 @@ from clusteralign.data import (
     make_multimode_domains,
     write_csv,
 )
+from clusteralign.network import DomainError, ShapeError
 
 from helpers import iterate_batches
 
@@ -195,6 +196,16 @@ def test_dataset_rejects_a_source_of_one_class():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError, match="^source labels must cover at least 2 classes$"):
         DomainDataset(x, np.ones(4, np.int64), x, np.array([0, 0, 1, 1]), 2)
+
+
+def test_dataset_rejects_coordinates_that_are_not_a_finite_matrix():
+    x, labels = np.zeros((4, 2)), np.array([0, 0, 1, 1])
+    with pytest.raises(ShapeError, match=r"^source_x must be 2-D, got shape \(4,\)$"):
+        DomainDataset(np.zeros(4), labels, x, labels, 2)
+    x_nan = x.copy()
+    x_nan[2, 1] = np.nan
+    with pytest.raises(DomainError, match="^target_x contains non-finite entries$"):
+        DomainDataset(x, labels, x_nan, labels, 2)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 784])

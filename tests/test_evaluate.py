@@ -67,6 +67,16 @@ class TestKmeans:
         with pytest.raises(FloatingPointError, match="overflow"):
             kmeans_best(pts, 2, seed=0)
 
+    def test_coincident_points_take_the_zero_distance_seeding(self):
+        # Once the first center is drawn every squared distance is zero, so
+        # k-means++ draws each further center uniformly.
+        pts = np.full((8, 2), 1.5)
+        assignments = kmeans_best(pts, k=3, seed=0, restarts=2)
+        assert assignments.shape == (8,)
+        assert np.issubdtype(assignments.dtype, np.integer)
+        assert np.all((assignments >= 0) & (assignments < 3))
+        assert np.array_equal(assignments, kmeans_best(pts, k=3, seed=0, restarts=2))
+
     def test_deterministic(self):
         rng = seeded_rng(4)
         pts = rng.normal(size=(40, 3))

@@ -20,6 +20,14 @@ def batch(features, labels, k=2):
     return PseudoLabeledBatch(features, labels, k)
 
 
+def test_labeled_batch_needs_one_label_in_range_per_row():
+    with pytest.raises(ValueError, match="^one label per feature row required$"):
+        batch(np.zeros((3, 2)), [0, 1])
+    for labels in ([0, 2, 1], [0, -1, 1]):
+        with pytest.raises(ValueError, match=r"^labels must lie in \[0, num_classes\)$"):
+            batch(np.zeros((3, 2)), labels)
+
+
 class TestCrossEntropy:
     def test_uniform_is_log2(self):
         loss, _ = cross_entropy(np.full((5, 2), 0.5), np.zeros(5, int))
@@ -130,6 +138,12 @@ class TestAlignmentLoss:
         assert np.all(d_src == 0.0) and np.all(d_tgt == 0.0)
         assert not np.signbit(d_src).any() and not np.signbit(d_tgt).any()
 
+    def test_rejects_batches_of_different_class_counts(self):
+        src = batch([[1.0, 1.0]], [0], k=2)
+        tgt = batch([[5.0, 5.0]], [0], k=3)
+        with pytest.raises(ValueError, match="^batches must share the class count$"):
+            alignment_loss(src, tgt)
+
     def test_stacked_seeds_match_each_seed_alone(self):
         # The second seed shares no class between its batches.
         rng = seeded_rng(101)
@@ -214,6 +228,11 @@ class TestDomainAdversarialLoss:
         )
         assert n == 1
         assert loss == pytest.approx(np.log(0.8) + np.log(0.7), abs=1e-12)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5])
+    def test_rejects_a_threshold_outside_the_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match=r"^threshold must lie in \[0, 1\]$"):
+            domain_adversarial_loss(np.full(2, 0.5), np.full(2, 0.5), np.ones(2), threshold)
 
     def test_threshold_zero_reduces_to_unfiltered(self):
         rng = seeded_rng(12)

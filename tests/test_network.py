@@ -12,7 +12,6 @@ from clusteralign.network import (
     backward,
     forward,
     init_network,
-    init_optimizer,
     reduce_rows,
     reverse_gradient,
     sgd_step,
@@ -76,6 +75,16 @@ def test_forward_error_contracts():
         forward(net, np.zeros((2, 4)))
     with pytest.raises(DomainError):
         forward(net, np.array([[np.nan, 0.0, 1.0]]))
+
+
+def test_forward_rejects_noise_that_does_not_fit_its_slices():
+    # One (domain, seed) slice of 2 rows through 4 hidden units draws 8 uniforms.
+    net = init_network(NetworkSpec((3, 4, 2), dropout_rate=0.5), 0)
+    x = np.ones((2, 3))
+    with pytest.raises(ShapeError, match=r"^noise has shape \(1, 7\), expected \(1, 8\)$"):
+        forward(net, x, "train", np.zeros((1, 7)))
+    with pytest.raises(ValueError, match=r"^2 noise seeds for 1 \(domain, seed\) slices$"):
+        forward(net, x, "train", (7, 8))
 
 
 def test_stacked_forward_and_backward_hold_each_seed_alone():
@@ -253,9 +262,8 @@ def test_reverse_gradient_examples():
 
 def test_sgd_zero_grads_is_identity():
     net = init_network(NetworkSpec((3, 4, 2)), 0)
-    opt = init_optimizer(net)
     grads = backward(net, forward(net, np.ones((2, 3))), np.zeros((2, 2)), "probabilities")
-    new_net, _ = sgd_step(net, opt, grads, 0.1)
+    new_net, _ = sgd_step(net, np.zeros_like(net.params), grads, 0.1, 0.9)
     assert np.array_equal(net.params, new_net.params)
 
 
@@ -267,25 +275,32 @@ def test_sgd_rejects_a_gradient_of_another_architecture(sizes):
     trace = forward(other, np.ones((2, sizes[0])))
     grads = backward(other, trace, np.ones_like(trace.probabilities), "probabilities")
     with pytest.raises(ShapeError):
-        sgd_step(net, init_optimizer(net), grads, 0.1)
+        sgd_step(net, np.zeros_like(net.params), grads, 0.1, 0.9)
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.1])
+def test_sgd_rejects_a_nonpositive_learning_rate(lr):
+    net = init_network(NetworkSpec((3, 4, 2)), 0)
+    grads = GradientSet(net.spec, np.ones_like(net.params), None)
+    with pytest.raises(ValueError, match="^lr must be positive$"):
+        sgd_step(net, np.zeros_like(net.params), grads, lr, 0.9)
 
 
 def test_sgd_step_leaves_its_inputs_unchanged():
     net = init_network(NetworkSpec((3, 4, 2)), 0)
     grads = GradientSet(net.spec, seeded_rng(20).normal(size=net.params.shape), None)
-    net, opt = sgd_step(net, init_optimizer(net), grads, 0.1)  # a nonzero buffer
-    before = net.params.copy(), opt.buffer.copy(), grads.vector.copy()
-    sgd_step(net, opt, grads, 0.1)
-    after = net.params, opt.buffer, grads.vector
+    net, buffer = sgd_step(net, np.zeros_like(net.params), grads, 0.1, 0.9)  # a nonzero buffer
+    before = net.params.copy(), buffer.copy(), grads.vector.copy()
+    sgd_step(net, buffer, grads, 0.1, 0.9)
+    after = net.params, buffer, grads.vector
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 def test_sgd_momentum_zero_is_plain_descent():
     net = init_network(NetworkSpec((2, 2)), 1)
-    opt = init_optimizer(net, momentum=0.0)
     g = seeded_rng(5).normal(size=(2, 2))
     grads = GradientSet(net.spec, np.concatenate([g.ravel(), np.zeros(2)]), None)
-    new_net, _ = sgd_step(net, opt, grads, 0.05)
+    new_net, _ = sgd_step(net, np.zeros_like(net.params), grads, 0.05, 0.0)
     assert np.allclose(new_net.weights[0] - net.weights[0], -0.05 * g)
 
 
@@ -293,11 +308,10 @@ def test_sgd_momentum_two_steps():
     # With constant gradient g and momentum 0.9, the second-step delta is
     # -lr * (0.9*g + g) = -lr * 1.9 * g.
     net = init_network(NetworkSpec((2, 2)), 1)
-    opt = init_optimizer(net, momentum=0.9)
     g = seeded_rng(6).normal(size=(2, 2))
     grads = GradientSet(net.spec, np.concatenate([g.ravel(), np.zeros(2)]), None)
-    net1, opt1 = sgd_step(net, opt, grads, 0.01)
-    net2, _ = sgd_step(net1, opt1, grads, 0.01)
+    net1, buffer1 = sgd_step(net, np.zeros_like(net.params), grads, 0.01, 0.9)
+    net2, _ = sgd_step(net1, buffer1, grads, 0.01, 0.9)
     assert np.allclose(net2.weights[0] - net1.weights[0], -0.01 * 1.9 * g, atol=1e-15)
 
 

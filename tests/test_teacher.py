@@ -142,9 +142,13 @@ class TestTemporalEnsemble:
         assert np.all(state.ensemble[0] == 0.0)
 
     def test_index_out_of_range(self):
-        state = init_teacher(2, 2)
+        state = init_teacher(2, 2, decay=0.6)
         with pytest.raises(IndexError):
             update(state, [5], np.array([[0.5, 0.5]]))
+
+    def test_state_rejects_a_decay_of_one(self):
+        with pytest.raises(ValueError, match=r"^decay must lie in \[0, 1\)$"):
+            TeacherState(np.zeros((2, 2)), np.zeros(2, np.int64), 1.0)
 
 
 class TestPseudoLabels:
@@ -158,7 +162,7 @@ class TestPseudoLabels:
         assert conf[0] == 0.5
 
     def test_unseen_temporal_rows_flagged_by_zero_confidence(self):
-        state = init_teacher(2, 2)
+        state = init_teacher(2, 2, decay=0.6)
         state = update(state, [1], np.array([[0.2, 0.8]]))
         labels, conf = pseudo_labels(corrected_probabilities(state))
         assert labels[0] == 0 and conf[0] == 0.0

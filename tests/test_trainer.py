@@ -124,7 +124,7 @@ class TestTrainStep:
         _, d_logits = cross_entropy(trace.probabilities, batch.source_y)
         grads = backward(state.student, trace, d_logits, "logits")
         lr = lr_schedule(0.0, cfg.lr_base)
-        expected, _ = sgd_step(state.student, state.student_opt, grads, lr)
+        expected, _ = sgd_step(state.student, state.student_momentum, grads, lr, cfg.momentum)
 
         assert np.array_equal(new_state.student.params, expected.params)
         assert bundle.l_c != 0.0  # computed even though not applied
@@ -155,8 +155,8 @@ class TestTrainStep:
         state, _ = train_step(init_train_state(cfg, ds), batch, cfg)  # nonzero buffers
         before = copy.deepcopy(state)
         train_step(state, batch, cfg)
-        arrays = lambda s: (s.student.params, s.critic.params, s.student_opt.buffer,
-                            s.critic_opt.buffer, s.teacher.ensemble, s.teacher.step_counts)
+        arrays = lambda s: (s.student.params, s.critic.params, s.student_momentum,
+                            s.critic_momentum, s.teacher.ensemble, s.teacher.step_counts)
         assert all(np.array_equal(a, b) for a, b in zip(arrays(state), arrays(before)))
 
     @pytest.mark.parametrize("name, index", [("student", 0), ("critic", -1)],
@@ -259,6 +259,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="^decay must lie"):
             tiny_config(teacher_mode=mode, decay=1.0)
 
+    @pytest.mark.parametrize("momentum", [1.0, -0.1])
+    def test_config_rejects_a_momentum_outside_the_unit_interval(self, momentum):
+        with pytest.raises(ValueError, match="^momentum must lie"):
+            tiny_config(momentum=momentum)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tiny_config(pretrain_iters=12, total_iters=12)
@@ -268,6 +273,16 @@ class TestTrainLoop:
             tiny_config(margin=0.0)
         with pytest.raises(ValueError):
             tiny_config(alpha_schedule="linear")
+
+    def test_run_rejects_a_zero_eval_interval(self):
+        with pytest.raises(ValueError, match="^eval_every must be at least 1$"):
+            run_training([tiny_config()], [tiny_dataset()], eval_every=0)
+
+    def test_run_rejects_datasets_of_different_shapes(self):
+        cfgs = [tiny_config(seed=3), tiny_config(seed=4)]
+        datasets = [tiny_dataset(), make_imbalanced_gaussians(n_major=50, n_minor=12, seed=1)]
+        with pytest.raises(ValueError, match="^the datasets of a group must have the same shapes$"):
+            run_training(cfgs, datasets, eval_every=4)
 
 
 def run_alone(cfg, ds, eval_every):
@@ -289,8 +304,8 @@ def run_alone(cfg, ds, eval_every):
 
 
 def state_arrays(state):
-    arrays = [state.student.params, state.critic.params, state.student_opt.buffer,
-              state.critic_opt.buffer]
+    arrays = [state.student.params, state.critic.params, state.student_momentum,
+              state.critic_momentum]
     if state.teacher is not None:
         arrays += [state.teacher.ensemble, state.teacher.step_counts]
     return arrays
