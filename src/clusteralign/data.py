@@ -31,7 +31,9 @@ class DomainDataset:
     """A labeled source sample set plus an unlabeled target sample set.
 
     target_y_hidden exists solely so evaluation can score target accuracy;
-    it must never feed the training path.
+    it must never feed the training path. The dataset keeps the arrays it
+    checked: each domain a finite float64 matrix, and its labels an int64
+    vector with one entry in [0, num_classes) per row.
     """
 
     source_x: np.ndarray
@@ -41,16 +43,24 @@ class DomainDataset:
     num_classes: int
 
     def __post_init__(self):
-        domains = (as_matrix(self.source_x, "source_x"), as_matrix(self.target_x, "target_x"))
+        for x_name, y_name in (("source_x", "source_y"), ("target_x", "target_y_hidden")):
+            x, y = as_matrix(getattr(self, x_name), x_name), np.asarray(getattr(self, y_name))
+            if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer) or len(y) != len(x):
+                raise ValueError(f"{y_name} must hold one integer label per row of {x_name} "
+                                 f"({len(x)} rows); got {y.dtype} of shape {y.shape}")
+            if y.size and (y.min() < 0 or y.max() >= self.num_classes):
+                raise ValueError(f"{y_name} must lie in [0, {self.num_classes})")
+            object.__setattr__(self, x_name, x)
+            object.__setattr__(self, y_name, y.astype(np.int64, copy=False))
         # min and max, not np.unique: without counts, np.unique asks
         # np.ma.is_masked, which imports numpy.ma (1.2 MiB) into the process.
-        source_y = np.asarray(self.source_y)
-        if source_y.size == 0 or source_y.min() == source_y.max():
+        if self.source_y.size == 0 or self.source_y.min() == self.source_y.max():
             raise ValueError("source labels must cover at least 2 classes")
         # The clustering kernels and the k-means probe need every squared
         # distance between two points finite.
-        largest = max(float(max(x.max(initial=0.0), -x.min(initial=0.0))) for x in domains)
-        limit = _max_coordinate(domains[0].shape[1])
+        largest = max(float(max(x.max(initial=0.0), -x.min(initial=0.0)))
+                      for x in (self.source_x, self.target_x))
+        limit = _max_coordinate(self.source_x.shape[1])
         if largest > limit:
             raise ValueError(f"coordinates reach {largest:.3g}, past {limit:.3g}, "
                              f"where squared distances overflow")

@@ -63,8 +63,8 @@ def _lloyd(features, k, seed, max_iters):
                 new_centers[c] = features[int(np.argmax(dist))]
         new_assignments, new_inertia = kmeans_assign(features, new_centers)
         if new_inertia > inertia + 1e-9:
-            # Features so large that the Gram-form scores of kmeans_assign
-            # cancel can make a Lloyd step worse.
+            # Features so large that a rounded cluster mean lies farther from
+            # its members than its seed point can make the first update worse.
             raise FloatingPointError(f"k-means inertia increased from {inertia:.6g} "
                                      f"to {new_inertia:.6g}")
         centers = new_centers
@@ -78,7 +78,7 @@ def _lloyd(features, k, seed, max_iters):
 def kmeans_best(features, k: int, seed: int, restarts: int = 5, max_iters: int = 100):
     """Lowest-inertia assignments over several seeded restarts. Features
     too large for the search raise FloatingPointError: a sum that
-    overflows, or a Lloyd step that raises the inertia."""
+    overflows, or a Lloyd update whose rounded centers raise the inertia."""
     features = np.asarray(features, dtype=np.float64)
     best = None
     best_inertia = np.inf
@@ -140,8 +140,9 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
     teacher's dropout pass is seeded by (cfg.seed, 23, state.iteration).
     The logged l_d applies the current confidence selection; the JSD proxy
     is computed from a separate all-selected pass so the monitor stays
-    comparable across training. The logged l_c comes from the clustering
-    kernel's loss-only mode, which uses no BLAS.
+    comparable across training. Both networks make one untraced pass per
+    domain; the logged l_c comes from the clustering kernel's loss-only
+    mode, which uses no BLAS.
     """
     # Untraced passes: evaluation reads only features and probabilities.
     src = forward(state.student, ds.source_x, traced=False)
@@ -160,11 +161,11 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
     labels, confidences = pseudo_labels(teacher_probs)
     del teacher_probs
 
-    bundle, grads = objective((src.features, tgt.features), src.probabilities,
-                              ds.source_y, labels, confidences, state.critic, cfg, gradient=False)
-    c_src, c_tgt = (grads.critic_traces[d].probabilities[:, 0] for d in (0, 1))
-    # Of the gradients, only the critic outputs are read.
-    del grads
+    critic_outputs = tuple(forward(state.critic, d.features, traced=False).probabilities
+                           for d in (src, tgt))
+    bundle, _ = objective((src.features, tgt.features), src.probabilities, ds.source_y, labels,
+                          confidences, critic_outputs, cfg, gradient=False)
+    c_src, c_tgt = (out[:, 0] for out in critic_outputs)
     l_d_all, _, _, _ = domain_adversarial_loss(c_src, c_tgt, np.ones_like(c_tgt), 0.0)
 
     combined = np.vstack([src.features, tgt.features])

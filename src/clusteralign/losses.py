@@ -4,16 +4,17 @@ Each loss returns its scalar value together with the gradient w.r.t. the
 quantity it consumes (logits, features, or critic outputs); composing
 those with the network backward pass yields exact parameter gradients.
 The training step and the evaluation snapshot both take them from
-`objective`.
+`objective`. No loss runs a network: the callers make the student's and
+the critic's passes and hand over their outputs.
 
 Every input may carry a leading seed axis (a group of seeds trained
 together); each loss then returns one value per seed and gradients with
-that axis. In a training step the clustering loss and the critic also see
-a domain axis in front of it: one stacked_margin_loss call and one critic
-pass cover every (domain, seed) slice, each slice its own problem. Every
-other clustering-kernel mode and the selected-target sum of the
-adversarial loss run once per slice, so each seed's bytes are those of a
-run of that seed alone.
+that axis. A training step whose batches share one shape also puts a
+domain axis in front of it: one stacked_margin_loss call covers every
+(domain, seed) slice, each slice its own problem. Every other
+clustering-kernel mode and the selected-target sum of the adversarial
+loss run once per slice, so each seed's bytes are those of a run of that
+seed alone.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from clusteralign.kernels import pairwise_margin_loss, stacked_margin_loss
-from clusteralign.network import forward, row_index
+from clusteralign.network import row_index
 
 _EPS = 1e-12
 METRICS = ("sq_euclidean", "euclidean")
@@ -63,14 +64,14 @@ class LossBundle:
 @dataclass(frozen=True)
 class ObjectiveGradients:
     """Input-side gradients of one objective. Every field but d_logits is
-    indexed by domain, source first: one array (or trace) with a leading
-    domain axis when both domains have one shape, else a pair.
-    d_critic_out is d(l_d)/d(critic output) of critic_traces."""
+    indexed by domain, source first: one array with a leading domain axis
+    when the caller passed the domains stacked, else a pair. d_critic_out
+    is d(l_d)/d(critic output), shaped like the critic outputs without
+    their last axis."""
 
     d_logits: np.ndarray
     d_clustering: np.ndarray
     d_alignment: np.ndarray
-    critic_traces: object
     d_critic_out: np.ndarray
 
 
@@ -205,38 +206,33 @@ def domain_adversarial_loss(source_critic_out, target_critic_out, target_confide
 
 
 def objective(features, source_probabilities, source_y, target_labels, target_confidences,
-              critic, cfg, gradient: bool = True):
+              critic_outputs, cfg, gradient: bool = True):
     """The four losses of the student's features on both domains, which
     the student descends as l_y + alpha*(l_c + l_a) + lam*l_d.
 
-    features holds the source's features, then the target's: one array
-    with a leading domain axis, or a pair. Domains of one shape (a
-    training step) share one clustering-loss call and one critic eval
-    pass; domains that differ in row count (the snapshot's datasets) take
-    one of each per domain. Target labels and confidences are the
-    teacher's. cfg is a trainer.TrainConfig. Returns (LossBundle,
-    ObjectiveGradients); with gradient=False, l_c comes from the
-    clustering kernel's loss-only mode, d_clustering holds None and the
-    critic pass is untraced.
+    features holds the source's features, then the target's, and
+    critic_outputs the critic's (..., rows, 1) outputs on them, in the
+    same layout: one array with a leading domain axis (a training step
+    whose batches share one shape), or a pair. Stacked domains share one
+    clustering-loss call; a pair takes one per domain. Target labels and
+    confidences are the teacher's. cfg is a trainer.TrainConfig. Returns
+    (LossBundle, ObjectiveGradients); with gradient=False, l_c comes from
+    the clustering kernel's loss-only mode and d_clustering holds None.
     """
     num_classes = source_probabilities.shape[-1]
     src = PseudoLabeledBatch(features[0], source_y, num_classes)
     tgt = PseudoLabeledBatch(features[1], target_labels, num_classes)
     l_y, d_logits = cross_entropy(source_probabilities, source_y)
     l_a, g_a_src, g_a_tgt = alignment_loss(src, tgt)
-    if src.features.shape == tgt.features.shape:
+    if isinstance(features, np.ndarray):
         as_domains = np.asarray  # stacks a pair of same-shaped arrays
-        both = PseudoLabeledBatch(np.asarray(features), as_domains((src.labels, tgt.labels)),
-                                  num_classes)
+        both = PseudoLabeledBatch(features, as_domains((src.labels, tgt.labels)), num_classes)
         l_c, d_clustering = clustering_loss(both, cfg.margin, cfg.metric, gradient)
-        critic_traces = forward(critic, both.features, traced=gradient)
-        outputs = critic_traces.probabilities[..., 0]
     else:
         as_domains = tuple
         l_c, d_clustering = zip(*(clustering_loss(b, cfg.margin, cfg.metric, gradient)
                                   for b in (src, tgt)))
-        critic_traces = tuple(forward(critic, b.features, traced=gradient) for b in (src, tgt))
-        outputs = tuple(trace.probabilities[..., 0] for trace in critic_traces)
+    outputs = [out[..., 0] for out in critic_outputs]
     # The selected-target sum is taken per seed: a masked sum over the
     # group would reorder the summation.
     conf = np.asarray(target_confidences, dtype=np.float64)
@@ -250,5 +246,5 @@ def objective(features, source_probabilities, source_y, target_labels, target_co
     bundle = LossBundle(l_y=l_y, l_c=l_c[0] + l_c[1], l_a=l_a, l_d=l_d,
                         selection_count=selected)
     grads = ObjectiveGradients(d_logits, d_clustering, as_domains((g_a_src, g_a_tgt)),
-                               critic_traces, as_domains((d_out_src, d_out_tgt)))
+                               as_domains((d_out_src, d_out_tgt)))
     return bundle, grads

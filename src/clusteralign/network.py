@@ -451,6 +451,9 @@ def sgd_step(net: Network, buffer, grads: GradientSet, lr: float, momentum: floa
     if grads.spec.layer_sizes != net.spec.layer_sizes or grads.vector.shape != net.params.shape:
         raise ShapeError(f"gradient of shape {grads.vector.shape} for layer sizes "
                          f"{grads.spec.layer_sizes} does not fit {net.spec.layer_sizes}")
+    if np.shape(buffer) != net.params.shape:
+        raise ShapeError(f"momentum buffer has shape {np.shape(buffer)}, "
+                         f"expected {net.params.shape}")
     buffer = momentum * buffer + grads.vector
     return Network(net.spec, net.params - lr * buffer), buffer
 

@@ -1,11 +1,11 @@
 """The full training loop: schedules, loss composition, adversarial updates.
 
-Every step runs, in order: one student train-mode forward over both
-domains, a teacher read (and temporal update), pseudo labeling, the four
-losses, one shared gradient composition, and simultaneous momentum-SGD
-updates of the student and the critic. The source and target batches
-travel on a leading domain axis, source first, so the student's forward
-and feature backward, the critic's eval forward and backward, and the
+Every step runs, in order: the student's train-mode forward over both
+domains, the critic's eval forward on its features, the teacher read (and
+temporal update) and pseudo labels, the four losses, the critic's
+backward, the student's feature backward, and momentum-SGD updates of
+both networks. On a leading domain axis, source first, the student's
+forward and feature backward, the critic's forward and backward, and the
 clustering kernel each run once per step; each (domain, seed) slice keeps
 its own gemms, row sums and dropout generator. Batches that differ in
 row count take one pass per domain instead. The critic ascends the
@@ -351,12 +351,13 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     A group's batch carries the state's seed axis, and one step advances
     every seed; cfg is the configuration all of them share, and each
     seed's dropout is keyed by its own entry of state.seeds: slot 1 on
-    the source pass, 2 on the target pass, 3 on the Pi teacher's. plan is
-    the run's _dropout_plan (run_training passes one); without one, the
-    step hashes its own. The parameters are checked on entry and the
-    losses after the update; the parameters a step produces are checked
-    when the next step or a snapshot reads them (every run ends on a
-    snapshot).
+    the source pass, 2 on the target pass, 3 on the Pi teacher's. Order:
+    student pass, critic pass, teacher, objective, critic backward, feature
+    backward, SGD. plan is the run's _dropout_plan (run_training passes
+    one); without one, the step hashes its own. The parameters are checked
+    on entry and the losses after the update; the parameters a step makes
+    are checked when the next step or a snapshot reads them (every run
+    ends on a snapshot).
     """
     _check_parameters(state)
     it = state.iteration
@@ -372,13 +373,16 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
         # stacks the pair).
         trace = forward(state.student, np.asarray(x), "train",
                         _noise(plan, state, x[0].shape[-2], 1, 2))
+        critic_trace = forward(state.critic, trace.features)
         features, probabilities = trace.features, trace.probabilities
+        critic_outputs = critic_trace.probabilities
     else:
         trace = tuple(forward(state.student, batch_x, "train",
                               _noise(plan, state, batch_x.shape[-2], slot))
                       for batch_x, slot in zip(x, (1, 2)))
-        features = tuple(t.features for t in trace)
-        probabilities = tuple(t.probabilities for t in trace)
+        critic_trace = tuple(forward(state.critic, t.features) for t in trace)
+        features, probabilities = zip(*((t.features, t.probabilities) for t in trace))
+        critic_outputs = tuple(t.probabilities for t in critic_trace)
 
     # The teacher's view of the target batch is read before any update.
     new_teacher = state.teacher
@@ -393,7 +397,7 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     tgt_labels, tgt_conf = pseudo_labels(teacher_probs)
 
     bundle, grads = objective(features, probabilities[0], batch.source_y, tgt_labels,
-                              tgt_conf, state.critic, cfg)
+                              tgt_conf, critic_outputs, cfg)
 
     # The critic descends the negated discrepancy (so it maximizes l_d);
     # the reversal connector then hands the student +lam * d(l_d)/d(features).
@@ -401,11 +405,10 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     # added per seed in the order logits, source, target.
     student_vector = backward(state.student, trace[0], grads.d_logits, "logits",
                               input_gradient=False).vector
-    critic_vectors, feature_vectors = [], []
-    by_part = (trace, grads.critic_traces, grads.d_critic_out, grads.d_clustering,
-               grads.d_alignment)
-    for student_trace, critic_trace, d_out, g_c, g_a in (by_part,) if stacked else zip(*by_part):
-        critic_part = backward(state.critic, critic_trace, -d_out[..., None], "probabilities")
+    critic_vectors = []
+    by_part = (trace, critic_trace, grads.d_critic_out, grads.d_clustering, grads.d_alignment)
+    for student_pass, critic_pass, d_out, g_c, g_a in (by_part,) if stacked else zip(*by_part):
+        critic_part = backward(state.critic, critic_pass, -d_out[..., None], "probabilities")
         critic_vectors.extend(_by_domain(critic_part.vector, state.critic.params.shape))
         d_feat = reverse_gradient(critic_part.d_input, lam)
         if cfg.use_clustering:
@@ -415,12 +418,11 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
         # A slice whose feature gradient is all zero adds nothing.
         moving = np.any(d_feat, axis=(-2, -1))
         if moving.any():
-            vector = backward(state.student, student_trace, d_feat, "features",
+            vector = backward(state.student, student_pass, d_feat, "features",
                               input_gradient=False).vector
-            feature_vectors.extend(zip(_by_domain(moving, state.student.params.shape[:-1]),
-                                       _by_domain(vector, state.student.params.shape)))
-    for moving, vector in feature_vectors:
-        student_vector = np.where(moving[..., None], student_vector + vector, student_vector)
+            for m, v in zip(_by_domain(moving, state.student.params.shape[:-1]),
+                            _by_domain(vector, state.student.params.shape)):
+                student_vector = np.where(m[..., None], student_vector + v, student_vector)
     student_grads = GradientSet(state.student.spec, student_vector, None)
     critic_grads = GradientSet(state.critic.spec, critic_vectors[0] + critic_vectors[1], None)
 

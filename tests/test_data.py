@@ -192,6 +192,38 @@ def test_write_csv_writes_floats_as_repr_and_ints_in_full(tmp_path):
     ]) + "\n"
 
 
+def test_dataset_keeps_the_arrays_it_checked():
+    x = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    ds = DomainDataset(x, [0, 1, 1], x, np.array([1, 0, 1], np.int32), 2)
+    for name in ("source_x", "target_x"):
+        assert isinstance(getattr(ds, name), np.ndarray)
+        assert getattr(ds, name).dtype == np.float64
+    for name in ("source_y", "target_y_hidden"):
+        assert getattr(ds, name).dtype == np.int64
+    assert ds.target_y_hidden.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("field, labels, match", [
+    ("source_y", np.zeros(30, np.int64), r"^source_y must hold one integer label per row of "
+     r"source_x \(40 rows\); got int64 of shape \(30,\)$"),
+    ("target_y_hidden", np.zeros(41, np.int64), r"^target_y_hidden must hold one integer label "
+     r"per row of target_x \(40 rows\); got int64 of shape \(41,\)$"),
+    ("source_y", np.zeros((40, 1), np.int64), r"^source_y must hold .*; got int64 of shape "
+     r"\(40, 1\)$"),
+    ("source_y", np.arange(40) % 2 + 0.5, r"^source_y must hold .*; got float64 of shape "
+     r"\(40,\)$"),
+    ("target_y_hidden", np.full(40, 5), r"^target_y_hidden must lie in \[0, 2\)$"),
+    ("source_y", np.arange(40) % 2 - 1, r"^source_y must lie in \[0, 2\)$"),
+], ids=["short-source", "long-target", "2-d-source", "fractional-source", "target-past-classes",
+        "negative-source"])
+def test_dataset_rejects_labels_that_do_not_fit_their_domain(field, labels, match):
+    x = np.zeros((40, 2))
+    fields = {"source_x": x, "source_y": np.arange(40) % 2, "target_x": x,
+              "target_y_hidden": np.arange(40) % 2, "num_classes": 2}
+    with pytest.raises(ValueError, match=match):
+        DomainDataset(**dict(fields, **{field: labels}))
+
+
 def test_dataset_rejects_a_source_of_one_class():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError, match="^source labels must cover at least 2 classes$"):

@@ -278,6 +278,18 @@ def test_sgd_rejects_a_gradient_of_another_architecture(sizes):
         sgd_step(net, np.zeros_like(net.params), grads, 0.1, 0.9)
 
 
+@pytest.mark.parametrize("params, buffer, match", [
+    ((26,), (2, 26), r"^momentum buffer has shape \(2, 26\), expected \(26,\)$"),
+    ((2, 26), (26,), r"^momentum buffer has shape \(26,\), expected \(2, 26\)$"),
+], ids=["stacked-buffer-lone-net", "lone-buffer-stacked-net"])
+def test_sgd_rejects_a_momentum_buffer_of_another_shape(params, buffer, match):
+    # NetworkSpec((3, 4, 2)) has 26 parameters.
+    net = Network(NetworkSpec((3, 4, 2)), np.zeros(params))
+    grads = GradientSet(net.spec, np.ones(params), None)
+    with pytest.raises(ShapeError, match=match):
+        sgd_step(net, np.zeros(buffer), grads, 0.1, 0.9)
+
+
 @pytest.mark.parametrize("lr", [0.0, -0.1])
 def test_sgd_rejects_a_nonpositive_learning_rate(lr):
     net = init_network(NetworkSpec((3, 4, 2)), 0)

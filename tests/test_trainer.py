@@ -322,7 +322,9 @@ class TestSeedGroup:
         {"teacher_mode": "temporal", "dropout_rate": 0.3},
         {"teacher_mode": "pi", "dropout_rate": 0.3, "metric": "euclidean"},
         {"teacher_mode": "self", "hidden_layers": (), "feature_tap": "penultimate"},
-    ], ids=["temporal-dropout", "pi-euclidean", "self-no-hidden-layer"])
+        # Batches of unequal size: one pass per domain.
+        {"teacher_mode": "temporal", "dropout_rate": 0.3, "batch_target": 8},
+    ], ids=["temporal-dropout", "pi-euclidean", "self-no-hidden-layer", "unequal-batches"])
     def test_group_holds_the_bytes_of_each_seed_run_alone(self, over):
         cfgs, datasets = self.group(total_iters=20, pretrain_iters=5, **over)
         state, logs, views = run_training(cfgs, datasets, eval_every=6)
@@ -409,9 +411,8 @@ class TestDomainAxis:
         def role(net):
             return "student" if net.spec.head == "softmax" else "critic"
 
-        for module in (trainer_module, loss_module):
-            count(module, "forward", lambda net, *_: ("forward", role(net)))
-        count(trainer_module, "backward", lambda net, *_: ("backward", role(net)))
+        for name in ("forward", "backward"):
+            count(trainer_module, name, lambda net, *_, name=name: (name, role(net)))
         for name in ("stacked_margin_loss", "pairwise_margin_loss"):
             count(loss_module, name, lambda *_, name=name: (name,))
         state, batch, cfgs = group_step_inputs(seeds, dropout_rate=0.3,
@@ -429,8 +430,10 @@ def objective_at(student, critic, teacher, batch, cfg, iteration):
     trace_src = forward(student, batch.source_x, "train", derive_seed(cfg.seed, iteration, 1))
     trace_tgt = forward(student, batch.target_x, "train", derive_seed(cfg.seed, iteration, 2))
     labels, conf = pseudo_labels(corrected_probabilities(teacher)[batch.target_indices])
-    losses, _ = objective((trace_src.features, trace_tgt.features), trace_src.probabilities,
-                          batch.source_y, labels, conf, critic, cfg)
+    features = (trace_src.features, trace_tgt.features)
+    critic_outputs = tuple(forward(critic, f).probabilities for f in features)
+    losses, _ = objective(features, trace_src.probabilities, batch.source_y, labels, conf,
+                          critic_outputs, cfg)
     return total_objective(losses.l_y, losses.l_c, losses.l_a, losses.l_d, alpha, lam)
 
 

@@ -7,7 +7,8 @@ Each configuration below (400 iterations, pretraining 100, a snapshot every
 100) is then run with `python -m clusteralign.cli run` in a fresh process on
 both trees, with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, and
 every output file and the stdout are compared. Configuration (k) sets an
-integer momentum of 0 (plain SGD). Configurations (a), (f), (h)
+integer momentum of 0 (plain SGD); (l) takes the euclidean metric and the
+constant alpha schedule. Configurations (a), (f), (h)
 and (j) run once more at OPENBLAS_NUM_THREADS=2, numpy's default on a
 2-core machine, and print their own lines: three seed groups and a lone
 seed, each with the squared metric's matmul kernel. A differing CSV whose header
@@ -63,6 +64,10 @@ CONFIGS = {
                  dropout_rate=0.3),
     # Plain SGD: JSON 0 stays a Python int in the momentum update.
     "k": _config("multimode", momentum=0),
+    # The snapshot's loss-only euclidean kernel, once per domain, and the
+    # constant alpha schedule.
+    "l": _config("imbalanced_gaussians", seeds=(0, 1), metric="euclidean",
+                 alpha_schedule="constant"),
 }
 # The configurations also run at 2 BLAS threads.
 TWO_THREADS = ("a", "f", "h", "j")
