@@ -33,7 +33,6 @@ from clusteralign.data import (
 )
 from clusteralign.losses import (
     LossBundle,
-    PseudoLabeledBatch,
     alignment_loss,
     clustering_loss,
     cross_entropy,

@@ -67,6 +67,10 @@ ABLATION_FLAGS = tuple(ABLATIONS)
 METRICS_HEADER = ("iteration", "target_acc", "source_acc", "cluster_acc", "jsd_proxy",
                   "selection_rate", "l_y", "l_c", "l_a", "l_d")
 
+# The features export turns at most this many rows at a time into Python
+# values: a whole domain's lists at once would set a run's peak memory.
+_EXPORT_ROWS = 256
+
 # TrainConfig fields set from the seed and the ablation flags, not config keys.
 _FLAG_FIELDS = ("seed", "use_clustering", "use_alignment")
 
@@ -279,8 +283,9 @@ def write_features_csv(view, ds, path) -> None:
             ("target", view.target_features, ds.target_y_hidden,
              view.teacher_labels, view.teacher_confidences),
         )
-        for row, y, p_cls, c in zip(feats.tolist(), true_y.tolist(), pseudo.tolist(),
-                                    conf.tolist())
+        for start in range(0, len(feats), _EXPORT_ROWS)
+        for row, y, p_cls, c in zip(*(a[start:start + _EXPORT_ROWS].tolist()
+                                      for a in (feats, true_y, pseudo, conf)))
     ))
 
 

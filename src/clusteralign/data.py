@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from clusteralign.network import as_matrix
+from clusteralign.network import ShapeError, as_matrix
 from clusteralign.seeding import derive_seed, seeded_rng
 
 
@@ -32,8 +32,8 @@ class DomainDataset:
 
     target_y_hidden exists solely so evaluation can score target accuracy;
     it must never feed the training path. The dataset keeps the arrays it
-    checked: each domain a finite float64 matrix, and its labels an int64
-    vector with one entry in [0, num_classes) per row.
+    checked: each domain a finite float64 matrix, both of one width, and
+    its labels an int64 vector with one entry in [0, num_classes) per row.
     """
 
     source_x: np.ndarray
@@ -52,6 +52,9 @@ class DomainDataset:
                 raise ValueError(f"{y_name} must lie in [0, {self.num_classes})")
             object.__setattr__(self, x_name, x)
             object.__setattr__(self, y_name, y.astype(np.int64, copy=False))
+        if self.target_x.shape[1] != self.source_x.shape[1]:
+            raise ShapeError(f"target_x has {self.target_x.shape[1]} columns, source_x "
+                             f"{self.source_x.shape[1]}: both domains must share their width")
         # min and max, not np.unique: without counts, np.unique asks
         # np.ma.is_masked, which imports numpy.ma (1.2 MiB) into the process.
         if self.source_y.size == 0 or self.source_y.min() == self.source_y.max():
@@ -287,18 +290,13 @@ def load_idx_domains(source_images, source_labels, target_images, target_labels,
                      seed: int = 0) -> DomainDataset:
     """Source and target domains from two IDX image/label pairs.
 
-    Both domains must share the image size; the class count covers the
-    labels of either domain.
+    Both domains must share the image size (DomainDataset refuses two
+    widths); the class count covers the labels of either domain.
     """
     src_x, src_y = load_idx(source_images, source_labels, source_subsample,
                             derive_seed(seed, 0))
     tgt_x, tgt_y = load_idx(target_images, target_labels, target_subsample,
                             derive_seed(seed, 1))
-    if src_x.shape[1] != tgt_x.shape[1]:
-        raise ValueError(
-            f"image dims differ between domains "
-            f"({src_x.shape[1]} vs {tgt_x.shape[1]}); re-encode to a shared size"
-        )
     num_classes = int(max(src_y.max(), tgt_y.max())) + 1
     return DomainDataset(src_x, src_y, tgt_x, tgt_y, num_classes)
 

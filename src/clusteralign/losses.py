@@ -5,7 +5,9 @@ quantity it consumes (logits, features, or critic outputs); composing
 those with the network backward pass yields exact parameter gradients.
 The training step and the evaluation snapshot both take them from
 `objective`. No loss runs a network: the callers make the student's and
-the critic's passes and hand over their outputs.
+the critic's passes and hand over their outputs. The losses take arrays:
+features with one integer label per row (source labels, or the
+teacher's pseudo labels), and each loss checks only what it reads.
 
 Every input may carry a leading seed axis (a group of seeds trained
 together); each loss then returns one value per seed and gradients with
@@ -26,27 +28,6 @@ from clusteralign.network import row_index
 
 _EPS = 1e-12
 METRICS = ("sq_euclidean", "euclidean")
-
-
-@dataclass(frozen=True)
-class PseudoLabeledBatch:
-    """Features with per-sample class labels.
-
-    Labels are ground truth for source batches and teacher-assigned for
-    target batches.
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
-        if self.features.shape[:-1] != labels.shape:
-            raise ValueError("one label per feature row required")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError("labels must lie in [0, num_classes)")
 
 
 @dataclass(frozen=True)
@@ -91,13 +72,15 @@ def cross_entropy(probabilities, labels):
     return loss, d_logits / y.shape[-1]
 
 
-def clustering_loss(batch: PseudoLabeledBatch, margin: float, metric: str = "sq_euclidean",
+def clustering_loss(features, labels, margin: float, metric: str = "sq_euclidean",
                     gradient: bool = True):
     """Pull same-label features together, push different labels past the margin.
 
     Averages over all ordered sample pairs (self-pairs contribute zero):
     same-label pairs add their distance, different-label pairs add
-    max(0, margin - distance). Returns (loss, d_features), or (loss, None)
+    max(0, margin - distance). labels holds one integer per feature row;
+    only their equality matters, so any integer dtype will do (a narrow
+    one compares fastest). Returns (loss, d_features), or (loss, None)
     with gradient=False (the kernel's loss-only mode). Features with
     leading axes, (..., rows, columns), give one loss per matrix; the
     squared metric's gradient mode takes them all in one kernel call.
@@ -106,43 +89,39 @@ def clustering_loss(batch: PseudoLabeledBatch, margin: float, metric: str = "sq_
         raise ValueError("margin must be positive")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    labels = _row_labels(features, labels)
     squared = metric == "sq_euclidean"
-    feats, labels = batch.features, batch.labels
     if squared and gradient:
-        # The narrowest dtype that holds every class id compares fastest.
-        return stacked_margin_loss(feats, labels.astype(np.min_scalar_type(batch.num_classes - 1)),
-                                   margin)
+        return stacked_margin_loss(features, labels, margin)
     values, grads = zip(*(
         pairwise_margin_loss(f, y, margin, squared=squared, gradient=gradient)
-        for f, y in zip(feats.reshape((-1,) + feats.shape[-2:]), labels.reshape(-1, labels.shape[-1]))
+        for f, y in zip(features.reshape((-1,) + features.shape[-2:]),
+                        labels.reshape(-1, labels.shape[-1]))
     ))
     loss = np.asarray(values).reshape(labels.shape[:-1])
-    return loss, np.asarray(grads).reshape(feats.shape) if gradient else None
+    return loss, np.asarray(grads).reshape(features.shape) if gradient else None
 
 
-def alignment_loss(source: PseudoLabeledBatch, target: PseudoLabeledBatch):
+def alignment_loss(source_features, source_labels, target_features, target_labels,
+                   num_classes: int):
     """Squared distance between per-class feature means, averaged over the
-    classes present in both batches.
+    classes present in both domains.
 
-    Classes missing from either batch contribute nothing (their term is
-    removed and the mean runs over the remainder). Returns
-    (loss, d_features_source, d_features_target). Batches of one shape
-    take one pass over both domains, on a leading domain axis.
+    Each domain's labels hold one integer in [0, num_classes) per feature
+    row. Classes missing from either domain contribute nothing (their term
+    is removed and the mean runs over the remainder). Returns
+    (loss, d_features_source, d_features_target). Each domain takes one
+    pass over its rows, every seed of a group at once.
     """
-    if source.num_classes != target.num_classes:
-        raise ValueError("batches must share the class count")
-    k = source.num_classes
-    labels = (source.labels, target.labels)
-    if source.features.shape == target.features.shape:
-        labels = np.asarray(labels)
-        onehot = _onehot(labels, k)
-        sums = onehot @ np.asarray((source.features, target.features))
-        counts = onehot.sum(axis=-1, keepdims=True)
-    else:
-        onehots = [_onehot(b.labels, k) for b in (source, target)]
-        sums = np.asarray([o @ b.features for o, b in zip(onehots, (source, target))])
-        counts = np.asarray([o.sum(axis=-1, keepdims=True) for o in onehots])
-    # Exact integer counts, one per domain, seed and class.
+    features = (source_features, target_features)
+    labels = [_row_labels(f, y) for f, y in zip(features, (source_labels, target_labels))]
+    onehots = [_onehot(y, num_classes) for y in labels]
+    # Exact integer counts, one per domain, seed and class. A label outside
+    # [0, num_classes) matches no class, so it goes uncounted.
+    counts = np.asarray([o.sum(axis=-1, keepdims=True) for o in onehots])
+    if counts.sum() != labels[0].size + labels[1].size:
+        raise ValueError("labels must lie in [0, num_classes)")
+    sums = np.asarray([o @ f for o, f in zip(onehots, features)])
     present = (counts[0] > 0) & (counts[1] > 0)
     n_present = present.sum(axis=-2, keepdims=True)
     np.maximum(counts, 1.0, out=counts)
@@ -157,11 +136,18 @@ def alignment_loss(source: PseudoLabeledBatch, target: PseudoLabeledBatch):
     if not n_present.all():
         # No shared class: no term, and no gradient (not even a negative zero).
         per_class[1][n_present[..., 0, 0] == 0] = 0.0
-    if isinstance(labels, np.ndarray):
-        d = _class_rows(per_class, labels)
-    else:
-        d = [_class_rows(table, y) for table, y in zip(per_class, labels)]
-    return loss, d[0], d[1]
+    d_src, d_tgt = (_class_rows(table, y) for table, y in zip(per_class, labels))
+    return loss, d_src, d_tgt
+
+
+def _row_labels(features, labels):
+    """labels as an array, refused unless it holds one integer per row of
+    features."""
+    labels = np.asarray(labels)
+    # Kind i or u: a signed or an unsigned integer dtype.
+    if labels.shape != features.shape[:-1] or labels.dtype.kind not in "iu":
+        raise ValueError("one integer label per feature row required")
+    return labels
 
 
 def _onehot(labels, k):
@@ -215,23 +201,28 @@ def objective(features, source_probabilities, source_y, target_labels, target_co
     same layout: one array with a leading domain axis (a training step
     whose batches share one shape), or a pair. Stacked domains share one
     clustering-loss call; a pair takes one per domain. Target labels and
-    confidences are the teacher's. cfg is a trainer.TrainConfig. Returns
-    (LossBundle, ObjectiveGradients); with gradient=False, l_c comes from
-    the clustering kernel's loss-only mode and d_clustering holds None.
+    confidences are the teacher's. Only here are the labels narrowed for
+    the clustering kernel, and stacked when the features are. cfg is a
+    trainer.TrainConfig. Returns (LossBundle, ObjectiveGradients); with
+    gradient=False, l_c comes from the clustering kernel's loss-only mode
+    and d_clustering holds None.
     """
     num_classes = source_probabilities.shape[-1]
-    src = PseudoLabeledBatch(features[0], source_y, num_classes)
-    tgt = PseudoLabeledBatch(features[1], target_labels, num_classes)
     l_y, d_logits = cross_entropy(source_probabilities, source_y)
-    l_a, g_a_src, g_a_tgt = alignment_loss(src, tgt)
+    l_a, g_a_src, g_a_tgt = alignment_loss(features[0], source_y, features[1], target_labels,
+                                           num_classes)
+    # The narrowest dtype that holds every class id compares fastest in the
+    # clustering kernel.
+    narrow = np.min_scalar_type(num_classes - 1)
+    labels = (source_y.astype(narrow), target_labels.astype(narrow))
     if isinstance(features, np.ndarray):
         as_domains = np.asarray  # stacks a pair of same-shaped arrays
-        both = PseudoLabeledBatch(features, as_domains((src.labels, tgt.labels)), num_classes)
-        l_c, d_clustering = clustering_loss(both, cfg.margin, cfg.metric, gradient)
+        l_c, d_clustering = clustering_loss(features, as_domains(labels), cfg.margin, cfg.metric,
+                                            gradient)
     else:
         as_domains = tuple
-        l_c, d_clustering = zip(*(clustering_loss(b, cfg.margin, cfg.metric, gradient)
-                                  for b in (src, tgt)))
+        l_c, d_clustering = zip(*(clustering_loss(f, y, cfg.margin, cfg.metric, gradient)
+                                  for f, y in zip(features, labels)))
     outputs = [out[..., 0] for out in critic_outputs]
     # The selected-target sum is taken per seed: a masked sum over the
     # group would reorder the summation.

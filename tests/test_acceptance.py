@@ -17,7 +17,6 @@ import pytest
 from clusteralign.cli import build_dataset, build_train_config, main, resolve_config
 from clusteralign.data import load_idx, DomainDataset
 from clusteralign.losses import (
-    PseudoLabeledBatch,
     alignment_loss,
     clustering_loss,
     cross_entropy,
@@ -191,14 +190,12 @@ def test_criterion_3_gradient_correctness():
         trace = forward(net, x, "train", noise)
         labels = margin_safe_labels(trace.features, rng, 3, margin=3.0,
                                     squared=True, guard=0.15)
-        pl = PseudoLabeledBatch(trace.features, labels, 3)
-        _, d_feats = clustering_loss(pl, 3.0)
+        _, d_feats = clustering_loss(trace.features, labels, 3.0)
         grads = backward(net, trace, d_feats, "features")
 
         def lc_loss(c, x=x, noise=noise, labels=labels):
             feats = forward(c, x, "train", noise).features
-            b = PseudoLabeledBatch(feats, labels, 3)
-            return clustering_loss(b, 3.0)[0]
+            return clustering_loss(feats, labels, 3.0)[0]
 
         worst["l_c"] = max(worst["l_c"], finite_diff_check(
             net, lc_loss, grads, h=1e-3, max_coords=32, seed=i))
@@ -217,19 +214,14 @@ def test_criterion_3_gradient_correctness():
         yt = rng.integers(3, size=9)
         tr_s = forward(net, xs, "train", noise_s)
         tr_t = forward(net, xt, "train", noise_t)
-        pls = PseudoLabeledBatch(tr_s.features, ys, 3)
-        plt = PseudoLabeledBatch(tr_t.features, yt, 3)
-        _, d_s, d_t = alignment_loss(pls, plt)
+        _, d_s, d_t = alignment_loss(tr_s.features, ys, tr_t.features, yt, 3)
         grads = GradientSet(net.spec, backward(net, tr_s, d_s, "features").vector
                             + backward(net, tr_t, d_t, "features").vector, None)
 
         def la_loss(c, xs=xs, xt=xt, noise_s=noise_s, noise_t=noise_t, ys=ys, yt=yt):
             fs = forward(c, xs, "train", noise_s).features
             ft = forward(c, xt, "train", noise_t).features
-            return alignment_loss(
-                PseudoLabeledBatch(fs, ys, 3),
-                PseudoLabeledBatch(ft, yt, 3),
-            )[0]
+            return alignment_loss(fs, ys, ft, yt, 3)[0]
 
         worst["l_a"] = max(worst["l_a"], finite_diff_check(
             net, la_loss, grads, h=1e-3, max_coords=32, seed=i))
@@ -273,9 +265,7 @@ def test_criterion_4_loss_oracles():
         feats = rng.normal(size=(n, d))
         labels = rng.integers(3, size=n)
         metric = "sq_euclidean" if i % 2 == 0 else "euclidean"
-        loss, _ = clustering_loss(
-            PseudoLabeledBatch(feats, labels, 3), 2.5, metric
-        )
+        loss, _ = clustering_loss(feats, labels, 2.5, metric)
         oracle = brute_force_clustering(feats, labels, 2.5, squared=metric == "sq_euclidean")
         worst_cluster = max(worst_cluster, abs(loss - oracle))
 
@@ -286,19 +276,15 @@ def test_criterion_4_loss_oracles():
         d = int(rng.integers(1, 6))
         sf, tf = rng.normal(size=(ns, d)), rng.normal(size=(nt, d))
         sl, tl = rng.integers(3, size=ns), rng.integers(3, size=nt)
-        loss, _, _ = alignment_loss(
-            PseudoLabeledBatch(sf, sl, 3),
-            PseudoLabeledBatch(tf, tl, 3),
-        )
+        loss, _, _ = alignment_loss(sf, sl, tf, tl, 3)
         worst_align = max(worst_align, abs(loss - brute_force_alignment(sf, sl, tf, tl, 3)))
 
     # Absent-class removal: class 1 in source only; the present class-0 term
     # (squared mean gap 1.0) stands alone.
-    src = PseudoLabeledBatch(
-        np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]]), np.array([0, 0, 1]), 2
+    absent_loss, _, _ = alignment_loss(
+        np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]]), np.array([0, 0, 1]),
+        np.array([[0.0, 0.0]]), np.array([0]), 2,
     )
-    tgt = PseudoLabeledBatch(np.array([[0.0, 0.0]]), np.array([0]), 2)
-    absent_loss, _, _ = alignment_loss(src, tgt)
     absent_err = abs(absent_loss - 1.0)
 
     ok = worst_cluster <= 1e-10 and worst_align <= 1e-10 and absent_err <= 1e-10

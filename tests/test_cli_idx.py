@@ -73,7 +73,8 @@ def test_idx_digits_dim_mismatch_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
-    assert "image dims differ" in capsys.readouterr().err
+    assert "target_x has 36 columns, source_x 16" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("broken", ["missing", "truncated"])

@@ -224,6 +224,13 @@ def test_dataset_rejects_labels_that_do_not_fit_their_domain(field, labels, matc
         DomainDataset(**dict(fields, **{field: labels}))
 
 
+def test_dataset_rejects_domains_of_different_widths():
+    y = np.arange(40) % 2
+    with pytest.raises(ShapeError, match="^target_x has 3 columns, source_x 2: both domains "
+                                         "must share their width$"):
+        DomainDataset(np.zeros((40, 2)), y, np.zeros((40, 3)), y, 2)
+
+
 def test_dataset_rejects_a_source_of_one_class():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError, match="^source labels must cover at least 2 classes$"):

@@ -3,29 +3,49 @@ import pytest
 
 from clusteralign.kernels import stacked_margin_loss
 from clusteralign.losses import (
-    PseudoLabeledBatch,
     alignment_loss,
     clustering_loss,
     cross_entropy,
     domain_adversarial_loss,
+    objective,
 )
 from clusteralign.seeding import seeded_rng
+from clusteralign.trainer import TrainConfig
 
 from helpers import brute_force_alignment, brute_force_clustering, total_objective
 
 
-def batch(features, labels, k=2):
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    return PseudoLabeledBatch(features, labels, k)
+def batch(features, labels):
+    return np.asarray(features, dtype=np.float64), np.asarray(labels)
 
 
-def test_labeled_batch_needs_one_label_in_range_per_row():
-    with pytest.raises(ValueError, match="^one label per feature row required$"):
-        batch(np.zeros((3, 2)), [0, 1])
-    for labels in ([0, 2, 1], [0, -1, 1]):
-        with pytest.raises(ValueError, match=r"^labels must lie in \[0, num_classes\)$"):
-            batch(np.zeros((3, 2)), labels)
+# Two rows each: one label short, and float labels that an int64 cast would
+# truncate to [0, 1].
+BAD_LABELS = pytest.mark.parametrize("labels", [[0], [0.7, 1.2]], ids=["short", "float"])
+
+
+@BAD_LABELS
+def test_clustering_loss_needs_one_integer_label_per_row(labels):
+    with pytest.raises(ValueError, match="^one integer label per feature row required$"):
+        clustering_loss(*batch(np.zeros((2, 2)), labels), 3.0)
+
+
+@BAD_LABELS
+@pytest.mark.parametrize("domain", ["source", "target"])
+def test_alignment_loss_needs_one_integer_label_per_row(labels, domain):
+    good, bad = batch(np.zeros((2, 2)), [0, 1]), batch(np.zeros((2, 2)), labels)
+    pair = (*bad, *good) if domain == "source" else (*good, *bad)
+    with pytest.raises(ValueError, match="^one integer label per feature row required$"):
+        alignment_loss(*pair, 2)
+
+
+@pytest.mark.parametrize("labels", [[0, 2, 1], [0, -1, 1]], ids=["past-classes", "negative"])
+@pytest.mark.parametrize("domain", ["source", "target"])
+def test_alignment_loss_needs_labels_in_range(labels, domain):
+    good, bad = batch(np.zeros((3, 2)), [0, 1, 1]), batch(np.zeros((3, 2)), labels)
+    pair = (*bad, *good) if domain == "source" else (*good, *bad)
+    with pytest.raises(ValueError, match=r"^labels must lie in \[0, num_classes\)$"):
+        alignment_loss(*pair, 2)
 
 
 class TestCrossEntropy:
@@ -52,18 +72,18 @@ class TestCrossEntropy:
 
 class TestClusteringLoss:
     def test_same_class_identical_features(self):
-        loss, grad = clustering_loss(batch([[1.0, 2.0], [1.0, 2.0]], [0, 0]), 3.0)
+        loss, grad = clustering_loss(*batch([[1.0, 2.0], [1.0, 2.0]], [0, 0]), 3.0)
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_margin_inactive_beyond_m(self):
-        loss, _ = clustering_loss(batch([[0.0, 0.0], [0.0, 2.0]], [0, 1]), 3.0)
+        loss, _ = clustering_loss(*batch([[0.0, 0.0], [0.0, 2.0]], [0, 1]), 3.0)
         assert loss == 0.0
 
     def test_hand_case_active_margin(self):
         # Ordered pairs (1,2) and (2,1) each contribute max(0, 3-1) = 2;
         # loss = 4 / 2^2 = 1.0.
-        loss, _ = clustering_loss(batch([[0.0, 0.0], [1.0, 0.0]], [0, 1]), 3.0)
+        loss, _ = clustering_loss(*batch([[0.0, 0.0], [1.0, 0.0]], [0, 1]), 3.0)
         assert loss == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("metric", ["sq_euclidean", "euclidean"])
@@ -74,7 +94,7 @@ class TestClusteringLoss:
         d = int(rng.integers(1, 9))
         feats = rng.normal(size=(n, d))
         labels = rng.integers(3, size=n)
-        loss, _ = clustering_loss(batch(feats, labels, k=3), 2.5, metric)
+        loss, _ = clustering_loss(*batch(feats, labels), 2.5, metric)
         oracle = brute_force_clustering(feats, labels, 2.5, squared=metric == "sq_euclidean")
         assert loss == pytest.approx(oracle, abs=1e-10)
 
@@ -83,8 +103,8 @@ class TestClusteringLoss:
         feats = rng.normal(size=(12, 4))
         labels = rng.integers(2, size=12)
         perm = rng.permutation(12)
-        a, _ = clustering_loss(batch(feats, labels), 3.0)
-        b, _ = clustering_loss(batch(feats[perm], labels[perm]), 3.0)
+        a, _ = clustering_loss(*batch(feats, labels), 3.0)
+        b, _ = clustering_loss(*batch(feats[perm], labels[perm]), 3.0)
         assert a == pytest.approx(b, abs=1e-10)
 
     @pytest.mark.parametrize("metric", ["sq_euclidean", "euclidean"])
@@ -92,7 +112,7 @@ class TestClusteringLoss:
         rng = seeded_rng(8)
         feats = rng.normal(size=(6, 3))
         labels = rng.integers(2, size=6)
-        _, grad = clustering_loss(batch(feats, labels), 3.0, metric)
+        _, grad = clustering_loss(*batch(feats, labels), 3.0, metric)
         h = 1e-6
         for i in range(feats.shape[0]):
             for j in range(feats.shape[1]):
@@ -101,8 +121,8 @@ class TestClusteringLoss:
                 down = feats.copy()
                 down[i, j] -= h
                 numeric = (
-                    clustering_loss(batch(up, labels), 3.0, metric)[0]
-                    - clustering_loss(batch(down, labels), 3.0, metric)[0]
+                    clustering_loss(*batch(up, labels), 3.0, metric)[0]
+                    - clustering_loss(*batch(down, labels), 3.0, metric)[0]
                 ) / (2 * h)
                 assert grad[i, j] == pytest.approx(numeric, abs=1e-6)
 
@@ -111,14 +131,14 @@ class TestAlignmentLoss:
     def test_identical_means_zero(self):
         src = batch([[1.0, 0.0], [3.0, 0.0]], [0, 0])
         tgt = batch([[2.0, 0.0]], [0])
-        loss, d_src, d_tgt = alignment_loss(src, tgt)
+        loss, d_src, d_tgt = alignment_loss(*src, *tgt, 2)
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(d_src, 0.0) and np.allclose(d_tgt, 0.0)
 
     def test_hand_computed_means(self):
         src = batch([[0.0, 0.0], [2.0, 0.0]], [0, 0])
         tgt = batch([[0.0, 0.0]], [0])
-        loss, _, _ = alignment_loss(src, tgt)
+        loss, _, _ = alignment_loss(*src, *tgt, 2)
         assert loss == pytest.approx(1.0, abs=1e-12)
 
     def test_absent_class_removed(self):
@@ -126,23 +146,17 @@ class TestAlignmentLoss:
         # the single co-present class and the class-0 term (1.0) stands.
         src = batch([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]], [0, 0, 1])
         tgt = batch([[0.0, 0.0]], [0])
-        loss, d_src, _ = alignment_loss(src, tgt)
+        loss, d_src, _ = alignment_loss(*src, *tgt, 2)
         assert loss == pytest.approx(1.0, abs=1e-12)
         assert np.all(d_src[2] == 0.0)
 
     def test_no_common_class_is_zero(self):
         src = batch([[1.0, 1.0]], [0])
         tgt = batch([[5.0, 5.0]], [1])
-        loss, d_src, d_tgt = alignment_loss(src, tgt)
+        loss, d_src, d_tgt = alignment_loss(*src, *tgt, 2)
         assert loss == 0.0
         assert np.all(d_src == 0.0) and np.all(d_tgt == 0.0)
         assert not np.signbit(d_src).any() and not np.signbit(d_tgt).any()
-
-    def test_rejects_batches_of_different_class_counts(self):
-        src = batch([[1.0, 1.0]], [0], k=2)
-        tgt = batch([[5.0, 5.0]], [0], k=3)
-        with pytest.raises(ValueError, match="^batches must share the class count$"):
-            alignment_loss(src, tgt)
 
     def test_stacked_seeds_match_each_seed_alone(self):
         # The second seed shares no class between its batches.
@@ -150,9 +164,9 @@ class TestAlignmentLoss:
         sf, tf = rng.normal(size=(2, 6, 3)), rng.normal(size=(2, 5, 3))
         sl = np.array([[0, 1, 2, 0, 1, 1], [0, 0, 0, 0, 0, 0]])
         tl = np.array([[2, 2, 1, 0, 0], [1, 2, 1, 2, 2]])
-        stacked = alignment_loss(batch(sf, sl, 3), batch(tf, tl, 3))
+        stacked = alignment_loss(*batch(sf, sl), *batch(tf, tl), 3)
         for i in range(2):
-            alone = alignment_loss(batch(sf[i], sl[i], 3), batch(tf[i], tl[i], 3))
+            alone = alignment_loss(*batch(sf[i], sl[i]), *batch(tf[i], tl[i]), 3)
             for grouped, single in zip(stacked, alone):
                 assert np.asarray(grouped[i]).tobytes() == np.asarray(single).tobytes()
 
@@ -163,7 +177,7 @@ class TestAlignmentLoss:
         d = int(rng.integers(1, 6))
         sf, tf = rng.normal(size=(ns, d)), rng.normal(size=(nt, d))
         sl, tl = rng.integers(3, size=ns), rng.integers(3, size=nt)
-        loss, _, _ = alignment_loss(batch(sf, sl, 3), batch(tf, tl, 3))
+        loss, _, _ = alignment_loss(*batch(sf, sl), *batch(tf, tl), 3)
         assert loss >= 0.0
         assert loss == pytest.approx(brute_force_alignment(sf, sl, tf, tl, 3), abs=1e-10)
 
@@ -171,8 +185,8 @@ class TestAlignmentLoss:
         rng = seeded_rng(9)
         sf, tf = rng.normal(size=(10, 3)), rng.normal(size=(8, 3))
         sl, tl = rng.integers(2, size=10), rng.integers(2, size=8)
-        base, _, _ = alignment_loss(batch(sf, sl), batch(tf, tl))
-        scaled, _, _ = alignment_loss(batch(3.0 * sf, sl), batch(3.0 * tf, tl))
+        base, _, _ = alignment_loss(*batch(sf, sl), *batch(tf, tl), 2)
+        scaled, _, _ = alignment_loss(*batch(3.0 * sf, sl), *batch(3.0 * tf, tl), 2)
         assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
     def test_within_class_order_invariance(self):
@@ -180,16 +194,16 @@ class TestAlignmentLoss:
         sf = rng.normal(size=(6, 2))
         sl = np.array([0, 0, 0, 1, 1, 1])
         tgt = batch(rng.normal(size=(4, 2)), [0, 1, 0, 1])
-        a, _, _ = alignment_loss(batch(sf, sl), tgt)
+        a, _, _ = alignment_loss(*batch(sf, sl), *tgt, 2)
         perm = np.array([2, 0, 1, 5, 3, 4])
-        b, _, _ = alignment_loss(batch(sf[perm], sl[perm]), tgt)
+        b, _, _ = alignment_loss(*batch(sf[perm], sl[perm]), *tgt, 2)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_gradients_match_central_differences(self):
         rng = seeded_rng(11)
         sf, tf = rng.normal(size=(5, 3)), rng.normal(size=(6, 3))
         sl, tl = rng.integers(2, size=5), rng.integers(2, size=6)
-        _, d_src, d_tgt = alignment_loss(batch(sf, sl), batch(tf, tl))
+        _, d_src, d_tgt = alignment_loss(*batch(sf, sl), *batch(tf, tl), 2)
         h = 1e-6
         for arr, grad, other_first in ((sf, d_src, True), (tf, d_tgt, False)):
             for i in range(arr.shape[0]):
@@ -198,11 +212,11 @@ class TestAlignmentLoss:
                     up[i, j] += h
                     down[i, j] -= h
                     if other_first:
-                        lu = alignment_loss(batch(up, sl), batch(tf, tl))[0]
-                        ld = alignment_loss(batch(down, sl), batch(tf, tl))[0]
+                        lu = alignment_loss(*batch(up, sl), *batch(tf, tl), 2)[0]
+                        ld = alignment_loss(*batch(down, sl), *batch(tf, tl), 2)[0]
                     else:
-                        lu = alignment_loss(batch(sf, sl), batch(up, tl))[0]
-                        ld = alignment_loss(batch(sf, sl), batch(down, tl))[0]
+                        lu = alignment_loss(*batch(sf, sl), *batch(up, tl), 2)[0]
+                        ld = alignment_loss(*batch(sf, sl), *batch(down, tl), 2)[0]
                     assert grad[i, j] == pytest.approx((lu - ld) / (2 * h), abs=1e-6)
 
 
@@ -283,15 +297,45 @@ class TestTotalObjective:
             )
 
 
+def objective_inputs(rng, num_classes, seeds, rows, dim):
+    """Stacked features (domain, seed, rows, dim), source probabilities,
+    both domains' labels, target confidences and critic outputs."""
+    feats = rng.normal(size=(2, seeds, rows, dim))
+    probs = rng.dirichlet(np.ones(num_classes), size=(seeds, rows))
+    labels = rng.integers(num_classes, size=(2, seeds, rows))
+    conf = rng.uniform(size=(seeds, rows))
+    critic_out = rng.uniform(0.1, 0.9, size=(2, seeds, rows, 1))
+    return feats, probs, labels, conf, critic_out
+
+
 @pytest.mark.parametrize("num_classes", [2, 200, 300])
-def test_clustering_loss_narrow_labels_keep_the_kernel_bits(num_classes):
-    # Labels go to the kernel in the narrowest dtype that holds every class
-    # id (uint8 below 256 classes, uint16 above): no id may wrap.
+def test_objective_narrow_labels_keep_the_kernel_bits(num_classes):
+    # objective hands the kernel labels in the narrowest dtype that holds
+    # every class id (uint8 below 256 classes, uint16 above): no id may wrap.
     rng = seeded_rng(16, num_classes)
-    feats = rng.normal(size=(2, 3, 50, 4))
-    labels = rng.integers(num_classes, size=(2, 3, 50))
+    feats, probs, labels, conf, critic_out = objective_inputs(rng, num_classes, 3, 50, 4)
     labels[0, 0, :3] = (0, num_classes - 1, num_classes - 1)
     labels[1, 2, :2] = (num_classes - 1, (num_classes - 1) % 256)
-    loss, grad = clustering_loss(PseudoLabeledBatch(feats, labels, num_classes), 3.0)
-    ref_loss, ref_grad = stacked_margin_loss(feats, labels.astype(np.int64), 3.0)
-    assert loss.tobytes() == ref_loss.tobytes() and grad.tobytes() == ref_grad.tobytes()
+    bundle, grads = objective(feats, probs, labels[0], labels[1], conf, critic_out,
+                              TrainConfig())
+    ref_loss, ref_grad = stacked_margin_loss(feats, labels, 3.0)
+    assert bundle.l_c.tobytes() == (ref_loss[0] + ref_loss[1]).tobytes()
+    assert grads.d_clustering.tobytes() == ref_grad.tobytes()
+
+
+def test_objective_bytes_do_not_depend_on_the_domain_layout():
+    # The step passes same-shaped domains stacked and others as a pair.
+    rng = seeded_rng(17)
+    feats, probs, labels, conf, critic_out = objective_inputs(rng, 3, 2, 24, 2)
+    cfg = TrainConfig(threshold=0.5)
+    s_bundle, s_grads = objective(feats, probs, labels[0], labels[1], conf, critic_out, cfg)
+    p_bundle, p_grads = objective(tuple(feats), probs, labels[0], labels[1], conf,
+                                  tuple(critic_out), cfg)
+    for name in ("l_y", "l_c", "l_a", "l_d", "selection_count"):
+        assert (np.asarray(getattr(s_bundle, name)).tobytes()
+                == np.asarray(getattr(p_bundle, name)).tobytes()), name
+    assert s_grads.d_logits.tobytes() == p_grads.d_logits.tobytes()
+    for name in ("d_clustering", "d_alignment", "d_critic_out"):
+        for domain in range(2):
+            assert (getattr(s_grads, name)[domain].tobytes()
+                    == getattr(p_grads, name)[domain].tobytes()), (name, domain)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clusteralign import network as network_module
-from clusteralign.losses import clustering_loss, cross_entropy, PseudoLabeledBatch
+from clusteralign.losses import clustering_loss, cross_entropy
 from clusteralign.network import (
     DomainError,
     GradientSet,
@@ -355,15 +355,13 @@ def test_finite_diff_clustering_loss_active_margin():
     trace = forward(net, x, "train", seed)
     labels = margin_safe_labels(trace.features, seeded_rng(10), 3, margin=3.0,
                                 squared=True, guard=0.15)
-    batch = PseudoLabeledBatch(trace.features, labels, 3)
-    loss, d_feats = clustering_loss(batch, 3.0)
+    loss, d_feats = clustering_loss(trace.features, labels, 3.0)
     assert loss > 0.0
     grads = backward(net, trace, d_feats, "features")
 
     def loss_fn(candidate):
         feats = forward(candidate, x, "train", seed).features
-        b = PseudoLabeledBatch(feats, labels, 3)
-        return clustering_loss(b, 3.0)[0]
+        return clustering_loss(feats, labels, 3.0)[0]
 
     assert finite_diff_check(net, loss_fn, grads, h=1e-3, seed=2) <= 1e-4
 
