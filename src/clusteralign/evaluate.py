@@ -9,7 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from clusteralign.kernels import kmeans_assign
-from clusteralign.losses import domain_adversarial_loss, objective
+from clusteralign.losses import (
+    alignment_loss,
+    clustering_loss,
+    cross_entropy,
+    domain_adversarial_loss,
+)
 from clusteralign.network import forward
 from clusteralign.seeding import derive_seed, seeded_rng
 from clusteralign.teacher import corrected_probabilities, pi_predict, pseudo_labels
@@ -141,8 +146,10 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
     The logged l_d applies the current confidence selection; the JSD proxy
     is computed from a separate all-selected pass so the monitor stays
     comparable across training. Both networks make one untraced pass per
-    domain; the logged l_c comes from the clustering kernel's loss-only
-    mode, which uses no BLAS.
+    domain, and the two domains may differ in size, so the four logged
+    losses come from the loss functions themselves, one clustering-loss
+    call per domain: the logged l_c comes from the clustering kernel's
+    loss-only mode, which uses no BLAS.
     """
     # Untraced passes: evaluation reads only features and probabilities.
     src = forward(state.student, ds.source_x, traced=False)
@@ -161,11 +168,13 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
     labels, confidences = pseudo_labels(teacher_probs)
     del teacher_probs
 
-    critic_outputs = tuple(forward(state.critic, d.features, traced=False).probabilities
-                           for d in (src, tgt))
-    bundle, _ = objective((src.features, tgt.features), src.probabilities, ds.source_y, labels,
-                          confidences, critic_outputs, cfg, gradient=False)
-    c_src, c_tgt = (out[:, 0] for out in critic_outputs)
+    c_src, c_tgt = (forward(state.critic, d.features, traced=False).probabilities[:, 0]
+                    for d in (src, tgt))
+    l_y, _ = cross_entropy(src.probabilities, ds.source_y)
+    l_a, _, _ = alignment_loss(src.features, ds.source_y, tgt.features, labels, ds.num_classes)
+    l_c_src, l_c_tgt = (clustering_loss(d.features, y, cfg.margin, cfg.metric, gradient=False)[0]
+                        for d, y in ((src, ds.source_y), (tgt, labels)))
+    l_d, _, _, _ = domain_adversarial_loss(c_src, c_tgt, confidences, cfg.threshold)
     l_d_all, _, _, _ = domain_adversarial_loss(c_src, c_tgt, np.ones_like(c_tgt), 0.0)
 
     combined = np.vstack([src.features, tgt.features])
@@ -181,10 +190,10 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
         clustering_accuracy=cluster_acc,
         jsd_proxy=jsd_proxy(l_d_all),
         selection_rate=selection_rate(confidences, cfg.threshold),
-        l_y=float(bundle.l_y),
-        l_c=float(bundle.l_c),
-        l_a=float(bundle.l_a),
-        l_d=float(bundle.l_d),
+        l_y=float(l_y),
+        l_c=float(l_c_src + l_c_tgt),
+        l_a=float(l_a),
+        l_d=l_d,
     )
     view = StateView(src.features, src.probabilities, tgt.features, labels, confidences)
     return metrics, view

@@ -3,20 +3,20 @@
 Each loss returns its scalar value together with the gradient w.r.t. the
 quantity it consumes (logits, features, or critic outputs); composing
 those with the network backward pass yields exact parameter gradients.
-The training step and the evaluation snapshot both take them from
-`objective`. No loss runs a network: the callers make the student's and
-the critic's passes and hand over their outputs. The losses take arrays:
-features with one integer label per row (source labels, or the
-teacher's pseudo labels), and each loss checks only what it reads.
+The training step takes them from `objective`; the evaluation snapshot,
+whose two domains may differ in size, calls the four losses itself. No
+loss runs a network: the callers make the student's and the critic's
+passes and hand over their outputs. The losses take arrays: features
+with one integer label per row (source labels, or the teacher's pseudo
+labels), and each loss checks only what it reads.
 
 Every input may carry a leading seed axis (a group of seeds trained
 together); each loss then returns one value per seed and gradients with
-that axis. A training step whose batches share one shape also puts a
-domain axis in front of it: one stacked_margin_loss call covers every
-(domain, seed) slice, each slice its own problem. Every other
-clustering-kernel mode and the selected-target sum of the adversarial
-loss run once per slice, so each seed's bytes are those of a run of that
-seed alone.
+that axis. A training step also puts a domain axis in front of it: one
+stacked_margin_loss call covers every (domain, seed) slice, each slice
+its own problem. Every other clustering-kernel mode and the
+selected-target sum of the adversarial loss run once per slice, so each
+seed's bytes are those of a run of that seed alone.
 """
 
 from dataclasses import dataclass
@@ -44,9 +44,8 @@ class LossBundle:
 
 @dataclass(frozen=True)
 class ObjectiveGradients:
-    """Input-side gradients of one objective. Every field but d_logits is
-    indexed by domain, source first: one array with a leading domain axis
-    when the caller passed the domains stacked, else a pair. d_critic_out
+    """Input-side gradients of one training step's objective. Every field
+    but d_logits carries a leading domain axis, source first. d_critic_out
     is d(l_d)/d(critic output), shaped like the critic outputs without
     their last axis."""
 
@@ -192,20 +191,17 @@ def domain_adversarial_loss(source_critic_out, target_critic_out, target_confide
 
 
 def objective(features, source_probabilities, source_y, target_labels, target_confidences,
-              critic_outputs, cfg, gradient: bool = True):
-    """The four losses of the student's features on both domains, which
-    the student descends as l_y + alpha*(l_c + l_a) + lam*l_d.
+              critic_outputs, cfg):
+    """The four losses of a training step's features on both domains, and
+    their input-side gradients; the student descends
+    l_y + alpha*(l_c + l_a) + lam*l_d.
 
-    features holds the source's features, then the target's, and
-    critic_outputs the critic's (..., rows, 1) outputs on them, in the
-    same layout: one array with a leading domain axis (a training step
-    whose batches share one shape), or a pair. Stacked domains share one
-    clustering-loss call; a pair takes one per domain. Target labels and
-    confidences are the teacher's. Only here are the labels narrowed for
-    the clustering kernel, and stacked when the features are. cfg is a
-    trainer.TrainConfig. Returns (LossBundle, ObjectiveGradients); with
-    gradient=False, l_c comes from the clustering kernel's loss-only mode
-    and d_clustering holds None.
+    features holds the source's features, then the target's, on a leading
+    domain axis, and critic_outputs the critic's (..., rows, 1) outputs on
+    them, in the same layout; the domains share one clustering-loss call.
+    Target labels and confidences are the teacher's. Only here are the
+    labels narrowed for the clustering kernel, and stacked. cfg is a
+    trainer.TrainConfig. Returns (LossBundle, ObjectiveGradients).
     """
     num_classes = source_probabilities.shape[-1]
     l_y, d_logits = cross_entropy(source_probabilities, source_y)
@@ -214,16 +210,9 @@ def objective(features, source_probabilities, source_y, target_labels, target_co
     # The narrowest dtype that holds every class id compares fastest in the
     # clustering kernel.
     narrow = np.min_scalar_type(num_classes - 1)
-    labels = (source_y.astype(narrow), target_labels.astype(narrow))
-    if isinstance(features, np.ndarray):
-        as_domains = np.asarray  # stacks a pair of same-shaped arrays
-        l_c, d_clustering = clustering_loss(features, as_domains(labels), cfg.margin, cfg.metric,
-                                            gradient)
-    else:
-        as_domains = tuple
-        l_c, d_clustering = zip(*(clustering_loss(f, y, cfg.margin, cfg.metric, gradient)
-                                  for f, y in zip(features, labels)))
-    outputs = [out[..., 0] for out in critic_outputs]
+    labels = np.asarray((source_y.astype(narrow), target_labels.astype(narrow)))
+    l_c, d_clustering = clustering_loss(features, labels, cfg.margin, cfg.metric)
+    outputs = critic_outputs[..., 0]
     # The selected-target sum is taken per seed: a masked sum over the
     # group would reorder the summation.
     conf = np.asarray(target_confidences, dtype=np.float64)
@@ -236,6 +225,6 @@ def objective(features, source_probabilities, source_y, target_labels, target_co
         for values, shape in zip(per_seed, (lead, outputs[0].shape, outputs[1].shape, lead)))
     bundle = LossBundle(l_y=l_y, l_c=l_c[0] + l_c[1], l_a=l_a, l_d=l_d,
                         selection_count=selected)
-    grads = ObjectiveGradients(d_logits, d_clustering, as_domains((g_a_src, g_a_tgt)),
-                               as_domains((d_out_src, d_out_tgt)))
+    grads = ObjectiveGradients(d_logits, d_clustering, np.asarray((g_a_src, g_a_tgt)),
+                               np.asarray((d_out_src, d_out_tgt)))
     return bundle, grads

@@ -7,10 +7,11 @@ backward, the student's feature backward, and momentum-SGD updates of
 both networks. On a leading domain axis, source first, the student's
 forward and feature backward, the critic's forward and backward, and the
 clustering kernel each run once per step; each (domain, seed) slice keeps
-its own gemms, row sums and dropout generator. Batches that differ in
-row count take one pass per domain instead. The critic ascends the
-domain discrepancy while the student descends it; the student picks that
-term up through the gradient-reversal connector on the feature path.
+its own gemms, row sums and dropout generator. Both batches have one
+size (TrainConfig refuses batch_target != batch_source), so every step
+takes this one layout. The critic ascends the domain discrepancy while
+the student descends it; the student picks that term up through the
+gradient-reversal connector on the feature path.
 During the pretraining phase the clustering, alignment, and adversarial
 weights are exactly zero for the student (the critic itself keeps
 learning, so its divergence estimate is meaningful by the time
@@ -48,6 +49,7 @@ from clusteralign.network import (
     GradientSet,
     Network,
     NetworkSpec,
+    ShapeError,
     backward,
     forward,
     init_network,
@@ -111,7 +113,8 @@ class TrainConfig:
     The schedule weights alpha (clustering + alignment) and lam
     (adversarial) are exactly zero while iteration < pretrain_iters. The
     use_* switches and teacher_mode "self" (the student labels its own
-    targets) exist for ablations.
+    targets) exist for ablations. batch_target must equal batch_source:
+    every step stacks its source and target batches on one domain axis.
     """
 
     total_iters: int = 5000
@@ -154,6 +157,8 @@ class TrainConfig:
         for name in ("batch_source", "batch_target", "critic_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.batch_target != self.batch_source:
+            raise ValueError("batch_target must equal batch_source")
         if any(size < 1 for size in self.hidden_layers):
             raise ValueError("hidden_layers must hold sizes of at least 1")
         for name, known in (("alpha_schedule", ALPHA_SCHEDULES),
@@ -351,13 +356,16 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     A group's batch carries the state's seed axis, and one step advances
     every seed; cfg is the configuration all of them share, and each
     seed's dropout is keyed by its own entry of state.seeds: slot 1 on
-    the source pass, 2 on the target pass, 3 on the Pi teacher's. Order:
-    student pass, critic pass, teacher, objective, critic backward, feature
-    backward, SGD. plan is the run's _dropout_plan (run_training passes
-    one); without one, the step hashes its own. The parameters are checked
-    on entry and the losses after the update; the parameters a step makes
-    are checked when the next step or a snapshot reads them (every run
-    ends on a snapshot).
+    the source pass, 2 on the target pass, 3 on the Pi teacher's. The two
+    domains are stacked on a leading domain axis, so the student and the
+    critic each make one forward and one backward pass (the student one
+    more, the cross-entropy backward on the source logits); a batch whose
+    domains differ in shape raises ShapeError. Order: student pass, critic
+    pass, teacher, objective, critic backward, feature backward, SGD. plan
+    is the run's _dropout_plan (run_training passes one); without one, the
+    step hashes its own. The parameters are checked on entry and the
+    losses after the update; the parameters a step makes are checked when
+    the next step or a snapshot reads them (every run ends on a snapshot).
     """
     _check_parameters(state)
     it = state.iteration
@@ -367,37 +375,29 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
         plan = _dropout_plan(state, cfg)
 
     x = (batch.source_x, batch.target_x)
-    stacked = x[0].shape == x[1].shape
-    if stacked:
-        # Both domains in one pass, on a leading domain axis (np.asarray
-        # stacks the pair).
-        trace = forward(state.student, np.asarray(x), "train",
-                        _noise(plan, state, x[0].shape[-2], 1, 2))
-        critic_trace = forward(state.critic, trace.features)
-        features, probabilities = trace.features, trace.probabilities
-        critic_outputs = critic_trace.probabilities
-    else:
-        trace = tuple(forward(state.student, batch_x, "train",
-                              _noise(plan, state, batch_x.shape[-2], slot))
-                      for batch_x, slot in zip(x, (1, 2)))
-        critic_trace = tuple(forward(state.critic, t.features) for t in trace)
-        features, probabilities = zip(*((t.features, t.probabilities) for t in trace))
-        critic_outputs = tuple(t.probabilities for t in critic_trace)
+    if x[0].shape != x[1].shape:
+        raise ShapeError(f"source_x has shape {x[0].shape}, target_x {x[1].shape}: "
+                         "a step takes domains of one shape")
+    # Both domains in one pass, on a leading domain axis (np.asarray stacks
+    # the pair).
+    trace = forward(state.student, np.asarray(x), "train",
+                    _noise(plan, state, x[0].shape[-2], 1, 2))
+    critic_trace = forward(state.critic, trace.features)
 
     # The teacher's view of the target batch is read before any update.
     new_teacher = state.teacher
     if cfg.teacher_mode == "self":
-        teacher_probs = probabilities[1]
+        teacher_probs = trace.probabilities[1]
     elif cfg.teacher_mode == "pi":
         teacher_probs = pi_predict(state.student, batch.target_x,
                                    _noise(plan, state, x[1].shape[-2], 3))
     else:
         teacher_probs, new_teacher = temporal_step(state.teacher, batch.target_indices,
-                                                   probabilities[1])
+                                                   trace.probabilities[1])
     tgt_labels, tgt_conf = pseudo_labels(teacher_probs)
 
-    bundle, grads = objective(features, probabilities[0], batch.source_y, tgt_labels,
-                              tgt_conf, critic_outputs, cfg)
+    bundle, grads = objective(trace.features, trace.probabilities[0], batch.source_y, tgt_labels,
+                              tgt_conf, critic_trace.probabilities, cfg)
 
     # The critic descends the negated discrepancy (so it maximizes l_d);
     # the reversal connector then hands the student +lam * d(l_d)/d(features).
@@ -405,26 +405,22 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     # added per seed in the order logits, source, target.
     student_vector = backward(state.student, trace[0], grads.d_logits, "logits",
                               input_gradient=False).vector
-    critic_vectors = []
-    by_part = (trace, critic_trace, grads.d_critic_out, grads.d_clustering, grads.d_alignment)
-    for student_pass, critic_pass, d_out, g_c, g_a in (by_part,) if stacked else zip(*by_part):
-        critic_part = backward(state.critic, critic_pass, -d_out[..., None], "probabilities")
-        critic_vectors.extend(_by_domain(critic_part.vector, state.critic.params.shape))
-        d_feat = reverse_gradient(critic_part.d_input, lam)
-        if cfg.use_clustering:
-            d_feat += alpha * g_c
-        if cfg.use_alignment:
-            d_feat += alpha * g_a
-        # A slice whose feature gradient is all zero adds nothing.
-        moving = np.any(d_feat, axis=(-2, -1))
-        if moving.any():
-            vector = backward(state.student, student_pass, d_feat, "features",
-                              input_gradient=False).vector
-            for m, v in zip(_by_domain(moving, state.student.params.shape[:-1]),
-                            _by_domain(vector, state.student.params.shape)):
-                student_vector = np.where(m[..., None], student_vector + v, student_vector)
+    critic_part = backward(state.critic, critic_trace, -grads.d_critic_out[..., None],
+                           "probabilities")
+    d_feat = reverse_gradient(critic_part.d_input, lam)
+    if cfg.use_clustering:
+        d_feat += alpha * grads.d_clustering
+    if cfg.use_alignment:
+        d_feat += alpha * grads.d_alignment
+    # A slice whose feature gradient is all zero adds nothing.
+    moving = np.any(d_feat, axis=(-2, -1))
+    if moving.any():
+        vector = backward(state.student, trace, d_feat, "features", input_gradient=False).vector
+        for m, v in zip(moving, vector):
+            student_vector = np.where(m[..., None], student_vector + v, student_vector)
     student_grads = GradientSet(state.student.spec, student_vector, None)
-    critic_grads = GradientSet(state.critic.spec, critic_vectors[0] + critic_vectors[1], None)
+    critic_grads = GradientSet(state.critic.spec, critic_part.vector[0] + critic_part.vector[1],
+                               None)
 
     new_student, student_momentum = sgd_step(state.student, state.student_momentum,
                                              student_grads, lr, cfg.momentum)
@@ -442,12 +438,6 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
         iteration=it + 1,
     )
     return new_state, bundle
-
-
-def _by_domain(array, shape):
-    """The entries of array, of trailing shape shape, along the domain
-    axis in front of it (one entry when there is no such axis)."""
-    return array.reshape((-1,) + shape)
 
 
 def _first(flags) -> int:

@@ -118,7 +118,9 @@ PROBES = [
     ("train.activation", {"train": {"activation": "gelu"}}),
     ("train.feature_tap", {"train": {"feature_tap": "middle"}}),
     ("train.metric", {"train": {"metric": "cosine"}}),
-    ("train.batch_source", {"train": {"batch_source": 5000}}),
+    # Both batch keys, or the equality check below fires first.
+    ("train.batch_source", {"train": {"batch_source": 5000, "batch_target": 5000}}),
+    ("train.batch_target", {"train": {"batch_target": 8}}),
     ("train.teacher_mode", {"train": {"teacher_mode": "ema"}}),
     ("train.alpha_max", {"train": {"alpha_max": -1.0}}),
     ("dataset.modes_per_class", {"scenario": "multimode", "dataset": {"modes_per_class": 1}}),

@@ -322,20 +322,3 @@ def test_objective_narrow_labels_keep_the_kernel_bits(num_classes):
     assert bundle.l_c.tobytes() == (ref_loss[0] + ref_loss[1]).tobytes()
     assert grads.d_clustering.tobytes() == ref_grad.tobytes()
 
-
-def test_objective_bytes_do_not_depend_on_the_domain_layout():
-    # The step passes same-shaped domains stacked and others as a pair.
-    rng = seeded_rng(17)
-    feats, probs, labels, conf, critic_out = objective_inputs(rng, 3, 2, 24, 2)
-    cfg = TrainConfig(threshold=0.5)
-    s_bundle, s_grads = objective(feats, probs, labels[0], labels[1], conf, critic_out, cfg)
-    p_bundle, p_grads = objective(tuple(feats), probs, labels[0], labels[1], conf,
-                                  tuple(critic_out), cfg)
-    for name in ("l_y", "l_c", "l_a", "l_d", "selection_count"):
-        assert (np.asarray(getattr(s_bundle, name)).tobytes()
-                == np.asarray(getattr(p_bundle, name)).tobytes()), name
-    assert s_grads.d_logits.tobytes() == p_grads.d_logits.tobytes()
-    for name in ("d_clustering", "d_alignment", "d_critic_out"):
-        for domain in range(2):
-            assert (getattr(s_grads, name)[domain].tobytes()
-                    == getattr(p_grads, name)[domain].tobytes()), (name, domain)

@@ -4,15 +4,16 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from clusteralign import losses as loss_module, trainer as trainer_module
-from clusteralign.data import BatchPair, make_imbalanced_gaussians
+from clusteralign.data import BatchPair, make_imbalanced_gaussians, make_multimode_domains
 from clusteralign.evaluate import snapshot
 from clusteralign.losses import cross_entropy, objective
-from clusteralign.network import Network, forward
+from clusteralign.network import Network, ShapeError, forward
 from clusteralign.seeding import derive_seed
 from clusteralign.teacher import corrected_probabilities, pseudo_labels
 from clusteralign.trainer import (
@@ -173,6 +174,16 @@ class TestTrainStep:
             train_step(state, first_batch(ds, cfg), cfg)
         assert err.value.details == {"iteration": 0, "parameter_set": name, "seed_index": 0}
 
+    def test_a_step_refuses_domains_of_different_shapes(self):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        batch = first_batch(ds, cfg)
+        short = BatchPair(batch.source_x, batch.source_y, batch.target_x[:8],
+                          batch.target_indices[:8])
+        with pytest.raises(ShapeError, match=re.escape("source_x has shape (16, 2), "
+                                                       "target_x (8, 2)")):
+            train_step(init_train_state(cfg, ds), short, cfg)
+
     def test_pretraining_invariant_to_margin_threshold_decay_critic(self):
         ds = tiny_dataset()
         variants = [
@@ -274,6 +285,10 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             tiny_config(alpha_schedule="linear")
 
+    def test_config_refuses_batches_of_different_sizes(self):
+        with pytest.raises(ValueError, match="^batch_target must equal batch_source$"):
+            TrainConfig(batch_source=16, batch_target=8)
+
     def test_run_rejects_a_zero_eval_interval(self):
         with pytest.raises(ValueError, match="^eval_every must be at least 1$"):
             run_training([tiny_config()], [tiny_dataset()], eval_every=0)
@@ -314,19 +329,21 @@ def state_arrays(state):
 class TestSeedGroup:
     SEEDS = (3, 4, 5)
 
-    def group(self, **over):
+    def group(self, dataset=tiny_dataset, **over):
         return ([tiny_config(seed=seed, **over) for seed in self.SEEDS],
-                [tiny_dataset(seed) for seed in range(len(self.SEEDS))])
+                [dataset(seed=seed) for seed in range(len(self.SEEDS))])
 
-    @pytest.mark.parametrize("over", [
-        {"teacher_mode": "temporal", "dropout_rate": 0.3},
-        {"teacher_mode": "pi", "dropout_rate": 0.3, "metric": "euclidean"},
-        {"teacher_mode": "self", "hidden_layers": (), "feature_tap": "penultimate"},
-        # Batches of unequal size: one pass per domain.
-        {"teacher_mode": "temporal", "dropout_rate": 0.3, "batch_target": 8},
-    ], ids=["temporal-dropout", "pi-euclidean", "self-no-hidden-layer", "unequal-batches"])
-    def test_group_holds_the_bytes_of_each_seed_run_alone(self, over):
-        cfgs, datasets = self.group(total_iters=20, pretrain_iters=5, **over)
+    @pytest.mark.parametrize("dataset, over", [
+        (tiny_dataset, {"teacher_mode": "temporal", "dropout_rate": 0.3}),
+        (tiny_dataset, {"teacher_mode": "pi", "dropout_rate": 0.3, "metric": "euclidean"}),
+        (tiny_dataset, {"teacher_mode": "self", "hidden_layers": (), "feature_tap": "penultimate"}),
+        # 40 source and 60 target rows: an epoch holds 3 target batches, and
+        # the source's 2 cycle; the snapshot's domains differ in size.
+        (functools.partial(make_multimode_domains, n_per_mode=10),
+         {"teacher_mode": "temporal", "dropout_rate": 0.3}),
+    ], ids=["temporal-dropout", "pi-euclidean", "self-no-hidden-layer", "domains-of-two-sizes"])
+    def test_group_holds_the_bytes_of_each_seed_run_alone(self, dataset, over):
+        cfgs, datasets = self.group(dataset, total_iters=20, pretrain_iters=5, **over)
         state, logs, views = run_training(cfgs, datasets, eval_every=6)
         for index, (cfg, ds) in enumerate(zip(cfgs, datasets)):
             alone, log, view = run_alone(cfg, ds, eval_every=6)
@@ -378,13 +395,11 @@ def group_step_inputs(seeds, **over):
 
 
 class TestDomainAxis:
-    @pytest.mark.parametrize("seeds, batch_target", [((3,), 16), ((3, 4), 16), ((3, 4), 8)],
-                             ids=["one-seed", "two-seeds", "unequal-batches"])
-    def test_the_target_pass_is_keyed_by_its_own_slot(self, seeds, batch_target):
+    @pytest.mark.parametrize("seeds", [(3,), (3, 4)], ids=["one-seed", "two-seeds"])
+    def test_the_target_pass_is_keyed_by_its_own_slot(self, seeds):
         # The temporal teacher's first update holds (1 - decay) times the
         # target pass's probabilities; slot 1 keys the source pass.
-        state, batch, cfgs = group_step_inputs(seeds, dropout_rate=0.3,
-                                               batch_target=batch_target)
+        state, batch, cfgs = group_step_inputs(seeds, dropout_rate=0.3)
         stepped, _ = train_step(state, batch, cfgs[0])
         for index, cfg in enumerate(cfgs):
             student = Network(state.student.spec, state.student.params[index])
@@ -392,10 +407,8 @@ class TestDomainAxis:
             rows = stepped.teacher.ensemble[index][batch.target_indices[index]]
             assert np.array_equal(rows, (1.0 - cfg.decay) * alone.probabilities)
 
-    @pytest.mark.parametrize("seeds, batch_target, passes",
-                             [((3,), 16, 1), ((3, 4, 5), 16, 1), ((3,), 8, 2)],
-                             ids=["one-seed", "three-seeds", "unequal-batches"])
-    def test_a_step_makes_one_pass_per_network(self, monkeypatch, seeds, batch_target, passes):
+    @pytest.mark.parametrize("seeds", [(3,), (3, 4, 5)], ids=["one-seed", "three-seeds"])
+    def test_a_step_makes_one_pass_per_network(self, monkeypatch, seeds):
         calls = collections.Counter()
 
         def count(module, name, key):
@@ -415,13 +428,37 @@ class TestDomainAxis:
             count(trainer_module, name, lambda net, *_, name=name: (name, role(net)))
         for name in ("stacked_margin_loss", "pairwise_margin_loss"):
             count(loss_module, name, lambda *_, name=name: (name,))
-        state, batch, cfgs = group_step_inputs(seeds, dropout_rate=0.3,
-                                               batch_target=batch_target)
+        state, batch, cfgs = group_step_inputs(seeds, dropout_rate=0.3)
         # Past pretraining, so the feature backward runs.
         train_step(dataclasses.replace(state, iteration=6), batch, cfgs[0])
-        assert calls == {("forward", "student"): passes, ("forward", "critic"): passes,
-                         ("backward", "critic"): passes, ("backward", "student"): 1 + passes,
-                         ("stacked_margin_loss",): passes}
+        assert calls == {("forward", "student"): 1, ("forward", "critic"): 1,
+                         ("backward", "critic"): 1, ("backward", "student"): 2,
+                         ("stacked_margin_loss",): 1}
+
+
+def test_the_snapshot_and_the_step_combine_the_same_terms():
+    # The snapshot calls the losses itself, one domain at a time; on domains
+    # of one size, its l_y, l_a and l_d are those of objective on the same
+    # passes, stacked. l_c is left out: the snapshot's loss-only kernel and
+    # the step's Gram-form kernel round differently.
+    ds = tiny_dataset()
+    cfg = tiny_config(threshold=0.5)
+    state = init_train_state(cfg, ds)
+    for pair in iterate_batches(ds, 16, 16, derive_seed(cfg.seed, 17), 0)[:3]:
+        state, _ = train_step(state, pair, cfg)
+    row, _ = snapshot(state, cfg, ds)
+
+    src, tgt = (forward(state.student, x, traced=False) for x in (ds.source_x, ds.target_x))
+    labels, conf = pseudo_labels(corrected_probabilities(state.teacher))
+    features = np.stack((src.features, tgt.features))
+    critic_outputs = np.stack([forward(state.critic, f, traced=False).probabilities
+                               for f in features])
+    bundle, _ = objective(features, src.probabilities, ds.source_y, labels, conf,
+                          critic_outputs, cfg)
+    assert bundle.selection_count > 0
+    for name in ("l_y", "l_a", "l_d"):
+        assert np.float64(getattr(row, name)).tobytes() == np.float64(
+            getattr(bundle, name)).tobytes(), name
 
 
 def objective_at(student, critic, teacher, batch, cfg, iteration):
@@ -430,8 +467,8 @@ def objective_at(student, critic, teacher, batch, cfg, iteration):
     trace_src = forward(student, batch.source_x, "train", derive_seed(cfg.seed, iteration, 1))
     trace_tgt = forward(student, batch.target_x, "train", derive_seed(cfg.seed, iteration, 2))
     labels, conf = pseudo_labels(corrected_probabilities(teacher)[batch.target_indices])
-    features = (trace_src.features, trace_tgt.features)
-    critic_outputs = tuple(forward(critic, f).probabilities for f in features)
+    features = np.stack((trace_src.features, trace_tgt.features))
+    critic_outputs = forward(critic, features).probabilities
     losses, _ = objective(features, trace_src.probabilities, batch.source_y, labels, conf,
                           critic_outputs, cfg)
     return total_objective(losses.l_y, losses.l_c, losses.l_a, losses.l_d, alpha, lam)

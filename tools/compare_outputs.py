@@ -8,17 +8,21 @@ Each configuration below (400 iterations, pretraining 100, a snapshot every
 both trees, with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, and
 every output file and the stdout are compared. Configuration (k) sets an
 integer momentum of 0 (plain SGD); (l) takes the euclidean metric and the
-constant alpha schedule. Configurations (a), (f), (h)
-and (j) run once more at OPENBLAS_NUM_THREADS=2, numpy's default on a
-2-core machine, and print their own lines: three seed groups and a lone
-seed, each with the squared metric's matmul kernel. A differing CSV whose header
-matches on both sides is named with its differing columns, as in
-`metrics_0.csv[l_c]`. Each run's line also gives the peak resident set of
-its process on this tree and on the revision (ru_maxrss from os.wait4),
-e.g. `peak 39.71/41.10 MiB`. `validate` is compared the same way on each
-shipped `configs/*.json`. One line is printed per run; the exit status is
-1 when anything differs. The script uses the standard library only and is
-not part of the test suite.
+constant alpha schedule; (i) takes batches of 48, so that the multimode
+target's 12 batches per epoch cycle the source's 8. Configurations (a),
+(f), (h) and (j) run once more at OPENBLAS_NUM_THREADS=2, numpy's default
+on a 2-core machine, and print their own lines: three seed groups and a
+lone seed, each with the squared metric's matmul kernel. A differing CSV
+whose header matches on both sides is named with its differing columns,
+as in `metrics_0.csv[l_c]`. Each run's line also gives the peak resident
+set of its process on this tree and on the revision (ru_maxrss from
+os.wait4), e.g. `peak 39.71/41.10 MiB`, and its minor page faults from
+the same call (ru_minflt), e.g. `faults 6.4k/6.4k`: a change that lets
+the heap trim and regrow between steps shows first in that count.
+`validate` is compared the same way on each shipped `configs/*.json`.
+One line is printed per run; the exit status is 1 when anything differs.
+The script uses the standard library only and is not part of the test
+suite.
 """
 
 import csv
@@ -56,8 +60,10 @@ CONFIGS = {
     # Three seeds trained as one group, each with its own dropout masks on
     # all three student passes.
     "h": _config("multimode", seeds=(0, 1, 2), teacher_mode="pi", dropout_rate=0.3),
-    # Batches of unequal size: one pass per domain.
-    "i": _config("imbalanced_gaussians", seeds=(0, 1), batch_target=48, dropout_rate=0.2),
+    # A batch size off the default: the target's 600 rows give 12 batches
+    # per epoch, and the source's 400 rows cycle through their 8.
+    "i": _config("multimode", seeds=(0, 1), batch_source=48, batch_target=48,
+                 dropout_rate=0.2),
     # Each slice's dropout stream split over two hidden layers of different
     # widths, three seeds as one group.
     "j": _config("imbalanced_gaussians", seeds=(0, 1, 2), hidden_layers=[12, 7],
@@ -82,8 +88,8 @@ def export(revision, dest):
 
 
 def cli(tree, args, cwd, threads=1):
-    """The exit status, the stdout and the peak resident set in MiB of one
-    CLI call on a tree."""
+    """The exit status, the stdout, the peak resident set in MiB and the
+    minor page faults of one CLI call on a tree."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"),
                OPENBLAS_NUM_THREADS=str(threads), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen([sys.executable, "-m", "clusteralign.cli", *args], cwd=cwd,
@@ -94,19 +100,20 @@ def cli(tree, args, cwd, threads=1):
     # ru_maxrss is in KiB on Linux.
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, stdout, usage.ru_maxrss / 1024
+    return proc.returncode, stdout, usage.ru_maxrss / 1024, usage.ru_minflt
 
 
 def outputs(tree, raw, work, threads):
     """The exit status, every byte a run of raw on tree produces, keyed by
-    file name, and the run's peak resident set in MiB."""
+    file name, and the run's peak resident set in MiB and minor faults."""
     work.mkdir()
     path = work / "config.json"
     path.write_text(json.dumps(raw))
-    status, stdout, peak = cli(tree, ["run", str(path), "--output-dir", "out"], work, threads)
+    status, stdout, peak, faults = cli(tree, ["run", str(path), "--output-dir", "out"], work,
+                                       threads)
     out = work / "out"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-    return status, dict(files, stdout=stdout), peak
+    return status, dict(files, stdout=stdout), peak, faults
 
 
 def describe(name, ours, theirs):
@@ -135,9 +142,9 @@ def main(argv=None):
         runs = [(name, 1) for name in CONFIGS] + [(name, 2) for name in TWO_THREADS]
         for name, threads in runs:
             raw, label = CONFIGS[name], f"{name}_{threads}"
-            status, ours, peak = outputs(ROOT, raw, tmp / f"ours_{label}", threads)
-            parent_status, theirs, parent_peak = outputs(parent, raw, tmp / f"theirs_{label}",
-                                                         threads)
+            status, ours, peak, faults = outputs(ROOT, raw, tmp / f"ours_{label}", threads)
+            parent_status, theirs, parent_peak, parent_faults = outputs(
+                parent, raw, tmp / f"theirs_{label}", threads)
             diff = ["exit status"] if status != parent_status else []
             diff += [describe(file, ours.get(file), theirs.get(file))
                      for file in sorted(ours.keys() | theirs.keys())
@@ -146,7 +153,8 @@ def main(argv=None):
             verdict = f"differs: {', '.join(diff)}" if diff else "identical"
             at = "" if threads == 1 else f" at {threads} BLAS threads"
             print(f"({name}){at} exit {status}, {len(ours) - 1} files and stdout, "
-                  f"peak {peak:.2f}/{parent_peak:.2f} MiB, {verdict}", flush=True)
+                  f"peak {peak:.2f}/{parent_peak:.2f} MiB, "
+                  f"faults {faults / 1000:.1f}k/{parent_faults / 1000:.1f}k, {verdict}", flush=True)
         for path in sorted((ROOT / "configs").glob("*.json")):
             ours = cli(ROOT, ["validate", str(path)], tmp)[:2]
             theirs = cli(parent, ["validate", str(path)], tmp)[:2]
