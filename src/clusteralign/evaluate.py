@@ -172,7 +172,7 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
                     for d in (src, tgt))
     l_y, _ = cross_entropy(src.probabilities, ds.source_y)
     l_a, _, _ = alignment_loss(src.features, ds.source_y, tgt.features, labels, ds.num_classes)
-    l_c_src, l_c_tgt = (clustering_loss(d.features, y, cfg.margin, cfg.metric, gradient=False)[0]
+    l_c_src, l_c_tgt = (clustering_loss(d.features, y, cfg.margin, gradient=False)[0]
                         for d, y in ((src, ds.source_y), (tgt, labels)))
     l_d, _, _, _ = domain_adversarial_loss(c_src, c_tgt, confidences, cfg.threshold)
     l_d_all, _, _, _ = domain_adversarial_loss(c_src, c_tgt, np.ones_like(c_tgt), 0.0)

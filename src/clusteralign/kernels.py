@@ -1,17 +1,18 @@
 """Hot numeric kernels.
 
-The k-means assignment and the squared metric's gradient mode of the
-pairwise margin loss work in Gram form, one BLAS matmul per matrix.
-pairwise_margin_loss takes one feature matrix; stacked_margin_loss takes
-a stack of them, such as a training step's every (domain, seed) slice, in
-one call. Squared distances come from ||a||^2 + ||b||^2 - 2 a.b, clamped
-at zero (the cancellation guard of scikit-learn's euclidean_distances),
-so each pair's squared distance carries an absolute error of a few ulps
-of ||a||^2 + ||b||^2; the k-means inertia is summed from explicit
+The k-means assignment and the gradient mode of the pairwise margin loss
+work in Gram form, one BLAS matmul per matrix. pairwise_margin_loss takes
+one feature matrix; stacked_margin_loss takes a stack of them, such as a
+training step's every (domain, seed) slice, in one call. Squared
+distances come from ||a||^2 + ||b||^2 - 2 a.b, clamped at zero (the
+cancellation guard of scikit-learn's euclidean_distances), so each pair's
+squared distance carries an absolute error of a few ulps of
+||a||^2 + ||b||^2; the k-means inertia is summed from explicit
 differences. Gram-form results are bit-reproducible for a given numpy and
 BLAS build at a fixed BLAS thread count: a multithreaded matmul may split
-its sums differently. Every other call of the pairwise margin loss forms
-each pair from explicit differences and uses no BLAS.
+its sums differently. The loss-only mode of the pairwise margin loss
+forms each different-label pair from explicit differences and uses no
+BLAS.
 
 stacked_margin_loss trims its n x n passes without moving a bit: label
 flags compared in the narrowest label dtype, the masked copy by
@@ -28,29 +29,29 @@ BACKEND = "numpy"
 _TILE = 1 << 16
 
 
-def pairwise_margin_loss(features, labels, margin, squared=True, gradient=True):
-    """Mean over all ordered pairs of: distance for same-label pairs,
-    hinge max(0, margin - distance) for different-label pairs.
+def pairwise_margin_loss(features, labels, margin, gradient=True):
+    """Mean over all ordered pairs of: squared distance for same-label
+    pairs, hinge max(0, margin - squared distance) for different-label
+    pairs.
 
     Returns (loss, gradient w.r.t. features). The hinge contributes
     nothing at distance == margin (inactive subgradient). With
-    gradient=False it returns (loss, None). Only the squared metric's
-    gradient mode, which is stacked_margin_loss on one matrix, allocates
-    n x n buffers and calls a matmul.
+    gradient=False it returns (loss, None). Only the gradient mode, which
+    is stacked_margin_loss on one matrix, allocates n x n buffers and
+    calls a matmul.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if squared and gradient:
+    if gradient:
         loss, grad = stacked_margin_loss(features, labels, margin)
         return float(loss), grad
     n = features.shape[0]
-    loss, grad = _grouped_pairs(features, labels, float(margin), squared, gradient)
-    return loss / float(n * n), None if grad is None else grad / float(n * n)
+    return _grouped_pairs(features, labels, float(margin)) / float(n * n), None
 
 
 def stacked_margin_loss(features, labels, margin):
-    """The squared metric's pairwise_margin_loss, loss and gradient, of
-    every (rows, columns) matrix of a stack of features (..., rows,
+    """pairwise_margin_loss's gradient mode, loss and gradient, of every
+    (rows, columns) matrix of a stack of features (..., rows,
     columns) with labels (..., rows), in one batched matmul.
 
     Returns (loss of shape (...), gradient of the shape of features).
@@ -103,17 +104,16 @@ def stacked_margin_loss(features, labels, margin):
     return loss * inv, grad * inv
 
 
-def _grouped_pairs(features, labels, margin, squared, gradient):
-    """The sum over all ordered pairs that pairwise_margin_loss averages,
-    and with gradient=True (euclidean metric only) its gradient.
+def _grouped_pairs(features, labels, margin):
+    """The sum over all ordered pairs that pairwise_margin_loss averages.
 
-    Rows are grouped by label. A group's squared-metric pairs take the
-    closed form sum_ij ||f_i - f_j||^2 = 2 m sum_i ||f_i - mean||^2; every
-    other pair is formed once from explicit differences and counted twice.
+    Rows are grouped by label. A group's pairs take the closed form
+    sum_ij ||f_i - f_j||^2 = 2 m sum_i ||f_i - mean||^2; every pair of
+    different labels is formed once from explicit differences and counted
+    twice.
     """
     order = np.argsort(labels, kind="stable")
     feats = features[order]
-    grad = np.zeros_like(feats) if gradient else None
     # A group ends where the sorted labels change, and the last at the last
     # row: np.unique(labels, return_counts=True) would sort them again.
     grouped = labels[order]
@@ -121,54 +121,27 @@ def _grouped_pairs(features, labels, margin, squared, gradient):
     same = cross = 0.0
     start = 0
     for end in ends:
-        group = range(start, end)
-        if squared:
-            centred = feats[start:end] - feats[start:end].mean(axis=0)
-            same += 2.0 * len(group) * float(np.einsum("ij,ij->", centred, centred))
-        else:
-            same += 2.0 * _pair_sum(feats, group, group, squared, grad=grad)
-        cross += _pair_sum(feats, group, range(end, len(feats)), squared, margin, grad)
+        centred = feats[start:end] - feats[start:end].mean(axis=0)
+        same += 2.0 * (end - start) * float(np.einsum("ij,ij->", centred, centred))
+        cross += _hinge_sum(feats[start:end], feats[end:], margin)
         start = end
-    if gradient:
-        grad[order] = grad.copy()
-    return same + 2.0 * cross, grad
+    return same + 2.0 * cross
 
 
-def _pair_sum(feats, a, b, squared, margin=None, grad=None):
-    """Sum over the row pairs (i in a, j in b) of feats of their distance,
-    or with a margin of the hinge max(0, margin - distance), in tiles of at
-    most _TILE elements; with a == b, over the pairs i < j only. With grad
-    (euclidean metric), each pair adds 2 coef / dist * (f_i - f_j), its
-    gradient on f_i over both orderings, to grad[i] and subtracts it from
-    grad[j]; coef is d(term)/d(dist), +1 or -1, and 0 at dist == 0.
+def _hinge_sum(a, b, margin):
+    """Sum over the row pairs (i of a, j of b) of the hinge
+    max(0, margin - ||a_i - b_j||^2), in tiles of at most _TILE elements.
     """
-    upper = a == b
-    dim = feats.shape[1]
+    dim = a.shape[1]
     cols = max(1, min(len(b), _TILE // dim))
     rows = max(1, _TILE // (cols * dim))
     total = 0.0
-    for j in range(b.start, b.stop, cols):
-        stop = min(j + cols, b.stop)
-        for i in range(a.start, min(a.stop, stop) if upper else a.stop, rows):
-            # A tile of one range with itself starts at its diagonal.
-            lo = max(i, j) if upper else j
-            diff = feats[i:min(i + rows, a.stop), None] - feats[None, lo:stop]
+    for j in range(0, len(b), cols):
+        for i in range(0, len(a), rows):
+            diff = a[i:i + rows, None] - b[None, j:j + cols]
             dist = np.einsum("ijk,ijk->ij", diff, diff)
-            if not squared:
-                np.sqrt(dist, out=dist)
-            if upper:
-                # The pairs j <= i lie in the tile's leading columns.
-                width = max(0, i + len(diff) - lo)
-                dist[:, :width][np.tri(len(diff), width, i - lo, dtype=bool)] = 0.0
-            if grad is not None:
-                coef = 2.0 if margin is None else np.where(dist < margin, -2.0, 0.0)
-                w = np.divide(coef, dist, out=np.zeros_like(dist), where=dist > 0.0)
-                grad[i:i + len(diff)] += np.einsum("ij,ijk->ik", w, diff)
-                grad[lo:stop] -= np.einsum("ij,ijk->jk", w, diff)
-                del coef, w
-            if margin is not None:
-                np.subtract(margin, dist, out=dist)
-                np.maximum(dist, 0.0, out=dist)
+            np.subtract(margin, dist, out=dist)
+            np.maximum(dist, 0.0, out=dist)
             total += float(dist.sum())
             # Free the tile before the next one is formed.
             del diff, dist

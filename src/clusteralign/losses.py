@@ -14,7 +14,7 @@ Every input may carry a leading seed axis (a group of seeds trained
 together); each loss then returns one value per seed and gradients with
 that axis. A training step also puts a domain axis in front of it: one
 stacked_margin_loss call covers every (domain, seed) slice, each slice
-its own problem. Every other clustering-kernel mode and the
+its own problem. The clustering kernel's loss-only mode and the
 selected-target sum of the adversarial loss run once per slice, so each
 seed's bytes are those of a run of that seed alone.
 """
@@ -27,7 +27,6 @@ from clusteralign.kernels import pairwise_margin_loss, stacked_margin_loss
 from clusteralign.network import row_index
 
 _EPS = 1e-12
-METRICS = ("sq_euclidean", "euclidean")
 
 
 @dataclass(frozen=True)
@@ -71,34 +70,27 @@ def cross_entropy(probabilities, labels):
     return loss, d_logits / y.shape[-1]
 
 
-def clustering_loss(features, labels, margin: float, metric: str = "sq_euclidean",
-                    gradient: bool = True):
+def clustering_loss(features, labels, margin: float, *, gradient: bool = True):
     """Pull same-label features together, push different labels past the margin.
 
     Averages over all ordered sample pairs (self-pairs contribute zero):
-    same-label pairs add their distance, different-label pairs add
-    max(0, margin - distance). labels holds one integer per feature row;
-    only their equality matters, so any integer dtype will do (a narrow
-    one compares fastest). Returns (loss, d_features), or (loss, None)
-    with gradient=False (the kernel's loss-only mode). Features with
-    leading axes, (..., rows, columns), give one loss per matrix; the
-    squared metric's gradient mode takes them all in one kernel call.
+    same-label pairs add their squared distance, different-label pairs add
+    max(0, margin - squared distance). labels holds one integer per
+    feature row; only their equality matters, so any integer dtype will do
+    (a narrow one compares fastest). Returns (loss, d_features), or
+    (loss, None) with gradient=False (the kernel's loss-only mode).
+    Features with leading axes, (..., rows, columns), give one loss per
+    matrix; the gradient mode takes them all in one kernel call.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
     labels = _row_labels(features, labels)
-    squared = metric == "sq_euclidean"
-    if squared and gradient:
+    if gradient:
         return stacked_margin_loss(features, labels, margin)
-    values, grads = zip(*(
-        pairwise_margin_loss(f, y, margin, squared=squared, gradient=gradient)
-        for f, y in zip(features.reshape((-1,) + features.shape[-2:]),
-                        labels.reshape(-1, labels.shape[-1]))
-    ))
-    loss = np.asarray(values).reshape(labels.shape[:-1])
-    return loss, np.asarray(grads).reshape(features.shape) if gradient else None
+    values = [pairwise_margin_loss(f, y, margin, gradient=False)[0]
+              for f, y in zip(features.reshape((-1,) + features.shape[-2:]),
+                              labels.reshape(-1, labels.shape[-1]))]
+    return np.asarray(values).reshape(labels.shape[:-1]), None
 
 
 def alignment_loss(source_features, source_labels, target_features, target_labels,
@@ -211,7 +203,7 @@ def objective(features, source_probabilities, source_y, target_labels, target_co
     # clustering kernel.
     narrow = np.min_scalar_type(num_classes - 1)
     labels = np.asarray((source_y.astype(narrow), target_labels.astype(narrow)))
-    l_c, d_clustering = clustering_loss(features, labels, cfg.margin, cfg.metric)
+    l_c, d_clustering = clustering_loss(features, labels, cfg.margin)
     outputs = critic_outputs[..., 0]
     # The selected-target sum is taken per seed: a masked sum over the
     # group would reorder the summation.

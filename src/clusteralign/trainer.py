@@ -42,7 +42,7 @@ import numpy as np
 
 from clusteralign.data import BatchPair, DomainDataset, batch_indices
 from clusteralign.evaluate import snapshot
-from clusteralign.losses import METRICS, objective
+from clusteralign.losses import objective
 from clusteralign.network import (
     FEATURE_TAPS,
     DomainError,
@@ -138,7 +138,6 @@ class TrainConfig:
     activation: str = "relu"
     dropout_rate: float = 0.1
     feature_tap: str = ""
-    metric: str = "sq_euclidean"
     use_clustering: bool = True
     use_alignment: bool = True
 
@@ -163,8 +162,7 @@ class TrainConfig:
             raise ValueError("hidden_layers must hold sizes of at least 1")
         for name, known in (("alpha_schedule", ALPHA_SCHEDULES),
                             ("lambda_schedule", LAMBDA_SCHEDULES),
-                            ("teacher_mode", TEACHER_MODES),
-                            ("metric", METRICS)):
+                            ("teacher_mode", TEACHER_MODES)):
             if getattr(self, name) not in known:
                 raise ValueError(f"{name} must be one of {', '.join(known)}; "
                                  f"got {getattr(self, name)!r}")

@@ -43,22 +43,21 @@ def kink_free_instance(seed, sizes=(3, 6, 4, 2), batch=8, dropout=0.0,
     raise AssertionError("could not sample a kink-free instance")
 
 
-def margin_safe_labels(features, rng, num_classes, margin, squared, guard=1e-2):
-    """Labels whose cross-class pair distances stay away from the hinge."""
+def margin_safe_labels(features, rng, num_classes, margin, guard=1e-2):
+    """Labels whose cross-class squared pair distances stay away from the
+    hinge."""
     n = features.shape[0]
     for _ in range(200):
         labels = rng.integers(num_classes, size=n)
         diff = features[:, None, :] - features[None, :, :]
         d = (diff ** 2).sum(-1)
-        if not squared:
-            d = np.sqrt(d)
         cross = labels[:, None] != labels[None, :]
         if not np.any(cross & (np.abs(d - margin) < guard)):
             return labels.astype(np.int64)
     raise AssertionError("could not sample margin-safe labels")
 
 
-def brute_force_clustering(features, labels, margin, squared=True):
+def brute_force_clustering(features, labels, margin):
     """Literal double loop over all ordered pairs; the loss oracle."""
     n = features.shape[0]
     total = 0.0
@@ -66,8 +65,6 @@ def brute_force_clustering(features, labels, margin, squared=True):
         for j in range(n):
             diff = features[i] - features[j]
             d = float(diff @ diff)
-            if not squared:
-                d = float(np.sqrt(d))
             if labels[i] == labels[j]:
                 total += d
             else:
@@ -75,7 +72,7 @@ def brute_force_clustering(features, labels, margin, squared=True):
     return total / (n * n)
 
 
-def brute_force_clustering_grad(features, labels, margin, squared=True):
+def brute_force_clustering_grad(features, labels, margin):
     """Literal double loop over all ordered pairs, loss and gradient; the
     kernel oracle. Each pair adds d(term)/d(dist) * d(dist)/d(f_i) to f_i
     and its negation to f_j."""
@@ -85,8 +82,7 @@ def brute_force_clustering_grad(features, labels, margin, squared=True):
     for i in range(n):
         for j in range(n):
             diff = features[i] - features[j]
-            sq = float(diff @ diff)
-            dist = sq if squared else float(np.sqrt(sq))
+            dist = float(diff @ diff)
             if labels[i] == labels[j]:
                 coef = 1.0
                 loss += dist
@@ -95,14 +91,8 @@ def brute_force_clustering_grad(features, labels, margin, squared=True):
                 loss += margin - dist
             else:
                 continue
-            if squared:
-                scale = 2.0 * coef
-            elif dist > 0.0:
-                scale = coef / dist
-            else:
-                scale = 0.0
-            grad[i] += scale * diff
-            grad[j] -= scale * diff
+            grad[i] += 2.0 * coef * diff
+            grad[j] -= 2.0 * coef * diff
     return loss / (n * n), grad / (n * n)
 
 

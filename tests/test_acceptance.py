@@ -188,8 +188,7 @@ def test_criterion_3_gradient_correctness():
         # denominator floor (at h = 1e-5 the noise alone would read ~1e-3).
         net, x, noise = kink_free_instance((4000, i), sizes=(3, 6, 3), guard=5e-2)
         trace = forward(net, x, "train", noise)
-        labels = margin_safe_labels(trace.features, rng, 3, margin=3.0,
-                                    squared=True, guard=0.15)
+        labels = margin_safe_labels(trace.features, rng, 3, margin=3.0, guard=0.15)
         _, d_feats = clustering_loss(trace.features, labels, 3.0)
         grads = backward(net, trace, d_feats, "features")
 
@@ -264,10 +263,8 @@ def test_criterion_4_loss_oracles():
         d = int(rng.integers(1, 9))
         feats = rng.normal(size=(n, d))
         labels = rng.integers(3, size=n)
-        metric = "sq_euclidean" if i % 2 == 0 else "euclidean"
-        loss, _ = clustering_loss(feats, labels, 2.5, metric)
-        oracle = brute_force_clustering(feats, labels, 2.5, squared=metric == "sq_euclidean")
-        worst_cluster = max(worst_cluster, abs(loss - oracle))
+        loss, _ = clustering_loss(feats, labels, 2.5)
+        worst_cluster = max(worst_cluster, abs(loss - brute_force_clustering(feats, labels, 2.5)))
 
     worst_align = 0.0
     for i in range(100):

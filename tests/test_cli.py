@@ -93,10 +93,10 @@ class TestResolveConfig:
         assert a == b and len(a) == 64
 
     @pytest.mark.parametrize("name, digest", [
-        ("imbalanced", "80d7fbf808332a99daec520c49140aa2355d0c714e4d452381d949e29492345e"),
+        ("imbalanced", "351b8beaf26a62a5dd610b492a9e04028299f5654d5fa3806fd9c516ff90eab7"),
         ("imbalanced_marginal_only",
-         "dbef415831a4137e6d71577673ed4a82b523eb44d2f50a6610765c282959f3e1"),
-        ("multimode", "090266530c994ca2169851bba605d76d59cfdab712441dbf1f72ad4caaf61dbd"),
+         "56930d65517fbb766738f0e6928fb05e4912910821805cbfd02ee44df277c664"),
+        ("multimode", "ff85399c411c1c04eff925f8c1e1f81e0a000d6ecc51aff8bd68ec3b8e10692b"),
     ])
     def test_shipped_preset_hash_is_pinned(self, name, digest):
         raw = json.loads((CONFIGS / f"{name}.json").read_text())
@@ -117,7 +117,8 @@ PROBES = [
     ("train.dropout_rate", {"train": {"dropout_rate": 1.0}}),
     ("train.activation", {"train": {"activation": "gelu"}}),
     ("train.feature_tap", {"train": {"feature_tap": "middle"}}),
-    ("train.metric", {"train": {"metric": "cosine"}}),
+    # A config that names a clustering metric, once a train key, is refused.
+    ("train.metric", {"train": {"metric": "euclidean"}}),
     # Both batch keys, or the equality check below fires first.
     ("train.batch_source", {"train": {"batch_source": 5000, "batch_target": 5000}}),
     ("train.batch_target", {"train": {"batch_target": 8}}),
@@ -383,12 +384,12 @@ def test_validate_and_run_never_import_numpy_ma(tmp_path):
 
 
 # Two short runs that reach both presets' feature widths: the imbalanced
-# defaults (2-D logits), and a multimode Pi teacher with dropout under the
-# euclidean metric (16-D penultimate features).
+# defaults (2-D logits), and a multimode Pi teacher with dropout (16-D
+# penultimate features).
 THREAD_CONFIGS = {
     "imbalanced": {"scenario": "imbalanced_gaussians", "train": {}},
-    "multimode_pi_euclidean": {"scenario": "multimode", "train": {
-        "teacher_mode": "pi", "dropout_rate": 0.3, "metric": "euclidean"}},
+    "multimode_pi": {"scenario": "multimode", "train": {
+        "teacher_mode": "pi", "dropout_rate": 0.3}},
 }
 
 
@@ -418,12 +419,11 @@ def run_cli(path, out_dir, seeds):
 
 
 # A dropout student with the temporal teacher, and the multimode Pi
-# teacher under the euclidean metric, whose third forward pass draws its
-# own dropout masks.
+# teacher, whose third forward pass draws its own dropout masks.
 GROUP_CONFIGS = {
     "imbalanced_dropout_temporal": {"scenario": "imbalanced_gaussians",
                                     "train": {"dropout_rate": 0.2}},
-    "multimode_pi_euclidean": THREAD_CONFIGS["multimode_pi_euclidean"],
+    "multimode_pi": THREAD_CONFIGS["multimode_pi"],
 }
 
 

@@ -13,9 +13,9 @@ from helpers import brute_force_clustering, brute_force_clustering_grad, module_
 REL = 1e-10
 
 
-def assert_matches_oracle(feats, labels, margin, squared, gradient=True):
-    loss, grad = kernels.pairwise_margin_loss(feats, labels, margin, squared, gradient)
-    want_loss, want_grad = brute_force_clustering_grad(feats, labels, margin, squared)
+def assert_matches_oracle(feats, labels, margin, gradient=True):
+    loss, grad = kernels.pairwise_margin_loss(feats, labels, margin, gradient)
+    want_loss, want_grad = brute_force_clustering_grad(feats, labels, margin)
     assert abs(loss - want_loss) <= REL * abs(want_loss)
     if not gradient:
         assert grad is None
@@ -27,40 +27,37 @@ def test_backend_is_resolved():
     assert kernels.BACKEND == "numpy"
 
 
-@pytest.mark.parametrize("squared", [True, False])
-def test_numpy_kernel_matches_brute_force(squared):
+# An oracle test that takes `gradient` checks each mode as its own case:
+# the Gram-form gradient mode (True) and the loss-only mode (False).
+@pytest.mark.parametrize("gradient", [True, False])
+def test_numpy_kernel_matches_brute_force(gradient):
     rng = seeded_rng(0)
     feats = rng.normal(size=(17, 3))
     labels = rng.integers(2, size=17).astype(np.int64)
-    loss, _ = kernels.pairwise_margin_loss(feats, labels, 2.0, squared)
-    assert loss == pytest.approx(
-        brute_force_clustering(feats, labels, 2.0, squared), abs=1e-10
-    )
+    loss, _ = kernels.pairwise_margin_loss(feats, labels, 2.0, gradient)
+    assert loss == pytest.approx(brute_force_clustering(feats, labels, 2.0), abs=1e-10)
 
 
-@pytest.mark.parametrize("squared", [True, False])
+@pytest.mark.parametrize("gradient", [True, False])
 @pytest.mark.parametrize("seed", range(6))
-def test_random_batches_match_oracle(seed, squared):
+def test_random_batches_match_oracle(seed, gradient):
     rng = seeded_rng(10, seed)
     n = int(rng.integers(2, 81))
     d = int(rng.integers(1, 17))
     feats = rng.normal(size=(n, d))
     labels = rng.integers(3, size=n)
     # A margin near the typical pair distance keeps both hinge branches busy.
-    margin = 2.0 * d if squared else float(np.sqrt(2.0 * d))
-    for gradient in (True, False):
-        assert_matches_oracle(feats, labels, margin, squared, gradient)
+    assert_matches_oracle(feats, labels, 2.0 * d, gradient)
 
 
-@pytest.mark.parametrize("squared", [True, False])
-def test_coincident_pairs_match_oracle(squared):
+@pytest.mark.parametrize("gradient", [True, False])
+def test_coincident_pairs_match_oracle(gradient):
     rng = seeded_rng(11)
     base = rng.normal(size=(6, 3))
     feats = np.vstack([base, base[:3], base[:3]])
     # Copies of rows 0-2 with the same label, then with a different one.
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 2, 0])
-    for gradient in (True, False):
-        assert_matches_oracle(feats, labels, 2.5, squared, gradient)
+    assert_matches_oracle(feats, labels, 2.5, gradient)
 
 
 # Label layouts the loss-only mode groups by hand: n = 1, one label, a
@@ -74,39 +71,26 @@ LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("squared", [True, False])
+@pytest.mark.parametrize("gradient", [True, False])
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_loss_only_layouts_match_oracle_and_gradient_mode(layout, squared):
+def test_loss_only_layouts_match_oracle_and_gradient_mode(layout, gradient):
     labels = np.array(LAYOUTS[layout])
     feats = seeded_rng(15, len(labels)).normal(size=(len(labels), 3))
-    margin = 6.0 if squared else 2.5
-    assert_matches_oracle(feats, labels, margin, squared, gradient=False)
-    loss, _ = kernels.pairwise_margin_loss(feats, labels, margin, squared, gradient=False)
-    gram_loss, _ = kernels.pairwise_margin_loss(feats, labels, margin, squared)
+    assert_matches_oracle(feats, labels, 6.0, gradient)
+    loss, _ = kernels.pairwise_margin_loss(feats, labels, 6.0, gradient=False)
+    gram_loss, _ = kernels.pairwise_margin_loss(feats, labels, 6.0)
     assert abs(loss - gram_loss) <= 1e-12 * abs(gram_loss)
 
 
-@pytest.mark.parametrize("squared", [True, False])
 @pytest.mark.parametrize("tile", [1, 20, 200])
-def test_loss_only_tiles_match_oracle(tile, squared, monkeypatch):
+def test_loss_only_tiles_match_oracle(tile, monkeypatch):
     # Tiles of one pair (smaller than its 3 elements), of part of a row,
     # and of several whole rows, so that the tile loops run many times.
     monkeypatch.setattr(kernels, "_TILE", tile)
     rng = seeded_rng(18, tile)
     feats = rng.normal(size=(30, 3))
     labels = rng.integers(3, size=30)
-    assert_matches_oracle(feats, labels, 6.0 if squared else 2.5, squared, gradient=False)
-
-
-@pytest.mark.parametrize("tile", [1, 20, 200])
-def test_euclidean_gradient_tiles_match_oracle(tile, monkeypatch):
-    # The euclidean gradient mode adds each tile's gradient to both of its
-    # row ranges; same-label tiles hold the pairs i < j only.
-    monkeypatch.setattr(kernels, "_TILE", tile)
-    rng = seeded_rng(20, tile)
-    feats = rng.normal(size=(30, 3))
-    labels = rng.integers(3, size=30)
-    assert_matches_oracle(feats, labels, 2.5, squared=False)
+    assert_matches_oracle(feats, labels, 6.0, gradient=False)
 
 
 @pytest.mark.parametrize("dim", [2, 16])
@@ -133,16 +117,14 @@ def test_gram_product_with_a_transposed_copy_keeps_the_syrk_bits(shape):
     assert (feats @ np.ascontiguousarray(feats.mT)).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("squared", [True, False])
 @pytest.mark.parametrize("seed", range(4))
-def test_loss_only_mode_matches_gradient_mode(seed, squared):
+def test_loss_only_mode_matches_gradient_mode(seed):
     rng = seeded_rng(16, seed)
     n = int(rng.integers(200, 401))
     labels = rng.integers(3, size=n)
     feats = rng.normal(size=(n, 4)) + 2.0 * labels[:, None]
-    margin = 40.0 if squared else 6.0
-    loss, grad = kernels.pairwise_margin_loss(feats, labels, margin, squared, gradient=False)
-    want, _ = kernels.pairwise_margin_loss(feats, labels, margin, squared)
+    loss, grad = kernels.pairwise_margin_loss(feats, labels, 40.0, gradient=False)
+    want, _ = kernels.pairwise_margin_loss(feats, labels, 40.0)
     assert grad is None
     assert abs(loss - want) <= 1e-12 * abs(want)
 
@@ -162,7 +144,7 @@ for seed in range(12):
     spread = 10.0 ** rng.uniform(-3.0, -0.5)
     labels = np.repeat([0, 1], [100, 1000])
     feats = centres[labels] + spread * rng.normal(size=(1100, 2))
-    print(pairwise_margin_loss(feats, labels, 30.0, True, gradient=False)[0].hex())
+    print(pairwise_margin_loss(feats, labels, 30.0, gradient=False)[0].hex())
 """
 
 
@@ -176,21 +158,6 @@ def test_loss_only_mode_is_independent_of_blas_threads():
     assert printed[0] == printed[1]
 
 
-def test_euclidean_gradient_allocates_no_pairwise_buffers():
-    # One n x n float64 buffer alone would take 9.2 MiB at the imbalanced
-    # snapshot's shape.
-    rng = seeded_rng(19)
-    labels = np.repeat([0, 1], [100, 1000])
-    feats = np.array([[3.0, -2.0], [-3.0, 3.0]])[labels] + 0.3 * rng.normal(size=(1100, 2))
-    tracemalloc.start()
-    try:
-        kernels.pairwise_margin_loss(feats, labels, 5.0, squared=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
-
-
 @pytest.mark.parametrize("n, dim", [(1100, 2), (600, 16)])
 def test_squared_loss_only_frees_each_tile_before_the_next(n, dim):
     # A 512 KiB tile of differences and its distances; two generations of
@@ -200,7 +167,7 @@ def test_squared_loss_only_frees_each_tile_before_the_next(n, dim):
     labels = rng.integers(2, size=n)
     tracemalloc.start()
     try:
-        kernels.pairwise_margin_loss(feats, labels, 3.0, squared=True, gradient=False)
+        kernels.pairwise_margin_loss(feats, labels, 3.0, gradient=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,19 +188,11 @@ def near_duplicates(offset, shared):
 OFFSETS = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4]
 
 
-@pytest.mark.parametrize("squared", [True, False])
+@pytest.mark.parametrize("gradient", [True, False])
 @pytest.mark.parametrize("offset", OFFSETS)
-def test_near_duplicate_pairs_match_oracle(offset, squared):
+def test_near_duplicate_pairs_match_oracle(offset, gradient):
     feats, labels = near_duplicates(offset, shared=6)
-    assert_matches_oracle(feats, labels, 1.0, squared)
-
-
-@pytest.mark.parametrize("offset", OFFSETS)
-def test_euclidean_near_pairs_alone_match_oracle(offset):
-    # Only the near pairs carry loss and gradient, each gradient term a
-    # unit vector that the Gram form would cancel away.
-    feats, labels = near_duplicates(offset, shared=12)
-    assert_matches_oracle(feats, labels, 1.0, squared=False)
+    assert_matches_oracle(feats, labels, 1.0, gradient)
 
 
 @pytest.mark.parametrize("offset", OFFSETS)
@@ -242,21 +201,21 @@ def test_squared_metric_error_is_absolute(offset):
     # ||a||^2 + ||b||^2 per pair: a loss carried by near pairs alone is
     # only that accurate, not relatively.
     feats, labels = near_duplicates(offset, shared=12)
-    loss, grad = kernels.pairwise_margin_loss(feats, labels, 1.0, True)
-    want_loss, want_grad = brute_force_clustering_grad(feats, labels, 1.0, True)
+    loss, grad = kernels.pairwise_margin_loss(feats, labels, 1.0)
+    want_loss, want_grad = brute_force_clustering_grad(feats, labels, 1.0)
     eps = np.finfo(np.float64).eps
     assert abs(loss - want_loss) <= 8 * eps * 2.0 * np.max(np.sum(feats ** 2, axis=1))
     assert np.max(np.abs(grad - want_grad)) <= 8 * eps * np.max(np.abs(feats))
 
 
-@pytest.mark.parametrize("squared", [True, False])
-def test_near_duplicates_among_random_pairs_match_oracle(squared):
+@pytest.mark.parametrize("gradient", [True, False])
+def test_near_duplicates_among_random_pairs_match_oracle(gradient):
     rng = seeded_rng(13)
     base = 30.0 * rng.normal(size=(20, 5))
     offsets = 10.0 ** rng.uniform(-12, -4, size=(20, 1)) * rng.normal(size=(20, 5))
     feats = np.vstack([base, base + offsets])
     labels = rng.integers(2, size=40)
-    assert_matches_oracle(feats, labels, 900.0 if squared else 30.0, squared)
+    assert_matches_oracle(feats, labels, 900.0, gradient)
 
 
 def test_kmeans_assign_duplicated_centers():

@@ -353,8 +353,7 @@ def test_finite_diff_clustering_loss_active_margin():
     # on those coordinates below the 1e-8 relative-error floor.
     net, x, seed = kink_free_instance(9, sizes=(3, 6, 3), guard=5e-2)
     trace = forward(net, x, "train", seed)
-    labels = margin_safe_labels(trace.features, seeded_rng(10), 3, margin=3.0,
-                                squared=True, guard=0.15)
+    labels = margin_safe_labels(trace.features, seeded_rng(10), 3, margin=3.0, guard=0.15)
     loss, d_feats = clustering_loss(trace.features, labels, 3.0)
     assert loss > 0.0
     grads = backward(net, trace, d_feats, "features")

@@ -335,13 +335,13 @@ class TestSeedGroup:
 
     @pytest.mark.parametrize("dataset, over", [
         (tiny_dataset, {"teacher_mode": "temporal", "dropout_rate": 0.3}),
-        (tiny_dataset, {"teacher_mode": "pi", "dropout_rate": 0.3, "metric": "euclidean"}),
+        (tiny_dataset, {"teacher_mode": "pi", "dropout_rate": 0.3}),
         (tiny_dataset, {"teacher_mode": "self", "hidden_layers": (), "feature_tap": "penultimate"}),
         # 40 source and 60 target rows: an epoch holds 3 target batches, and
         # the source's 2 cycle; the snapshot's domains differ in size.
         (functools.partial(make_multimode_domains, n_per_mode=10),
          {"teacher_mode": "temporal", "dropout_rate": 0.3}),
-    ], ids=["temporal-dropout", "pi-euclidean", "self-no-hidden-layer", "domains-of-two-sizes"])
+    ], ids=["temporal-dropout", "pi-dropout", "self-no-hidden-layer", "domains-of-two-sizes"])
     def test_group_holds_the_bytes_of_each_seed_run_alone(self, dataset, over):
         cfgs, datasets = self.group(dataset, total_iters=20, pretrain_iters=5, **over)
         state, logs, views = run_training(cfgs, datasets, eval_every=6)

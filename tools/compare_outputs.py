@@ -7,14 +7,14 @@ Each configuration below (400 iterations, pretraining 100, a snapshot every
 100) is then run with `python -m clusteralign.cli run` in a fresh process on
 both trees, with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, and
 every output file and the stdout are compared. Configuration (k) sets an
-integer momentum of 0 (plain SGD); (l) takes the euclidean metric and the
-constant alpha schedule; (i) takes batches of 48, so that the multimode
-target's 12 batches per epoch cycle the source's 8. Configurations (a),
-(f), (h) and (j) run once more at OPENBLAS_NUM_THREADS=2, numpy's default
-on a 2-core machine, and print their own lines: three seed groups and a
-lone seed, each with the squared metric's matmul kernel. A differing CSV
-whose header matches on both sides is named with its differing columns,
-as in `metrics_0.csv[l_c]`. Each run's line also gives the peak resident
+integer momentum of 0 (plain SGD); (l) takes the constant alpha schedule;
+(i) takes batches of 48, so that the multimode target's 12 batches per
+epoch cycle the source's 8. Configurations (a), (f), (h) and (j) run once
+more at OPENBLAS_NUM_THREADS=2, numpy's default on a 2-core machine, and
+print their own lines: three seed groups and a lone seed, each through
+the clustering kernel's matmul. A differing CSV whose header matches on
+both sides is named with its differing columns, as in
+`metrics_0.csv[l_c]`. Each run's line also gives the peak resident
 set of its process on this tree and on the revision (ru_maxrss from
 os.wait4), e.g. `peak 39.71/41.10 MiB`, and its minor page faults from
 the same call (ru_minflt), e.g. `faults 6.4k/6.4k`: a change that lets
@@ -47,7 +47,7 @@ def _config(scenario, seeds=(0,), ablation=(), **train):
 CONFIGS = {
     "a": _config("imbalanced_gaussians", seeds=(0, 3)),
     "b": _config("multimode", ablation=["no_La"], teacher_mode="pi", dropout_rate=0.3,
-                 threshold=0.7, metric="euclidean"),
+                 threshold=0.7),
     "c": _config("multimode", ablation=["no_teacher", "no_Lc"]),
     "d": _config("imbalanced_gaussians", ablation=["marginal_only", "no_teacher"],
                  teacher_mode="pi", dropout_rate=0.2),
@@ -70,10 +70,8 @@ CONFIGS = {
                  dropout_rate=0.3),
     # Plain SGD: JSON 0 stays a Python int in the momentum update.
     "k": _config("multimode", momentum=0),
-    # The snapshot's loss-only euclidean kernel, once per domain, and the
-    # constant alpha schedule.
-    "l": _config("imbalanced_gaussians", seeds=(0, 1), metric="euclidean",
-                 alpha_schedule="constant"),
+    # The constant alpha schedule on a 2-seed group.
+    "l": _config("imbalanced_gaussians", seeds=(0, 1), alpha_schedule="constant"),
 }
 # The configurations also run at 2 BLAS threads.
 TWO_THREADS = ("a", "f", "h", "j")
