@@ -25,7 +25,6 @@ aggregates the final target accuracies (population std, Table-style
 """
 
 import argparse
-import hashlib
 import inspect
 import json
 import math
@@ -251,6 +250,8 @@ def _resolve(raw: dict):
 
 
 def config_hash(resolved: dict) -> str:
+    import hashlib
+
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -349,6 +350,13 @@ def _parse_seeds(text):
 
 
 def main(argv=None) -> int:
+    # A run uses no algorithm that only OpenSSL has, yet hashlib and
+    # numpy.random (through secrets and hmac) would load its libcrypto,
+    # about 3.7 MiB resident. Blocking _hashlib makes both fall back to
+    # CPython's builtin digests, which give the same bytes. A host that has
+    # already loaded OpenSSL keeps it.
+    if "_hashlib" not in sys.modules:
+        sys.modules["_hashlib"] = None
     parser = argparse.ArgumentParser(
         prog="clusteralign",
         description="Cluster-aligned domain adaptation experiments",

@@ -10,6 +10,8 @@ way. Both follow numpy's SeedSequence and PCG64 seeding algorithms bit for
 bit (tests pin them against numpy on random keys).
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF

@@ -20,6 +20,13 @@ from clusteralign.evaluate import RunMetrics
 
 from helpers import module_env
 
+# OpenSSL's sha256, bound at import: main blocks OpenSSL in a process that
+# has not loaded it, and tests call main in this one.
+try:
+    from _hashlib import openssl_sha256
+except ImportError:
+    openssl_sha256 = None
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -381,6 +388,78 @@ def test_validate_and_run_never_import_numpy_ma(tmp_path):
                           capture_output=True, text=True, env=module_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+# A fresh process that runs `validate`, then `run` into argv[2], through
+# main or through the `python -m` path, and prints what it holds as _hashlib.
+_ENTRY_CODE = {
+    "main": """\
+import sys
+from clusteralign.cli import main
+assert main(['validate', sys.argv[1]]) == 0
+assert main(['run', sys.argv[1], '--output-dir', sys.argv[2]]) == 0
+print(sys.modules.get('_hashlib', 'absent'))
+""",
+    "runpy": """\
+import runpy, sys
+config, out = sys.argv[1:]
+for argv in (['validate', config], ['run', config, '--output-dir', out]):
+    sys.argv = ['clusteralign', *argv]
+    try:
+        runpy.run_module('clusteralign.cli', run_name='__main__')
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(sys.modules.get('_hashlib', 'absent'))
+""",
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_CODE)
+def test_validate_and_run_never_load_openssl(tmp_path, entry):
+    # OpenSSL's libcrypto costs every process about 3.7 MiB; main blocks
+    # _hashlib, and the builtin sha256 must give the config hash that
+    # OpenSSL's gives.
+    if openssl_sha256 is None:
+        pytest.skip("this Python has no OpenSSL")
+    raw = tiny_raw(seeds=[0, 1])
+    path = write_config(tmp_path, raw)
+    done = subprocess.run([sys.executable, "-c", _ENTRY_CODE[entry], path, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=module_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "None"
+    canonical = json.dumps(resolve_config(raw), sort_keys=True, separators=(",", ":"))
+    digest = openssl_sha256(canonical.encode("utf-8")).hexdigest()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config_hash"] == digest
+
+
+def test_library_import_loads_neither_hashlib_nor_numpy_random():
+    # An eager np.random annotation or a top-level `import hashlib` would
+    # load OpenSSL before main could block it.
+    code = ("import sys\n"
+            "import clusteralign\n"
+            "import clusteralign.cli\n"
+            "print([m for m in ('hashlib', 'numpy.random', '_hashlib') if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=module_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_host_that_loaded_openssl_keeps_it(tmp_path):
+    if openssl_sha256 is None:
+        pytest.skip("this Python has no OpenSSL")
+    path = write_config(tmp_path, tiny_raw())
+    code = ("import hashlib, sys\n"
+            "from clusteralign.cli import main\n"
+            "assert main(['validate', sys.argv[1]]) == 0\n"
+            "print(sys.modules['_hashlib'] is not None)\n"
+            "print(hashlib.sha256(b'abc').hexdigest())\n")
+    done = subprocess.run([sys.executable, "-c", code, path], capture_output=True, text=True,
+                          env=module_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == [
+        "True", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"]
 
 
 # Two short runs that reach both presets' feature widths: the imbalanced
