@@ -49,7 +49,6 @@ from clusteralign.teacher import (
 from clusteralign.trainer import (
     TrainConfig,
     TrainState,
-    alpha_exp_ramp,
     alpha_logistic,
     init_train_state,
     lr_schedule,

@@ -1,10 +1,10 @@
 """Small feedforward classifiers with exact reverse-mode gradients.
 
-Networks are plain stacks of dense layers. The forward pass records every
-intermediate needed for backpropagation (pre-activations, the activations
-actually fed forward, dropout masks), so a backward pass reproduces the
-exact gradient of any scalar loss whose upstream gradient is supplied at
-one of three entry points:
+Networks are plain stacks of dense layers with ReLU hidden layers. The
+forward pass records every intermediate needed for backpropagation
+(pre-activations, the activations actually fed forward, dropout masks), so
+a backward pass reproduces the exact gradient of any scalar loss whose
+upstream gradient is supplied at one of three entry points:
 
     probabilities - after the softmax (or sigmoid) head
     logits        - the final pre-activation
@@ -42,7 +42,6 @@ import numpy as np
 
 from clusteralign.seeding import seeded_rng
 
-ACTIVATIONS = ("relu", "tanh")
 FEATURE_TAPS = ("penultimate", "logits")
 HEADS = ("softmax", "sigmoid")
 
@@ -75,15 +74,15 @@ def as_matrix(x, name="x"):
 class NetworkSpec:
     """Architecture description.
 
-    layer_sizes runs input dim -> hidden dims -> output dim. Dropout
-    applies to hidden activations only. The feature tap picks which
-    activations act as the adaptation features: the final pre-activation
-    ("logits") or the input of the final layer ("penultimate"). The head
-    is softmax for classifiers and sigmoid for the 1-unit critic.
+    layer_sizes runs input dim -> hidden dims -> output dim. Every hidden
+    layer is ReLU, and dropout applies to its activations only. The
+    feature tap picks which activations act as the adaptation features:
+    the final pre-activation ("logits") or the input of the final layer
+    ("penultimate"). The head is softmax for classifiers and sigmoid for
+    the 1-unit critic.
     """
 
     layer_sizes: tuple
-    activation: str = "relu"
     dropout_rate: float = 0.0
     feature_tap: str = "logits"
     head: str = "softmax"
@@ -95,9 +94,6 @@ class NetworkSpec:
             raise ValueError("layer_sizes needs at least an input and an output size")
         if any(s < 1 for s in sizes):
             raise ValueError("layer sizes must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {', '.join(ACTIVATIONS)}; "
-                             f"got {self.activation!r}")
         if self.feature_tap not in FEATURE_TAPS:
             raise ValueError(f"feature_tap must be one of {', '.join(FEATURE_TAPS)}; "
                              f"got {self.feature_tap!r}")
@@ -226,20 +222,6 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
     return Network(spec, params)
 
 
-def _activate(z, kind):
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_grad(z, kind):
-    if kind == "relu":
-        # A product with a bool array multiplies by 1.0 or 0.0.
-        return z > 0.0
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
 def reduce_rows(ufunc, a):
     """ufunc (np.add or np.maximum) reduced along the last axis of a, kept
     as an axis of length 1. numpy reduces a row of fewer than 8 entries as
@@ -314,7 +296,7 @@ def forward(net: Network, x, mode: str = "eval", noise=0, traced: bool = True) -
         z += b[..., None, :]
         if i == last:
             break
-        a = _activate(z, spec.activation)
+        a = np.maximum(z, 0.0)
         if use_dropout:
             size = a.shape[-2] * a.shape[-1]
             mask = kept[:, offset:offset + size].reshape(a.shape)
@@ -412,11 +394,10 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str,
     d_weights, d_biases = _views(spec, vector)
     for i in range(start, -1, -1):
         if i < top:
+            # The ReLU's derivative: a bool array multiplies by 1.0 or 0.0.
+            dz = da * (trace.pre_activations[i] > 0.0)
             if trace.masks is not None:
-                dz = da * trace.masks[i]
-                dz *= _activate_grad(trace.pre_activations[i], spec.activation)
-            else:
-                dz = da * _activate_grad(trace.pre_activations[i], spec.activation)
+                dz *= trace.masks[i]
         np.matmul(trace.inputs[i].mT, dz, out=d_weights[i])
         _row_sum(dz, d_biases[i])
         if i or input_gradient:

@@ -15,7 +15,7 @@ gradient-reversal connector on the feature path.
 During the pretraining phase the clustering, alignment, and adversarial
 weights are exactly zero for the student (the critic itself keeps
 learning, so its divergence estimate is meaningful by the time
-adaptation starts).
+adaptation starts); then all three share one logistic ramp.
 
 A whole run is a pure function of (config, dataset): every random draw is
 seeded from the config seed and the iteration counter. A dropout mask's
@@ -36,6 +36,7 @@ shuffle.
 import dataclasses
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,6 @@ from clusteralign.teacher import (
     temporal_step,
 )
 
-ALPHA_SCHEDULES = ("logistic", "exp_ramp", "constant")
-LAMBDA_SCHEDULES = ("same_as_alpha", "constant")
 # The dropout generator states of this many iterations are hashed at once.
 _PLAN_BLOCK = 64
 
@@ -89,16 +88,6 @@ def alpha_logistic(t: float) -> float:
     return 2.0 / (1.0 + math.exp(-10.0 * t)) - 1.0
 
 
-def alpha_exp_ramp(ite: int, start: int, length: int) -> float:
-    """Exponential ramp exp(-10*(1 - min((ite-start)/length, 1))) once ite
-    reaches start; zero before."""
-    if length <= 0:
-        raise ValueError("length must be positive")
-    if ite < start:
-        return 0.0
-    return math.exp(-10.0 * (1.0 - min((ite - start) / length, 1.0)))
-
-
 def lr_schedule(progress: float, base: float) -> float:
     """Annealed learning rate base / (1 + 10*progress)^0.75."""
     if not 0.0 <= progress <= 1.0:
@@ -111,10 +100,11 @@ class TrainConfig:
     """All knobs of one training run.
 
     The schedule weights alpha (clustering + alignment) and lam
-    (adversarial) are exactly zero while iteration < pretrain_iters. The
-    use_* switches and teacher_mode "self" (the student labels its own
-    targets) exist for ablations. batch_target must equal batch_source:
-    every step stacks its source and target batches on one domain axis.
+    (adversarial) are exactly zero while iteration < pretrain_iters, then
+    alpha_max and lambda_max times one logistic ramp. Hidden layers are
+    ReLU. The use_* switches and teacher_mode "self" (the student labels
+    its own targets) exist for ablations. batch_target must equal
+    batch_source: every step stacks both batches on one domain axis.
     """
 
     total_iters: int = 5000
@@ -123,11 +113,8 @@ class TrainConfig:
     batch_target: int = 64
     margin: float = 3.0
     threshold: float = 0.9
-    alpha_schedule: str = "logistic"
     alpha_max: float = 1.0
-    lambda_schedule: str = "same_as_alpha"
     lambda_max: float = 1.0
-    ramp_length: int = 0
     lr_base: float = 0.01
     momentum: float = 0.9
     teacher_mode: str = "temporal"
@@ -135,7 +122,6 @@ class TrainConfig:
     seed: int = 0
     critic_hidden: int = 16
     hidden_layers: tuple = (16, 16)
-    activation: str = "relu"
     dropout_rate: float = 0.1
     feature_tap: str = ""
     use_clustering: bool = True
@@ -160,13 +146,10 @@ class TrainConfig:
             raise ValueError("batch_target must equal batch_source")
         if any(size < 1 for size in self.hidden_layers):
             raise ValueError("hidden_layers must hold sizes of at least 1")
-        for name, known in (("alpha_schedule", ALPHA_SCHEDULES),
-                            ("lambda_schedule", LAMBDA_SCHEDULES),
-                            ("teacher_mode", TEACHER_MODES)):
-            if getattr(self, name) not in known:
-                raise ValueError(f"{name} must be one of {', '.join(known)}; "
-                                 f"got {getattr(self, name)!r}")
-        for name in ("alpha_max", "lambda_max", "ramp_length"):
+        if self.teacher_mode not in TEACHER_MODES:
+            raise ValueError(f"teacher_mode must be one of {', '.join(TEACHER_MODES)}; "
+                             f"got {self.teacher_mode!r}")
+        for name in ("alpha_max", "lambda_max"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite; "
                                  f"got {getattr(self, name)!r}")
@@ -210,16 +193,19 @@ def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
                        ("batch_target", ds.target_x.shape[0])):
         if getattr(cfg, name) > rows:
             raise ValueError(f"{name} must not exceed the {rows} samples of its domain")
+    # A domain's clustering loss sums up to rows**2 terms of at most margin.
+    rows = max(ds.source_x.shape[0], ds.target_x.shape[0])
+    bound = sys.float_info.max / rows**2
+    if cfg.margin > bound:
+        raise ValueError(f"margin must not exceed {bound:.3g} for {rows} rows; got {cfg.margin!r}")
     tap = resolve_feature_tap(cfg, ds.num_classes)
     student_spec = NetworkSpec(
         layer_sizes=(ds.source_x.shape[1], *cfg.hidden_layers, ds.num_classes),
-        activation=cfg.activation,
         dropout_rate=cfg.dropout_rate,
         feature_tap=tap,
     )
     critic_spec = NetworkSpec(
         layer_sizes=(student_spec.feature_dim, cfg.critic_hidden, cfg.critic_hidden, 1),
-        activation="relu",
         dropout_rate=0.0,
         feature_tap="penultimate",
         head="sigmoid",
@@ -279,24 +265,13 @@ def _seed_state(state: TrainState, index: int) -> TrainState:
 
 
 def schedule_weights(cfg: TrainConfig, iteration: int):
-    """The (alpha, lam) pair applied at a given iteration."""
+    """The (alpha, lam) pair of an iteration: zero in pretraining, then
+    alpha_max and lambda_max times alpha_logistic over the adaptation span."""
     if iteration < cfg.pretrain_iters:
         return 0.0, 0.0
     span = max(1, cfg.total_iters - cfg.pretrain_iters)
-    if cfg.alpha_schedule == "logistic":
-        t = min(1.0, (iteration - cfg.pretrain_iters) / span)
-        shape = alpha_logistic(t)
-    elif cfg.alpha_schedule == "exp_ramp":
-        length = cfg.ramp_length if cfg.ramp_length > 0 else span
-        shape = alpha_exp_ramp(iteration, cfg.pretrain_iters, length)
-    else:
-        shape = 1.0
-    alpha = cfg.alpha_max * shape
-    if cfg.lambda_schedule == "same_as_alpha":
-        lam = cfg.lambda_max * shape
-    else:
-        lam = cfg.lambda_max
-    return alpha, lam
+    shape = alpha_logistic(min(1.0, (iteration - cfg.pretrain_iters) / span))
+    return cfg.alpha_max * shape, cfg.lambda_max * shape
 
 
 class _DropoutPlan:

@@ -99,12 +99,13 @@ class TestResolveConfig:
         b = config_hash(resolve_config({"scenario": "multimode"}))
         assert a == b and len(a) == 64
 
+    # The case ids name the preset alone, so a re-pinned digest keeps them.
     @pytest.mark.parametrize("name, digest", [
-        ("imbalanced", "351b8beaf26a62a5dd610b492a9e04028299f5654d5fa3806fd9c516ff90eab7"),
+        ("imbalanced", "de8f6ffb6d01d0f612bb9f997eea90c12463d4c17a1c0fd6bb52517eaae3cb87"),
         ("imbalanced_marginal_only",
-         "56930d65517fbb766738f0e6928fb05e4912910821805cbfd02ee44df277c664"),
-        ("multimode", "ff85399c411c1c04eff925f8c1e1f81e0a000d6ecc51aff8bd68ec3b8e10692b"),
-    ])
+         "7b4c1656327d2c38c1b14bfa85a908af6b5e42bd0594293fd79af865238419bd"),
+        ("multimode", "fbaf8b166b741c1ac12bac4bb99a718dd6dde355f92871762fb7a3450b2dbf6e"),
+    ], ids=["imbalanced", "imbalanced_marginal_only", "multimode"])
     def test_shipped_preset_hash_is_pinned(self, name, digest):
         raw = json.loads((CONFIGS / f"{name}.json").read_text())
         assert config_hash(resolve_config(raw)) == digest
@@ -122,7 +123,11 @@ PROBES = [
     ("train.decay", {"train": {"decay": 1.5}}),
     ("train.momentum", {"train": {"momentum": 1.0}}),
     ("train.dropout_rate", {"train": {"dropout_rate": 1.0}}),
-    ("train.activation", {"train": {"activation": "gelu"}}),
+    # Keys once in train, refused with values they once took.
+    ("train.activation", {"train": {"activation": "tanh"}}),
+    ("train.alpha_schedule", {"train": {"alpha_schedule": "exp_ramp"}}),
+    ("train.lambda_schedule", {"train": {"lambda_schedule": "constant"}}),
+    ("train.ramp_length", {"train": {"ramp_length": 10}}),
     ("train.feature_tap", {"train": {"feature_tap": "middle"}}),
     # A config that names a clustering metric, once a train key, is refused.
     ("train.metric", {"train": {"metric": "euclidean"}}),
@@ -131,9 +136,11 @@ PROBES = [
     ("train.batch_target", {"train": {"batch_target": 8}}),
     ("train.teacher_mode", {"train": {"teacher_mode": "ema"}}),
     ("train.alpha_max", {"train": {"alpha_max": -1.0}}),
+    # The pair sums over the tiny config's 48 rows overflow; once such a
+    # margin validated, and `run` logged an infinite l_c.
+    ("train.margin", {"train": {"margin": 1e306}}),
     ("dataset.modes_per_class", {"scenario": "multimode", "dataset": {"modes_per_class": 1}}),
     ("output_dir", {"output_dir": 5}),
-    ("train.ramp_length", {"train": {"ramp_length": -5}}),
     # Squared distances of these coordinates overflow; once such a config
     # validated, and `run` failed in the first snapshot's k-means.
     ("dataset: coordinates reach 1e+200",

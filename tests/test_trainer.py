@@ -19,7 +19,6 @@ from clusteralign.teacher import corrected_probabilities, pseudo_labels
 from clusteralign.trainer import (
     TrainConfig,
     TrainingAbort,
-    alpha_exp_ramp,
     alpha_logistic,
     init_train_state,
     lr_schedule,
@@ -62,14 +61,6 @@ class TestSchedules:
         values = [alpha_logistic(t) for t in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_exp_ramp_values(self):
-        assert alpha_exp_ramp(499, start=500, length=1000) == 0.0
-        assert alpha_exp_ramp(500, start=500, length=1000) == pytest.approx(
-            math.exp(-10.0), rel=1e-12
-        )
-        assert alpha_exp_ramp(1500, start=500, length=1000) == 1.0
-        assert alpha_exp_ramp(9999, start=500, length=1000) == 1.0
-
     def test_lr_schedule_values(self):
         assert lr_schedule(0.0, 0.01) == 0.01
         assert lr_schedule(1.0, 0.01) == pytest.approx(0.01 / 11.0 ** 0.75, rel=1e-12)
@@ -88,21 +79,22 @@ class TestSchedules:
         alpha, lam = schedule_weights(cfg, 75)
         assert alpha > 0.0 and lam > 0.0
 
+    # The logistic ramp 2/(1+exp(-10t)) - 1 is tanh(5t), over the 50-step
+    # adaptation span: lam is lambda_max times alpha's ramp, and alpha_max
+    # scales alpha alone.
     @pytest.mark.parametrize("over, iteration, expected", [
-        # exp_ramp over the whole adaptation span (ramp_length 0 = 50 steps)
-        ({"alpha_schedule": "exp_ramp", "lambda_schedule": "constant"}, 50,
-         (math.exp(-10.0), 0.7)),
-        ({"alpha_schedule": "exp_ramp", "lambda_schedule": "constant"}, 75,
-         (math.exp(-5.0), 0.7)),
-        ({"alpha_schedule": "exp_ramp"}, 75, (math.exp(-5.0), 0.7 * math.exp(-5.0))),
-        # exp_ramp over an explicit 10-step ramp
-        ({"alpha_schedule": "exp_ramp", "ramp_length": 10}, 55,
-         (math.exp(-5.0), 0.7 * math.exp(-5.0))),
-        ({"alpha_schedule": "exp_ramp", "ramp_length": 10}, 60, (1.0, 0.7)),
-        ({"alpha_schedule": "constant", "alpha_max": 0.4}, 50, (0.4, 0.7)),
-        ({"alpha_schedule": "constant", "alpha_max": 0.4}, 49, (0.0, 0.0)),
-        # a constant lam next to a logistic alpha that starts at zero
-        ({"lambda_schedule": "constant"}, 50, (0.0, 0.7)),
+        ({}, 50, (0.0, 0.0)),
+        ({}, 75, (math.tanh(2.5), 0.7 * math.tanh(2.5))),
+        ({"alpha_max": 0.4}, 75, (0.4 * math.tanh(2.5), 0.7 * math.tanh(2.5))),
+        ({}, 55, (math.tanh(0.5), 0.7 * math.tanh(0.5))),
+        ({"alpha_max": 0.4}, 60, (0.4 * math.tanh(1.0), 0.7 * math.tanh(1.0))),
+        ({"alpha_max": 0.4}, 50, (0.0, 0.0)),
+        ({"alpha_max": 0.4}, 49, (0.0, 0.0)),
+        # a zero alpha_max (marginal_only) leaves lam on the ramp
+        ({"alpha_max": 0.0}, 50, (0.0, 0.0)),
+        ({"alpha_max": 0.0}, 90, (0.0, 0.7 * math.tanh(4.0))),
+        # the ramp holds its end value past total_iters
+        ({}, 150, (math.tanh(5.0), 0.7 * math.tanh(5.0))),
     ])
     def test_schedule_weights_hand_values(self, over, iteration, expected):
         cfg = tiny_config(total_iters=100, pretrain_iters=50, lambda_max=0.7, **over)
@@ -282,8 +274,6 @@ class TestTrainLoop:
             tiny_config(threshold=1.5)
         with pytest.raises(ValueError):
             tiny_config(margin=0.0)
-        with pytest.raises(ValueError):
-            tiny_config(alpha_schedule="linear")
 
     def test_config_refuses_batches_of_different_sizes(self):
         with pytest.raises(ValueError, match="^batch_target must equal batch_source$"):

@@ -7,22 +7,25 @@ Each configuration below (400 iterations, pretraining 100, a snapshot every
 100) is then run with `python -m clusteralign.cli run` in a fresh process on
 both trees, with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, and
 every output file and the stdout are compared. Configuration (k) sets an
-integer momentum of 0 (plain SGD); (l) takes the constant alpha schedule;
-(i) takes batches of 48, so that the multimode target's 12 batches per
-epoch cycle the source's 8. Configurations (a), (f), (h) and (j) run once
-more at OPENBLAS_NUM_THREADS=2, numpy's default on a 2-core machine, and
-print their own lines: three seed groups and a lone seed, each through
-the clustering kernel's matmul. A differing CSV whose header matches on
-both sides is named with its differing columns, as in
-`metrics_0.csv[l_c]`. Each run's line also gives the peak resident
-set of its process on this tree and on the revision (ru_maxrss from
-os.wait4), e.g. `peak 39.71/41.10 MiB`, and its minor page faults from
-the same call (ru_minflt), e.g. `faults 6.4k/6.4k`: a change that lets
-the heap trim and regrow between steps shows first in that count.
-`validate` is compared the same way on each shipped `configs/*.json`.
-One line is printed per run; the exit status is 1 when anything differs.
-The script uses the standard library only and is not part of the test
-suite.
+integer momentum of 0 (plain SGD); (l) scales the schedule weights by an
+alpha_max and a lambda_max of 0.5; (i) takes batches of 48, so that the
+multimode target's 12 batches per epoch cycle the source's 8.
+Configurations (a), (f), (h) and (j) run once more at
+OPENBLAS_NUM_THREADS=2, numpy's default on a 2-core machine, and print
+their own lines: three seed groups and a lone seed, each through the
+clustering kernel's matmul. A differing CSV whose header matches on both
+sides is named with its differing columns, as in `metrics_0.csv[l_c]`,
+and a differing JSON file with the dotted keys that differ or that only
+one side holds, as in `summary.json[config_hash]`. Each run's line also
+gives the peak resident set of its process on this tree and on the
+revision (ru_maxrss from os.wait4), e.g. `peak 39.71/41.10 MiB`, and its
+minor page faults from the same call (ru_minflt), e.g. `faults
+6.4k/6.4k`: a change that lets the heap trim and regrow between steps
+shows first in that count. `validate` is compared the same way on each
+shipped `configs/*.json`; a printout that differs at the same exit status
+gets its differing keys, as in `differs [train.ramp_length]`. One line is
+printed per run; the exit status is 1 when anything differs. The script
+uses the standard library only and is not part of the test suite.
 """
 
 import csv
@@ -53,8 +56,7 @@ CONFIGS = {
                  teacher_mode="pi", dropout_rate=0.2),
     "e": _config("imbalanced_gaussians", ablation=["no_rRevGrad_threshold"],
                  teacher_mode="pi", dropout_rate=0.0),
-    "f": _config("multimode", activation="tanh", hidden_layers=[12],
-                 alpha_schedule="exp_ramp", lambda_schedule="constant"),
+    "f": _config("multimode", hidden_layers=[12]),
     "g": _config("imbalanced_gaussians", hidden_layers=[], feature_tap="penultimate",
                  dropout_rate=0.0),
     # Three seeds trained as one group, each with its own dropout masks on
@@ -70,8 +72,8 @@ CONFIGS = {
                  dropout_rate=0.3),
     # Plain SGD: JSON 0 stays a Python int in the momentum update.
     "k": _config("multimode", momentum=0),
-    # The constant alpha schedule on a 2-seed group.
-    "l": _config("imbalanced_gaussians", seeds=(0, 1), alpha_schedule="constant"),
+    # A 2-seed group on a ramp scaled below 1.
+    "l": _config("imbalanced_gaussians", seeds=(0, 1), alpha_max=0.5, lambda_max=0.5),
 }
 # The configurations also run at 2 BLAS threads.
 TWO_THREADS = ("a", "f", "h", "j")
@@ -114,10 +116,33 @@ def outputs(tree, raw, work, threads):
     return status, dict(files, stdout=stdout), peak, faults
 
 
+def json_keys(ours, theirs):
+    """The sorted dotted keys of two JSON documents whose values differ or
+    that only one holds; None when either side is not JSON."""
+    def leaves(value, prefix=""):
+        if isinstance(value, dict) and value:
+            return {key: leaf for name, item in value.items()
+                    for key, leaf in leaves(item, f"{prefix}{name}.").items()}
+        # Compared as JSON text, so that 1 and 1.0 differ and NaN equals NaN.
+        return {prefix[:-1]: json.dumps(value, sort_keys=True)}
+
+    try:
+        ours, theirs = leaves(json.loads(ours)), leaves(json.loads(theirs))
+    except ValueError:
+        return None
+    return sorted(key for key in ours.keys() | theirs.keys() if ours.get(key) != theirs.get(key))
+
+
 def describe(name, ours, theirs):
     """The name of one differing output; a CSV with the same header and row
-    count on both sides gets its differing columns appended."""
-    if not name.endswith(".csv") or ours is None or theirs is None:
+    count on both sides gets its differing columns appended, and a JSON
+    file its differing keys (json_keys)."""
+    if ours is None or theirs is None:
+        return name
+    if name.endswith(".json"):
+        keys = json_keys(ours, theirs)
+        return f"{name}[{','.join(keys)}]" if keys else name
+    if not name.endswith(".csv"):
         return name
     ours, theirs = (list(csv.reader(io.StringIO(data.decode()))) for data in (ours, theirs))
     if not ours or ours[0] != theirs[0] or len(ours) != len(theirs):
@@ -157,7 +182,11 @@ def main(argv=None):
             ours = cli(ROOT, ["validate", str(path)], tmp)[:2]
             theirs = cli(parent, ["validate", str(path)], tmp)[:2]
             failed |= ours != theirs
-            print(f"validate {path.name}: {'differs' if ours != theirs else 'identical'}")
+            verdict = "identical"
+            if ours != theirs:
+                keys = json_keys(ours[1], theirs[1]) if ours[0] == theirs[0] else None
+                verdict = f"differs [{', '.join(keys)}]" if keys else "differs"
+            print(f"validate {path.name}: {verdict}")
     return 1 if failed else 0
 
 
