@@ -9,11 +9,9 @@ target domain come from a teacher classifier (a temporal ensemble or a
 second stochastic forward pass of the student).
 """
 
-from clusteralign.kernels import BACKEND
 from clusteralign.network import (
     DomainError,
     ForwardTrace,
-    GradientSet,
     Network,
     NetworkSpec,
     ShapeError,

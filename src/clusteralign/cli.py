@@ -42,6 +42,7 @@ from clusteralign.data import (
     make_multimode_domains,
     write_csv,
 )
+from clusteralign.evaluate import RunMetrics
 from clusteralign.seeding import derive_seed
 from clusteralign.teacher import pseudo_labels
 from clusteralign.trainer import TrainConfig, TrainingAbort, init_train_state, run_training
@@ -61,10 +62,6 @@ ABLATIONS = {
     "marginal_only": {"alpha_max": 0.0},
 }
 ABLATION_FLAGS = tuple(ABLATIONS)
-
-# One column per evaluate.RunMetrics field, in field order.
-METRICS_HEADER = ("iteration", "target_acc", "source_acc", "cluster_acc", "jsd_proxy",
-                  "selection_rate", "l_y", "l_c", "l_a", "l_d")
 
 # The features export turns at most this many rows at a time into Python
 # values: a whole domain's lists at once would set a run's peak memory.
@@ -268,7 +265,7 @@ def build_dataset(resolved: dict, seed: int) -> DomainDataset:
 
 
 def write_metrics_csv(metrics, path) -> None:
-    write_csv(path, METRICS_HEADER, map(astuple, metrics))
+    write_csv(path, [f.name for f in fields(RunMetrics)], map(astuple, metrics))
 
 
 def write_features_csv(view, ds, path) -> None:
@@ -310,7 +307,7 @@ def run_experiment(resolved: dict, output_dir: str, first_dataset: DomainDataset
     for seed, ds, metrics, view in zip(seeds, datasets, logs, views):
         write_metrics_csv(metrics, os.path.join(output_dir, f"metrics_{seed}.csv"))
         write_features_csv(view, ds, os.path.join(output_dir, f"features_{seed}.csv"))
-        finals[str(seed)] = metrics[-1].target_accuracy
+        finals[str(seed)] = metrics[-1].target_acc
 
     values = np.array(list(finals.values()))
     mean = float(values.mean())

@@ -208,28 +208,23 @@ def make_multimode_domains(
     )
 
 
-def batch_indices(n_src: int, n_tgt: int, batch_source: int, batch_target: int,
-                  seed: int, epoch: int):
+def batch_indices(n_src: int, n_tgt: int, batch: int, seed: int, epoch: int):
     """The sample indices of one epoch's batch pairs over domains of n_src
     and n_tgt samples: (source indices, target indices), int64 arrays of
-    shape (batches, batch_source) and (batches, batch_target).
+    shape (batches, batch).
 
     Both domains are reshuffled per epoch from a seed derived from
     (seed, epoch); partial final batches are dropped. When the domains
     yield different batch counts, the epoch covers the longer stream and
     the shorter one cycles through its own permutation again.
     """
-    if not 1 <= batch_source <= n_src:
-        raise ValueError("batch_source must lie in [1, len(source)]")
-    if not 1 <= batch_target <= n_tgt:
-        raise ValueError("batch_target must lie in [1, len(target)]")
-    src_batches = n_src // batch_source
-    tgt_batches = n_tgt // batch_target
-    batch = np.arange(max(src_batches, tgt_batches))[:, None]
+    if not 1 <= batch <= min(n_src, n_tgt):
+        raise ValueError("batch must lie in [1, min(len(source), len(target))]")
+    batches = np.arange(max(n_src, n_tgt) // batch)[:, None]
     return tuple(
-        seeded_rng(seed, epoch, domain).permutation(n)[(batch % batches) * size + np.arange(size)]
-        for domain, (n, size, batches) in enumerate(((n_src, batch_source, src_batches),
-                                                     (n_tgt, batch_target, tgt_batches))))
+        seeded_rng(seed, epoch, domain).permutation(n)[(batches % (n // batch)) * batch
+                                                       + np.arange(batch)]
+        for domain, n in enumerate((n_src, n_tgt)))
 
 
 # IDX files are big-endian:

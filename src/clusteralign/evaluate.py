@@ -25,9 +25,9 @@ class RunMetrics:
     """One evaluation point of a training run."""
 
     iteration: int
-    target_accuracy: float
-    source_accuracy: float
-    clustering_accuracy: float
+    target_acc: float
+    source_acc: float
+    cluster_acc: float
     jsd_proxy: float
     selection_rate: float
     l_y: float
@@ -164,7 +164,7 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
         teacher_probs = pi_predict(state.student, ds.target_x,
                                    derive_seed(cfg.seed, 23, state.iteration))
     else:
-        teacher_probs = corrected_probabilities(state.teacher)
+        teacher_probs = corrected_probabilities(state.teacher, cfg.decay)
     labels, confidences = pseudo_labels(teacher_probs)
     del teacher_probs
 
@@ -185,9 +185,9 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
 
     metrics = RunMetrics(
         iteration=int(state.iteration),
-        target_accuracy=tgt_acc,
-        source_accuracy=src_acc,
-        clustering_accuracy=cluster_acc,
+        target_acc=tgt_acc,
+        source_acc=src_acc,
+        cluster_acc=cluster_acc,
         jsd_proxy=jsd_proxy(l_d_all),
         selection_rate=selection_rate(confidences, cfg.threshold),
         l_y=float(l_y),

@@ -19,7 +19,9 @@ pass's bits.
 
 A network's parameters, a gradient and a momentum buffer are each one
 float64 vector in NetworkSpec.layout: every weight matrix row-major in
-layer order, then every bias. All state is value-semantic: operations
+layer order, then every bias. backward returns (vector, d_input): the
+parameter gradient as such a vector and the input batch's gradient, and
+sgd_step takes the vector. All state is value-semantic: operations
 return new objects and never mutate their inputs. Network.weights and
 Network.biases are views of Network.params; only init_network writes
 through them.
@@ -197,20 +199,6 @@ class ForwardTrace:
                             self.features[index], self.probabilities[index])
 
 
-@dataclass(frozen=True)
-class GradientSet:
-    """The gradient of one scalar loss: vector w.r.t. the parameters of a
-    network of the given spec, in spec.layout (every weight matrix
-    row-major in layer order, then every bias; one vector per (domain,
-    seed) slice of the input batch), and d_input w.r.t. the input batch,
-    None when not asked for.
-    """
-
-    spec: NetworkSpec
-    vector: np.ndarray
-    d_input: np.ndarray
-
-
 def init_network(spec: NetworkSpec, seed: int) -> Network:
     """Uniform weight init in [-s, s] with s = sqrt(6/(fan_in+fan_out)); zero biases."""
     rng = seeded_rng(seed)
@@ -354,8 +342,9 @@ def _head_jvp(trace, d_probs, head):
 
 
 def backward(net: Network, trace: ForwardTrace, upstream, entry: str,
-             input_gradient: bool = True) -> GradientSet:
-    """Exact gradients of a scalar loss w.r.t. all parameters and the input.
+             input_gradient: bool = True):
+    """Exact gradients of a scalar loss: (vector, d_input), vector w.r.t.
+    the parameters in spec.layout and d_input w.r.t. the input batch.
 
     upstream is d(loss)/d(entry point); dropout masks recorded in the
     trace are reused, so the gradient matches the exact forward that
@@ -402,7 +391,7 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str,
         _row_sum(dz, d_biases[i])
         if i or input_gradient:
             da = dz @ net.weights[i].mT
-    return GradientSet(spec, vector, da if input_gradient else None)
+    return vector, da if input_gradient else None
 
 
 def _row_sum(a, out):
@@ -423,18 +412,17 @@ def reverse_gradient(g, lam: float):
     return -float(lam) * np.asarray(g, dtype=np.float64)
 
 
-def sgd_step(net: Network, buffer, grads: GradientSet, lr: float, momentum: float):
-    """One classical-momentum update of net and its momentum buffer (shaped
-    like net.params, zeros before the first step): buffer <- momentum*buffer
-    + g; theta <- theta - lr*buffer. Returns (the new network, the new buffer)."""
+def sgd_step(net: Network, buffer, gradient, lr: float, momentum: float):
+    """One classical-momentum update of net and its momentum buffer from a
+    parameter gradient g (each shaped like net.params; the buffer is zeros
+    before the first step): buffer <- momentum*buffer + g; theta <- theta -
+    lr*buffer. Returns (the new network, the new buffer)."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    if grads.spec.layer_sizes != net.spec.layer_sizes or grads.vector.shape != net.params.shape:
-        raise ShapeError(f"gradient of shape {grads.vector.shape} for layer sizes "
-                         f"{grads.spec.layer_sizes} does not fit {net.spec.layer_sizes}")
-    if np.shape(buffer) != net.params.shape:
-        raise ShapeError(f"momentum buffer has shape {np.shape(buffer)}, "
-                         f"expected {net.params.shape}")
-    buffer = momentum * buffer + grads.vector
+    for name, array in (("gradient", gradient), ("momentum buffer", buffer)):
+        if np.shape(array) != net.params.shape:
+            raise ShapeError(f"{name} has shape {np.shape(array)}, "
+                             f"expected {net.params.shape}")
+    buffer = momentum * buffer + gradient
     return Network(net.spec, net.params - lr * buffer), buffer
 

@@ -10,7 +10,8 @@ predictions. A group of seeds stacks its ensembles, step counts, batch
 indices and predictions along a leading seed axis. A training step reads
 and updates the temporal ensemble in one pass over its batch rows
 (temporal_step); a snapshot reads the whole table
-(corrected_probabilities).
+(corrected_probabilities). Both take the ensemble's decay from the
+caller (TrainConfig.decay), which the state does not hold.
 """
 
 from dataclasses import dataclass
@@ -26,19 +27,10 @@ TEACHER_MODES = ("pi", "temporal", "self")
 class TeacherState:
     ensemble: np.ndarray
     step_counts: np.ndarray
-    decay: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.decay < 1.0:
-            raise ValueError("decay must lie in [0, 1)")
 
 
-def init_teacher(num_target: int, num_classes: int, decay: float) -> TeacherState:
-    return TeacherState(
-        np.zeros((num_target, num_classes)),
-        np.zeros(num_target, dtype=np.int64),
-        float(decay),
-    )
+def init_teacher(num_target: int, num_classes: int) -> TeacherState:
+    return TeacherState(np.zeros((num_target, num_classes)), np.zeros(num_target, dtype=np.int64))
 
 
 def pi_predict(net: Network, target_x, noise) -> np.ndarray:
@@ -51,7 +43,7 @@ def pi_predict(net: Network, target_x, noise) -> np.ndarray:
     return forward(net, target_x, mode="train", noise=noise, traced=False).probabilities
 
 
-def temporal_step(state: TeacherState, indices, probabilities):
+def temporal_step(state: TeacherState, indices, probabilities, decay):
     """Read a batch's rows of the ensemble and fold the batch's predictions
     into them, from one read of those rows: returns (the bias-corrected
     rows before the update, as corrected_probabilities gives them, and
@@ -68,11 +60,11 @@ def temporal_step(state: TeacherState, indices, probabilities):
     counts = state.step_counts.copy()
     flat, flat_counts = ensemble.reshape(-1, num_classes), counts.reshape(-1)
     old, old_counts = flat[rows], flat_counts[rows]
-    read = _corrected(old, old_counts, state.decay)
+    read = _corrected(old, old_counts, decay)
     # Repeated indices write the same count and their last row.
-    flat[rows] = state.decay * old + (1.0 - state.decay) * probabilities
+    flat[rows] = decay * old + (1.0 - decay) * probabilities
     flat_counts[rows] = old_counts + 1
-    return read, TeacherState(ensemble, counts, state.decay)
+    return read, TeacherState(ensemble, counts)
 
 
 def _corrected(ensemble, counts, decay):
@@ -80,9 +72,10 @@ def _corrected(ensemble, counts, decay):
     return ensemble / np.where(counts > 0, 1.0 - decay ** counts, 1.0)[..., None]
 
 
-def corrected_probabilities(state: TeacherState) -> np.ndarray:
-    """The bias-corrected ensemble table; never-updated rows stay all zero."""
-    return _corrected(state.ensemble, state.step_counts, state.decay)
+def corrected_probabilities(state: TeacherState, decay) -> np.ndarray:
+    """The bias-corrected ensemble table of an ensemble of the given decay;
+    never-updated rows stay all zero."""
+    return _corrected(state.ensemble, state.step_counts, decay)
 
 
 def pseudo_labels(probabilities):

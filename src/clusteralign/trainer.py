@@ -47,7 +47,6 @@ from clusteralign.losses import objective
 from clusteralign.network import (
     FEATURE_TAPS,
     DomainError,
-    GradientSet,
     Network,
     NetworkSpec,
     ShapeError,
@@ -214,7 +213,7 @@ def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
     critic = init_network(critic_spec, derive_seed(cfg.seed, 13))
     teacher = None
     if cfg.teacher_mode == "temporal":
-        teacher = init_teacher(ds.target_x.shape[0], ds.num_classes, cfg.decay)
+        teacher = init_teacher(ds.target_x.shape[0], ds.num_classes)
     return TrainState(
         student=student,
         critic=critic,
@@ -235,7 +234,7 @@ def stack_states(states) -> TrainState:
     teacher = None
     if first.teacher is not None:
         teacher = TeacherState(stacked(lambda s: s.teacher.ensemble),
-                               stacked(lambda s: s.teacher.step_counts), first.teacher.decay)
+                               stacked(lambda s: s.teacher.step_counts))
     return TrainState(
         student=Network(first.student.spec, stacked(lambda s: s.student.params)),
         critic=Network(first.critic.spec, stacked(lambda s: s.critic.params)),
@@ -251,8 +250,7 @@ def _seed_state(state: TrainState, index: int) -> TrainState:
     """The state of the index-th seed of a group, as views into it."""
     teacher = state.teacher
     if teacher is not None:
-        teacher = TeacherState(teacher.ensemble[index], teacher.step_counts[index],
-                               teacher.decay)
+        teacher = TeacherState(teacher.ensemble[index], teacher.step_counts[index])
     return TrainState(
         student=Network(state.student.spec, state.student.params[index]),
         critic=Network(state.critic.spec, state.critic.params[index]),
@@ -269,7 +267,8 @@ def schedule_weights(cfg: TrainConfig, iteration: int):
     alpha_max and lambda_max times alpha_logistic over the adaptation span."""
     if iteration < cfg.pretrain_iters:
         return 0.0, 0.0
-    span = max(1, cfg.total_iters - cfg.pretrain_iters)
+    # TrainConfig guarantees total_iters > pretrain_iters.
+    span = cfg.total_iters - cfg.pretrain_iters
     shape = alpha_logistic(min(1.0, (iteration - cfg.pretrain_iters) / span))
     return cfg.alpha_max * shape, cfg.lambda_max * shape
 
@@ -366,7 +365,7 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
                                    _noise(plan, state, x[1].shape[-2], 3))
     else:
         teacher_probs, new_teacher = temporal_step(state.teacher, batch.target_indices,
-                                                   trace.probabilities[1])
+                                                   trace.probabilities[1], cfg.decay)
     tgt_labels, tgt_conf = pseudo_labels(teacher_probs)
 
     bundle, grads = objective(trace.features, trace.probabilities[0], batch.source_y, tgt_labels,
@@ -376,11 +375,11 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     # the reversal connector then hands the student +lam * d(l_d)/d(features).
     # Each backward gives one vector per (domain, seed) slice; they are
     # added per seed in the order logits, source, target.
-    student_vector = backward(state.student, trace[0], grads.d_logits, "logits",
-                              input_gradient=False).vector
-    critic_part = backward(state.critic, critic_trace, -grads.d_critic_out[..., None],
-                           "probabilities")
-    d_feat = reverse_gradient(critic_part.d_input, lam)
+    student_vector, _ = backward(state.student, trace[0], grads.d_logits, "logits",
+                                 input_gradient=False)
+    critic_vector, d_critic_in = backward(state.critic, critic_trace,
+                                          -grads.d_critic_out[..., None], "probabilities")
+    d_feat = reverse_gradient(d_critic_in, lam)
     if cfg.use_clustering:
         d_feat += alpha * grads.d_clustering
     if cfg.use_alignment:
@@ -388,17 +387,15 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     # A slice whose feature gradient is all zero adds nothing.
     moving = np.any(d_feat, axis=(-2, -1))
     if moving.any():
-        vector = backward(state.student, trace, d_feat, "features", input_gradient=False).vector
+        vector, _ = backward(state.student, trace, d_feat, "features", input_gradient=False)
         for m, v in zip(moving, vector):
             student_vector = np.where(m[..., None], student_vector + v, student_vector)
-    student_grads = GradientSet(state.student.spec, student_vector, None)
-    critic_grads = GradientSet(state.critic.spec, critic_part.vector[0] + critic_part.vector[1],
-                               None)
 
     new_student, student_momentum = sgd_step(state.student, state.student_momentum,
-                                             student_grads, lr, cfg.momentum)
+                                             student_vector, lr, cfg.momentum)
     new_critic, critic_momentum = sgd_step(state.critic, state.critic_momentum,
-                                           critic_grads, lr, cfg.momentum)
+                                           critic_vector[0] + critic_vector[1], lr,
+                                           cfg.momentum)
     _check_losses(bundle, it)
 
     new_state = TrainState(
@@ -495,8 +492,7 @@ def _batches(cfgs, datasets):
     seeds' datasets have one shape, so their epochs hold the same number
     of batches."""
     first = datasets[0]
-    sizes = (first.source_x.shape[0], first.target_x.shape[0], cfgs[0].batch_source,
-             cfgs[0].batch_target)
+    sizes = (first.source_x.shape[0], first.target_x.shape[0], cfgs[0].batch_source)
     batch_seeds = [derive_seed(c.seed, 17) for c in cfgs]
     for epoch in itertools.count():
         indices = [batch_indices(*sizes, seed, epoch) for seed in batch_seeds]

@@ -9,7 +9,6 @@ import numpy as np
 import clusteralign
 from clusteralign.data import BatchPair, batch_indices
 from clusteralign.network import (
-    GradientSet,
     Network,
     NetworkSpec,
     forward,
@@ -118,7 +117,7 @@ def ewma_oracle(predictions, decay):
     return acc / (1.0 - decay ** t)
 
 
-def temporal_update(state, indices, probabilities):
+def temporal_update(state, indices, probabilities, decay):
     """Fold a batch of predictions into the running ensemble: ensemble[i]
     <- decay * ensemble[i] + (1 - decay) * p[i] for each batch sample, and
     its update count increments. The update oracle of
@@ -134,16 +133,15 @@ def temporal_update(state, indices, probabilities):
     counts = state.step_counts.copy()
     rows = row_index(idx, num_rows)
     flat = ensemble.reshape(-1, num_classes)
-    flat[rows] = state.decay * flat[rows] + (1.0 - state.decay) * probs
+    flat[rows] = decay * flat[rows] + (1.0 - decay) * probs
     counts.reshape(-1)[rows] += 1
-    return TeacherState(ensemble, counts, state.decay)
+    return TeacherState(ensemble, counts)
 
 
-def iterate_batches(ds, batch_source, batch_target, seed, epoch):
+def iterate_batches(ds, batch, seed, epoch):
     """One seed's batch pairs for one epoch, at the indices of
     data.batch_indices; the batch oracle of the trainer's epoch gather."""
-    src, tgt = batch_indices(ds.source_x.shape[0], ds.target_x.shape[0], batch_source,
-                             batch_target, seed, epoch)
+    src, tgt = batch_indices(ds.source_x.shape[0], ds.target_x.shape[0], batch, seed, epoch)
     return [BatchPair(ds.source_x[src_idx], ds.source_y[src_idx], ds.target_x[tgt_idx], tgt_idx)
             for src_idx, tgt_idx in zip(src, tgt)]
 
@@ -160,9 +158,10 @@ def total_objective(l_y, l_c, l_a, l_d, alpha: float, lam: float) -> float:
     return float(l_y + alpha * (l_c + l_a) + lam * l_d)
 
 
-def finite_diff_check(net: Network, loss_fn, grads: GradientSet, h: float = 1e-5,
+def finite_diff_check(net: Network, loss_fn, vector, h: float = 1e-5,
                       max_coords: int = 64, seed: int = 0) -> float:
-    """Worst relative error between analytic gradients and central differences.
+    """Worst relative error between an analytic parameter gradient vector
+    and central differences.
 
     loss_fn maps a Network to a scalar and must be deterministic (fix any
     noise seeds inside it). A random subset of at most max_coords
@@ -172,7 +171,7 @@ def finite_diff_check(net: Network, loss_fn, grads: GradientSet, h: float = 1e-5
     if len(coords) > max_coords:
         coords = seeded_rng(seed).choice(len(coords), size=max_coords, replace=False)
     return _worst_relative_error(lambda params: loss_fn(Network(net.spec, params)),
-                                 net.params, grads.vector, coords, h)
+                                 net.params, vector, coords, h)
 
 
 def input_finite_diff_check(loss_fn, x, d_input, h: float = 1e-5) -> float:

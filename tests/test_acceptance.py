@@ -23,7 +23,6 @@ from clusteralign.losses import (
     domain_adversarial_loss,
 )
 from clusteralign.network import (
-    GradientSet,
     backward,
     forward,
 )
@@ -73,7 +72,7 @@ def run_scenario(scenario, ablation, seeds=SEEDS):
 
 
 def final_accuracy(runs):
-    return float(np.mean([r["metrics"][-1].target_accuracy for r in runs]))
+    return float(np.mean([r["metrics"][-1].target_acc for r in runs]))
 
 
 # Each scenario fixture's group, in the order the criteria first ask for
@@ -157,7 +156,7 @@ def test_criterion_3_gradient_correctness():
 
     # Linear sanity case: gradient of sum(theta) is exactly ones.
     net, _, _ = kink_free_instance(1000)
-    ones = GradientSet(net.spec, np.ones_like(net.params), None)
+    ones = np.ones_like(net.params)
     worst["linear"] = finite_diff_check(
         net,
         lambda c: sum(float(w.sum()) for w in c.weights)
@@ -174,7 +173,7 @@ def test_criterion_3_gradient_correctness():
         y = rng.integers(3, size=x.shape[0])
         trace = forward(net, x, "train", noise)
         _, d_logits = cross_entropy(trace.probabilities, y)
-        grads = backward(net, trace, d_logits, "logits")
+        grads, _ = backward(net, trace, d_logits, "logits")
         worst["l_y"] = max(worst["l_y"], finite_diff_check(
             net,
             lambda c: cross_entropy(forward(c, x, "train", noise).probabilities, y)[0],
@@ -190,7 +189,7 @@ def test_criterion_3_gradient_correctness():
         trace = forward(net, x, "train", noise)
         labels = margin_safe_labels(trace.features, rng, 3, margin=3.0, guard=0.15)
         _, d_feats = clustering_loss(trace.features, labels, 3.0)
-        grads = backward(net, trace, d_feats, "features")
+        grads, _ = backward(net, trace, d_feats, "features")
 
         def lc_loss(c, x=x, noise=noise, labels=labels):
             feats = forward(c, x, "train", noise).features
@@ -214,8 +213,8 @@ def test_criterion_3_gradient_correctness():
         tr_s = forward(net, xs, "train", noise_s)
         tr_t = forward(net, xt, "train", noise_t)
         _, d_s, d_t = alignment_loss(tr_s.features, ys, tr_t.features, yt, 3)
-        grads = GradientSet(net.spec, backward(net, tr_s, d_s, "features").vector
-                            + backward(net, tr_t, d_t, "features").vector, None)
+        grads = (backward(net, tr_s, d_s, "features")[0]
+                 + backward(net, tr_t, d_t, "features")[0])
 
         def la_loss(c, xs=xs, xt=xt, noise_s=noise_s, noise_t=noise_t, ys=ys, yt=yt):
             fs = forward(c, xs, "train", noise_s).features
@@ -236,10 +235,8 @@ def test_criterion_3_gradient_correctness():
         _, d_cs, d_ct, _ = domain_adversarial_loss(
             tr_s.probabilities[:, 0], tr_t.probabilities[:, 0], conf, 0.5
         )
-        grads = GradientSet(critic.spec,
-                            backward(critic, tr_s, d_cs[:, None], "probabilities").vector
-                            + backward(critic, tr_t, d_ct[:, None], "probabilities").vector,
-                            None)
+        grads = (backward(critic, tr_s, d_cs[:, None], "probabilities")[0]
+                 + backward(critic, tr_t, d_ct[:, None], "probabilities")[0])
 
         def ld_loss(c, feats_s=feats_s, feats_t=feats_t, conf=conf):
             ps = forward(c, feats_s, "eval").probabilities[:, 0]
@@ -294,19 +291,19 @@ def test_criterion_5_teacher_exactness():
     for i in range(20):
         rng = seeded_rng(9000, i)
         decay = float(rng.uniform(0.05, 0.95))
-        state = init_teacher(1, 4, decay=decay)
+        state = init_teacher(1, 4)
         preds = []
         for _ in range(20):
             row = rng.uniform(size=4)
             row /= row.sum()
             # The training step's teacher: a read of the batch rows, then
             # their update.
-            read, state = temporal_step(state, np.array([0]), row[None, :])
+            read, state = temporal_step(state, np.array([0]), row[None, :], decay)
             if preds:
                 worst = max(worst, float(np.max(np.abs(read[0] - ewma_oracle(preds, decay)))))
             preds.append(row)
         worst = max(worst, float(np.max(np.abs(
-            corrected_probabilities(state)[0] - ewma_oracle(preds, decay)
+            corrected_probabilities(state, decay)[0] - ewma_oracle(preds, decay)
         ))))
 
     net, x, _ = kink_free_instance(9100, sizes=(3, 8, 2), dropout=0.0)
@@ -319,9 +316,9 @@ def test_criterion_5_teacher_exactness():
 
 
 def test_criterion_6_clustering_accuracy_gain(imbalanced_cat, imbalanced_marginal):
-    cat = float(np.mean([r["metrics"][-1].clustering_accuracy for r in imbalanced_cat]))
+    cat = float(np.mean([r["metrics"][-1].cluster_acc for r in imbalanced_cat]))
     marginal = float(np.mean(
-        [r["metrics"][-1].clustering_accuracy for r in imbalanced_marginal]
+        [r["metrics"][-1].cluster_acc for r in imbalanced_marginal]
     ))
     ok = cat >= marginal + 0.05
     report(6, ok, f"CAT cluster acc {cat:.3f} >= marginal {marginal:.3f} + 0.05")
@@ -397,9 +394,9 @@ def test_criterion_10_idx_smoke():
     base = dict(total_iters=3000, pretrain_iters=500, margin=30.0, teacher_mode="pi",
                 dropout_rate=0.3, hidden_layers=(64, 64), critic_hidden=32,
                 feature_tap="logits", lambda_max=2.0, seed=5)
-    cat = train(TrainConfig(**base), ds, eval_every=500)[-1].target_accuracy
+    cat = train(TrainConfig(**base), ds, eval_every=500)[-1].target_acc
     source_only = train(
         TrainConfig(**dict(base, alpha_max=0.0, lambda_max=0.0)), ds, eval_every=500
-    )[-1].target_accuracy
+    )[-1].target_acc
     ok = cat >= source_only + 0.05
     report(10, ok, f"CAT {cat:.3f} vs source-only {source_only:.3f}")

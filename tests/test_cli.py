@@ -280,6 +280,21 @@ class TestRunCommand:
         for name in ("metrics_0.csv", "features_0.csv", "dataset_0.csv", "summary.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    def test_an_integer_decay_writes_the_bytes_of_a_float_one(self, tmp_path):
+        # JSON 0 reaches the temporal teacher's update and bias correction
+        # as a Python int.
+        outputs = []
+        for decay in (0, 0.0):
+            raw = tiny_raw(seeds=[0, 1])
+            raw["train"] = dict(raw["train"], decay=decay)
+            out_dir = tmp_path / f"decay_{decay!r}"
+            assert main(["run", write_config(tmp_path, raw), "--output-dir", str(out_dir)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()
+                            if p.name.startswith(("metrics_", "features_"))})
+        assert sorted(outputs[0]) == ["features_0.csv", "features_1.csv", "metrics_0.csv",
+                                      "metrics_1.csv"]
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("train, ablation", [
         ({"teacher_mode": "pi", "dropout_rate": 0.3, "threshold": 0.7}, []),
         ({"threshold": 0.8}, ["no_teacher"]),
@@ -352,22 +367,16 @@ class TestRunCommand:
 
 
 def test_metrics_csv_puts_each_field_under_its_column(tmp_path):
-    columns = {
-        "iteration": "iteration", "target_accuracy": "target_acc",
-        "source_accuracy": "source_acc", "clustering_accuracy": "cluster_acc",
-        "jsd_proxy": "jsd_proxy", "selection_rate": "selection_rate",
-        "l_y": "l_y", "l_c": "l_c", "l_a": "l_a", "l_d": "l_d",
-    }
+    columns = ("iteration", "target_acc", "source_acc", "cluster_acc", "jsd_proxy",
+               "selection_rate", "l_y", "l_c", "l_a", "l_d")
     values = {field: 0.125 * (i + 1) for i, field in enumerate(columns)}
     values["iteration"] = 7
     path = tmp_path / "metrics.csv"
     cli.write_metrics_csv([RunMetrics(**values)], path)
-    assert path.read_text().splitlines()[0] == ",".join(columns.values())
+    assert path.read_text().splitlines()[0] == ",".join(columns)
     with open(path, newline="") as fh:
         (row,) = csv.DictReader(fh)
-    assert {field: row[column] for field, column in columns.items()} == {
-        field: repr(value) for field, value in values.items()
-    }
+    assert row == {field: repr(value) for field, value in values.items()}
 
 
 def test_module_entry_point_runs_main(tmp_path):

@@ -8,7 +8,8 @@ Each configuration below (400 iterations, pretraining 100, a snapshot every
 both trees, with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, and
 every output file and the stdout are compared. Configuration (k) sets an
 integer momentum of 0 (plain SGD); (l) scales the schedule weights by an
-alpha_max and a lambda_max of 0.5; (i) takes batches of 48, so that the
+alpha_max and a lambda_max of 0.5; (m) sets an integer decay of 0 on a
+2-seed temporal ensemble; (i) takes batches of 48, so that the
 multimode target's 12 batches per epoch cycle the source's 8.
 Configurations (a), (f), (h) and (j) run once more at
 OPENBLAS_NUM_THREADS=2, numpy's default on a 2-core machine, and print
@@ -74,6 +75,9 @@ CONFIGS = {
     "k": _config("multimode", momentum=0),
     # A 2-seed group on a ramp scaled below 1.
     "l": _config("imbalanced_gaussians", seeds=(0, 1), alpha_max=0.5, lambda_max=0.5),
+    # JSON 0 stays a Python int in the temporal teacher's update and bias
+    # correction.
+    "m": _config("imbalanced_gaussians", seeds=(0, 1), decay=0),
 }
 # The configurations also run at 2 BLAS threads.
 TWO_THREADS = ("a", "f", "h", "j")
