@@ -88,7 +88,6 @@ _TRAIN_PRESET_OVERRIDES = {
         "hidden_layers": [64, 64],
         "total_iters": 3000,
         "critic_hidden": 32,
-        "feature_tap": "logits",
     },
 }
 
@@ -269,7 +268,7 @@ def write_metrics_csv(metrics, path) -> None:
 
 
 def write_features_csv(view, ds, path) -> None:
-    """A run's final eval-mode features (an evaluate.StateView) with true
+    """A run's final dropout-free features (an evaluate.StateView) with true
     labels and teacher annotations."""
     src_pred, src_conf = pseudo_labels(view.source_probabilities)
     header = ["domain", "true_class", "pseudo_class", "confidence",

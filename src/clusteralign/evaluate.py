@@ -1,7 +1,8 @@
 """Evaluation and monitoring: accuracies, k-means probes, divergence proxy.
 
-Everything here works on snapshots in eval mode and is deterministic for
-a given seed; this module is the only reader of the hidden target labels.
+Everything here works on snapshots without dropout (apart from the Pi
+teacher's seeded pass) and is deterministic for a given seed; this
+module is the only reader of the hidden target labels.
 """
 
 from dataclasses import dataclass

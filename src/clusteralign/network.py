@@ -10,6 +10,10 @@ upstream gradient is supplied at one of three entry points:
     logits        - the final pre-activation
     features      - the slice selected by the configured feature tap
 
+A pass drops units exactly when it is handed dropout noise and its spec
+has a dropout rate: the student's training passes and the Pi teacher's
+are handed noise; evaluation and the critic are handed none.
+
 A caller that reads only the features and probabilities (evaluation, the
 Pi teacher, a critic pass without gradients) runs an untraced pass
 (traced=False): the same layer loop with the same arithmetic, which
@@ -178,7 +182,8 @@ class ForwardTrace:
 
     inputs[i] is the matrix fed into dense layer i (inputs[0] is x);
     pre_activations[i] is inputs[i] @ W_i + b_i. masks holds the scaled
-    dropout masks per hidden layer and is None when dropout was inactive.
+    dropout masks per hidden layer and is None when the pass dropped no
+    units (no noise, or no dropout rate).
     An untraced pass (forward with traced=False) holds None in inputs,
     pre_activations and masks, and backward refuses it. Every array
     carries the leading axes of x; indexing a trace indexes its leading
@@ -236,23 +241,21 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def forward(net: Network, x, mode: str = "eval", noise=0, traced: bool = True) -> ForwardTrace:
+def forward(net: Network, x, noise=None, traced: bool = True) -> ForwardTrace:
     """Run the network, recording the full trace (with traced=False, only
     the features and probabilities: see ForwardTrace).
 
-    Deterministic given (net, x, mode, noise). A stacked network takes a
-    batch per seed, x of shape (seeds, rows, columns), optionally behind a
-    leading domain axis, (domains, seeds, rows, columns). Eval mode
-    disables dropout and ignores noise. In train mode, noise gives every
-    (domain, seed) slice, domain-major, a stream of uniforms in [0, 1):
-    a key (one slice) or one key per slice, whose generator seeded_rng(key)
-    draws the stream, or the streams themselves, an array of shape
-    (slices, rows * hidden units). A slice's stream covers its hidden
-    layers in layer order, each row-major; a unit whose uniform is below
-    the dropout rate is dropped.
+    Deterministic given (net, x, noise). A stacked network takes a batch
+    per seed, x of shape (seeds, rows, columns), optionally behind a
+    leading domain axis, (domains, seeds, rows, columns). A pass drops
+    units exactly when it is handed noise and its spec has a dropout rate.
+    noise gives every (domain, seed) slice, domain-major, a stream of
+    uniforms in [0, 1): a key (one slice) or one key per slice, whose
+    generator seeded_rng(key) draws the stream, or the streams themselves,
+    an array of shape (slices, rows * hidden units). A slice's stream
+    covers its hidden layers in layer order, each row-major; a unit whose
+    uniform is below the dropout rate is dropped.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     spec = net.spec
     lead = net.params.shape[:-1]
@@ -268,7 +271,7 @@ def forward(net: Network, x, mode: str = "eval", noise=0, traced: bool = True) -
     if not finite.all():
         first = int(np.argmin(finite.reshape(slices, -1).all(axis=1)))
         raise DomainError("x contains non-finite entries", first % math.prod(lead))
-    use_dropout = mode == "train" and spec.dropout_rate > 0.0
+    use_dropout = noise is not None and spec.dropout_rate > 0.0
     if use_dropout:
         kept = _keep_masks(noise, slices, x.shape[-2] * sum(spec.layer_sizes[1:-1]),
                            spec.dropout_rate)

@@ -34,13 +34,13 @@ def init_teacher(num_target: int, num_classes: int) -> TeacherState:
 
 
 def pi_predict(net: Network, target_x, noise) -> np.ndarray:
-    """Teacher probabilities from an independent train-mode pass whose
-    dropout noise (as in network.forward) is noise.
+    """Teacher probabilities from an independent pass whose dropout noise
+    (as in network.forward) is noise.
 
-    With dropout disabled the pass is deterministic and the teacher
-    coincides with the student.
+    Without noise, or with dropout disabled, the pass is deterministic
+    and the teacher coincides with the student.
     """
-    return forward(net, target_x, mode="train", noise=noise, traced=False).probabilities
+    return forward(net, target_x, noise, traced=False).probabilities
 
 
 def temporal_step(state: TeacherState, indices, probabilities, decay):

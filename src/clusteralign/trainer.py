@@ -1,10 +1,10 @@
 """The full training loop: schedules, loss composition, adversarial updates.
 
-Every step runs, in order: the student's train-mode forward over both
-domains, the critic's eval forward on its features, the teacher read (and
-temporal update) and pseudo labels, the four losses, the critic's
-backward, the student's feature backward, and momentum-SGD updates of
-both networks. On a leading domain axis, source first, the student's
+Every step runs, in order: the student's forward over both domains,
+handed dropout noise, the critic's forward on its features, handed none,
+the teacher read (and temporal update) and pseudo labels, the four
+losses, the critic's backward, the student's feature backward, and
+momentum-SGD updates of both networks. On a leading domain axis, source first, the student's
 forward and feature backward, the critic's forward and backward, and the
 clustering kernel each run once per step; each (domain, seed) slice keeps
 its own gemms, row sums and dropout generator. Both batches have one
@@ -104,6 +104,8 @@ class TrainConfig:
     ReLU. The use_* switches and teacher_mode "self" (the student labels
     its own targets) exist for ablations. batch_target must equal
     batch_source: every step stacks both batches on one domain axis.
+    feature_tap picks the student's adaptation features (network.FEATURE_TAPS):
+    its logits by default, or the input of its final layer.
     """
 
     total_iters: int = 5000
@@ -122,7 +124,7 @@ class TrainConfig:
     critic_hidden: int = 16
     hidden_layers: tuple = (16, 16)
     dropout_rate: float = 0.1
-    feature_tap: str = ""
+    feature_tap: str = "logits"
     use_clustering: bool = True
     use_alignment: bool = True
 
@@ -152,9 +154,8 @@ class TrainConfig:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite; "
                                  f"got {getattr(self, name)!r}")
-        if self.feature_tap not in ("",) + FEATURE_TAPS:
-            raise ValueError(f"feature_tap must be one of {', '.join(FEATURE_TAPS)} or \"\" "
-                             f"(automatic: logits for 2 classes, penultimate otherwise); "
+        if self.feature_tap not in FEATURE_TAPS:
+            raise ValueError(f"feature_tap must be one of {', '.join(FEATURE_TAPS)}; "
                              f"got {self.feature_tap!r}")
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
 
@@ -181,12 +182,6 @@ class TrainState:
     iteration: int = 0
 
 
-def resolve_feature_tap(cfg: TrainConfig, num_classes: int) -> str:
-    if cfg.feature_tap:
-        return cfg.feature_tap
-    return "logits" if num_classes == 2 else "penultimate"
-
-
 def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
     for name, rows in (("batch_source", ds.source_x.shape[0]),
                        ("batch_target", ds.target_x.shape[0])):
@@ -197,11 +192,10 @@ def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
     bound = sys.float_info.max / rows**2
     if cfg.margin > bound:
         raise ValueError(f"margin must not exceed {bound:.3g} for {rows} rows; got {cfg.margin!r}")
-    tap = resolve_feature_tap(cfg, ds.num_classes)
     student_spec = NetworkSpec(
         layer_sizes=(ds.source_x.shape[1], *cfg.hidden_layers, ds.num_classes),
         dropout_rate=cfg.dropout_rate,
-        feature_tap=tap,
+        feature_tap=cfg.feature_tap,
     )
     critic_spec = NetworkSpec(
         layer_sizes=(student_spec.feature_dim, cfg.critic_hidden, cfg.critic_hidden, 1),
@@ -314,10 +308,10 @@ def _dropout_plan(state: TrainState, cfg):
 
 
 def _noise(plan, state: TrainState, rows, *slots):
-    """The dropout noise of one student train-mode pass over batches of rows
-    rows in the given slots (forward ignores it without dropout)."""
+    """The dropout noise of one student pass over batches of rows rows in
+    the given slots; None for a student without dropout."""
     if plan is None:
-        return 0
+        return None
     return plan.uniforms(state.iteration, slots,
                          rows * sum(state.student.spec.layer_sizes[1:-1]))
 
@@ -352,8 +346,7 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
                          "a step takes domains of one shape")
     # Both domains in one pass, on a leading domain axis (np.asarray stacks
     # the pair).
-    trace = forward(state.student, np.asarray(x), "train",
-                    _noise(plan, state, x[0].shape[-2], 1, 2))
+    trace = forward(state.student, np.asarray(x), _noise(plan, state, x[0].shape[-2], 1, 2))
     critic_trace = forward(state.critic, trace.features)
 
     # The teacher's view of the target batch is read before any update.

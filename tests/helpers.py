@@ -20,7 +20,7 @@ from clusteralign.teacher import TeacherState
 
 
 def min_abs_preactivation(net, x, noise_seed):
-    trace = forward(net, x, mode="train", noise=noise_seed)
+    trace = forward(net, x, noise_seed)
     return min(float(np.abs(z).min()) for z in trace.pre_activations)
 
 

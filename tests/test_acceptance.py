@@ -171,12 +171,12 @@ def test_criterion_3_gradient_correctness():
         # Supervised loss through train-mode dropout.
         net, x, noise = kink_free_instance((3000, i), sizes=(3, 6, 3), dropout=0.2)
         y = rng.integers(3, size=x.shape[0])
-        trace = forward(net, x, "train", noise)
+        trace = forward(net, x, noise)
         _, d_logits = cross_entropy(trace.probabilities, y)
         grads, _ = backward(net, trace, d_logits, "logits")
         worst["l_y"] = max(worst["l_y"], finite_diff_check(
             net,
-            lambda c: cross_entropy(forward(c, x, "train", noise).probabilities, y)[0],
+            lambda c: cross_entropy(forward(c, x, noise).probabilities, y)[0],
             grads, h=1e-5, max_coords=32, seed=i,
         ))
 
@@ -186,13 +186,13 @@ def test_criterion_3_gradient_correctness():
         # difference-quotient roundoff on those coordinates below the 1e-8
         # denominator floor (at h = 1e-5 the noise alone would read ~1e-3).
         net, x, noise = kink_free_instance((4000, i), sizes=(3, 6, 3), guard=5e-2)
-        trace = forward(net, x, "train", noise)
+        trace = forward(net, x, noise)
         labels = margin_safe_labels(trace.features, rng, 3, margin=3.0, guard=0.15)
         _, d_feats = clustering_loss(trace.features, labels, 3.0)
         grads, _ = backward(net, trace, d_feats, "features")
 
         def lc_loss(c, x=x, noise=noise, labels=labels):
-            feats = forward(c, x, "train", noise).features
+            feats = forward(c, x, noise).features
             return clustering_loss(feats, labels, 3.0)[0]
 
         worst["l_c"] = max(worst["l_c"], finite_diff_check(
@@ -206,19 +206,19 @@ def test_criterion_3_gradient_correctness():
             xt = rng.normal(scale=1.2, size=(9, 3))
             noise_t = int(rng.integers(2 ** 31))
             if min(float(np.abs(z).min())
-                   for z in forward(net, xt, "train", noise_t).pre_activations) > 5e-2:
+                   for z in forward(net, xt, noise_t).pre_activations) > 5e-2:
                 break
         ys = rng.integers(3, size=7)
         yt = rng.integers(3, size=9)
-        tr_s = forward(net, xs, "train", noise_s)
-        tr_t = forward(net, xt, "train", noise_t)
+        tr_s = forward(net, xs, noise_s)
+        tr_t = forward(net, xt, noise_t)
         _, d_s, d_t = alignment_loss(tr_s.features, ys, tr_t.features, yt, 3)
         grads = (backward(net, tr_s, d_s, "features")[0]
                  + backward(net, tr_t, d_t, "features")[0])
 
         def la_loss(c, xs=xs, xt=xt, noise_s=noise_s, noise_t=noise_t, ys=ys, yt=yt):
-            fs = forward(c, xs, "train", noise_s).features
-            ft = forward(c, xt, "train", noise_t).features
+            fs = forward(c, xs, noise_s).features
+            ft = forward(c, xt, noise_t).features
             return alignment_loss(fs, ys, ft, yt, 3)[0]
 
         worst["l_a"] = max(worst["l_a"], finite_diff_check(
@@ -230,8 +230,8 @@ def test_criterion_3_gradient_correctness():
         )
         feats_t = rng.normal(scale=1.2, size=(8, 4))
         conf = rng.uniform(size=8)
-        tr_s = forward(critic, feats_s, "eval")
-        tr_t = forward(critic, feats_t, "eval")
+        tr_s = forward(critic, feats_s)
+        tr_t = forward(critic, feats_t)
         _, d_cs, d_ct, _ = domain_adversarial_loss(
             tr_s.probabilities[:, 0], tr_t.probabilities[:, 0], conf, 0.5
         )
@@ -239,8 +239,8 @@ def test_criterion_3_gradient_correctness():
                  + backward(critic, tr_t, d_ct[:, None], "probabilities")[0])
 
         def ld_loss(c, feats_s=feats_s, feats_t=feats_t, conf=conf):
-            ps = forward(c, feats_s, "eval").probabilities[:, 0]
-            pt = forward(c, feats_t, "eval").probabilities[:, 0]
+            ps = forward(c, feats_s).probabilities[:, 0]
+            pt = forward(c, feats_t).probabilities[:, 0]
             return domain_adversarial_loss(ps, pt, conf, 0.5)[0]
 
         worst["l_d_critic"] = max(worst["l_d_critic"], finite_diff_check(
@@ -308,7 +308,7 @@ def test_criterion_5_teacher_exactness():
 
     net, x, _ = kink_free_instance(9100, sizes=(3, 8, 2), dropout=0.0)
     pi = pi_predict(net, x, noise=77)
-    student = forward(net, x, mode="eval").probabilities
+    student = forward(net, x).probabilities
     exact = np.array_equal(pi, student)
 
     ok = worst <= 1e-10 and exact

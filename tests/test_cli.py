@@ -101,9 +101,9 @@ class TestResolveConfig:
 
     # The case ids name the preset alone, so a re-pinned digest keeps them.
     @pytest.mark.parametrize("name, digest", [
-        ("imbalanced", "de8f6ffb6d01d0f612bb9f997eea90c12463d4c17a1c0fd6bb52517eaae3cb87"),
+        ("imbalanced", "81fbee59eaa6529c66addd3a0a79eac40f53aea244fda46aa92baba1d4b0722c"),
         ("imbalanced_marginal_only",
-         "7b4c1656327d2c38c1b14bfa85a908af6b5e42bd0594293fd79af865238419bd"),
+         "508152d8398ca6a7b85cf44b5bd64d742217191811a0337d3e4444ea524715af"),
         ("multimode", "fbaf8b166b741c1ac12bac4bb99a718dd6dde355f92871762fb7a3450b2dbf6e"),
     ], ids=["imbalanced", "imbalanced_marginal_only", "multimode"])
     def test_shipped_preset_hash_is_pinned(self, name, digest):
@@ -176,12 +176,12 @@ def test_malformed_value_exits_2_before_any_file(tmp_path, capsys, field, over):
     assert not (tmp_path / "out").exists()
 
 
-def test_feature_tap_message_names_the_automatic_choice(tmp_path, capsys):
-    path = write_config(tmp_path, probe_raw({"train": {"feature_tap": "middle"}}))
+@pytest.mark.parametrize("tap", ["middle", ""], ids=["unknown", "empty"])
+def test_feature_tap_message_names_the_two_taps(tmp_path, capsys, tap):
+    path = write_config(tmp_path, probe_raw({"train": {"feature_tap": tap}}))
     assert main(["validate", path]) == 2
     err = capsys.readouterr().err
-    assert 'train.feature_tap must be one of penultimate, logits or ""' in err
-    assert "automatic" in err
+    assert f"train.feature_tap must be one of penultimate, logits; got {tap!r}" in err
 
 
 class TestAblationFlags:

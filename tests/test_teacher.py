@@ -31,7 +31,7 @@ class TestPiPredict:
         net = init_network(NetworkSpec((3, 8, 2), dropout_rate=0.0), 1)
         x = seeded_rng(0).normal(size=(6, 3))
         teacher = pi_predict(net, x, noise=99)
-        student = forward(net, x, mode="eval").probabilities
+        student = forward(net, x).probabilities
         assert np.array_equal(teacher, student)
 
     def test_fixed_seed_deterministic(self):

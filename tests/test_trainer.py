@@ -10,11 +10,16 @@ import numpy as np
 import pytest
 
 from clusteralign import losses as loss_module, trainer as trainer_module
-from clusteralign.data import BatchPair, make_imbalanced_gaussians, make_multimode_domains
+from clusteralign.data import (
+    BatchPair,
+    DomainDataset,
+    make_imbalanced_gaussians,
+    make_multimode_domains,
+)
 from clusteralign.evaluate import snapshot
 from clusteralign.losses import cross_entropy, objective
 from clusteralign.network import Network, ShapeError, forward
-from clusteralign.seeding import derive_seed
+from clusteralign.seeding import derive_seed, seeded_rng
 from clusteralign.teacher import corrected_probabilities, pseudo_labels
 from clusteralign.trainer import (
     TrainConfig,
@@ -112,7 +117,7 @@ class TestTrainStep:
         # Reference: apply only the cross-entropy gradient by hand.
         from clusteralign.network import backward, sgd_step
 
-        trace = forward(state.student, batch.source_x, "train", derive_seed(cfg.seed, 0, 1))
+        trace = forward(state.student, batch.source_x, derive_seed(cfg.seed, 0, 1))
         _, d_logits = cross_entropy(trace.probabilities, batch.source_y)
         grads, _ = backward(state.student, trace, d_logits, "logits")
         lr = lr_schedule(0.0, cfg.lr_base)
@@ -274,6 +279,22 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             tiny_config(margin=0.0)
 
+    def test_the_feature_tap_defaults_to_the_logits(self):
+        assert TrainConfig().feature_tap == "logits"
+
+    def test_the_feature_tap_names_one_of_the_two_taps(self):
+        with pytest.raises(ValueError) as err:
+            TrainConfig(feature_tap="")
+        assert str(err.value) == "feature_tap must be one of penultimate, logits; got ''"
+
+    def test_a_three_class_student_takes_its_logits_as_features(self):
+        x, y = seeded_rng(0).normal(size=(30, 2)), np.arange(30) % 3
+        state = init_train_state(tiny_config(), DomainDataset(x, y, x, y, 3))
+        assert state.student.spec.feature_tap == "logits"
+        assert state.student.spec.feature_dim == 3
+        trace = forward(state.student, x)
+        assert trace.features.tobytes() == trace.pre_activations[-1].tobytes()
+
     def test_config_refuses_batches_of_different_sizes(self):
         with pytest.raises(ValueError, match="^batch_target must equal batch_source$"):
             TrainConfig(batch_source=16, batch_target=8)
@@ -392,7 +413,7 @@ class TestDomainAxis:
         stepped, _ = train_step(state, batch, cfgs[0])
         for index, cfg in enumerate(cfgs):
             student = Network(state.student.spec, state.student.params[index])
-            alone = forward(student, batch.target_x[index], "train", derive_seed(cfg.seed, 0, 2))
+            alone = forward(student, batch.target_x[index], derive_seed(cfg.seed, 0, 2))
             rows = stepped.teacher.ensemble[index][batch.target_indices[index]]
             assert np.array_equal(rows, (1.0 - cfg.decay) * alone.probabilities)
 
@@ -453,8 +474,8 @@ def test_the_snapshot_and_the_step_combine_the_same_terms():
 def objective_at(student, critic, teacher, batch, cfg, iteration):
     """Mirror of the step's monitored objective with all noise held fixed."""
     alpha, lam = schedule_weights(cfg, iteration)
-    trace_src = forward(student, batch.source_x, "train", derive_seed(cfg.seed, iteration, 1))
-    trace_tgt = forward(student, batch.target_x, "train", derive_seed(cfg.seed, iteration, 2))
+    trace_src = forward(student, batch.source_x, derive_seed(cfg.seed, iteration, 1))
+    trace_tgt = forward(student, batch.target_x, derive_seed(cfg.seed, iteration, 2))
     labels, conf = pseudo_labels(
         corrected_probabilities(teacher, cfg.decay)[batch.target_indices])
     features = np.stack((trace_src.features, trace_tgt.features))

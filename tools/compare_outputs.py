@@ -1,6 +1,7 @@
 """Compare this tree's outputs with those of a git revision, byte for byte.
 
     python tools/compare_outputs.py <revision>
+    python tools/compare_outputs.py --digests
 
 The revision is exported with `git archive` into a temporary directory.
 Each configuration below (400 iterations, pretraining 100, a snapshot every
@@ -25,11 +26,20 @@ minor page faults from the same call (ru_minflt), e.g. `faults
 shows first in that count. `validate` is compared the same way on each
 shipped `configs/*.json`; a printout that differs at the same exit status
 gets its differing keys, as in `differs [train.ramp_length]`. One line is
-printed per run; the exit status is 1 when anything differs. The script
-uses the standard library only and is not part of the test suite.
+printed per run; the exit status is 1 when anything differs.
+
+With --digests, the script prints the digest table of this Python's
+build (its numpy version and its BLAS name and version) as JSON: the
+sha256 of every output file and the stdout of configurations (a), (h)
+and (i) at one BLAS thread and (a) at two, each cut to 120 iterations,
+pretraining 30 and a snapshot every 40. tests/test_output_digests.py
+runs the same calls and compares them with tests/output_digests.json,
+which holds one such entry per build. The script uses the standard
+library only.
 """
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -81,6 +91,8 @@ CONFIGS = {
 }
 # The configurations also run at 2 BLAS threads.
 TWO_THREADS = ("a", "f", "h", "j")
+# The (configuration, BLAS threads) runs of the digest table.
+DIGEST_RUNS = (("a", 1), ("h", 1), ("i", 1), ("a", 2))
 
 
 def export(revision, dest):
@@ -118,6 +130,33 @@ def outputs(tree, raw, work, threads):
     out = work / "out"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
     return status, dict(files, stdout=stdout), peak, faults
+
+
+def build():
+    """The numpy version and the BLAS name and version of this Python, as in
+    "numpy 2.4.6, scipy-openblas 0.3.31.188.0"."""
+    code = ("import numpy as np\n"
+            "blas = np.show_config(mode='dicts')['Build Dependencies']['blas']\n"
+            "print(f\"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}\")")
+    return subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def digests(tree, work):
+    """The sha256 of every output file and the stdout of each of DIGEST_RUNS
+    on tree, cut to 120 iterations, pretraining 30 and a snapshot every
+    40, keyed by run ("a_1": configuration (a) at one BLAS thread) and file
+    name."""
+    table = {}
+    for name, threads in DIGEST_RUNS:
+        raw = dict(CONFIGS[name], eval_every=40,
+                   train=dict(CONFIGS[name]["train"], total_iters=120, pretrain_iters=30))
+        label = f"{name}_{threads}"
+        status, files, _, _ = outputs(tree, raw, work / label, threads)
+        if status:
+            raise RuntimeError(f"run {label} exited with status {status}")
+        table[label] = {file: hashlib.sha256(data).hexdigest() for file, data in files.items()}
+    return table
 
 
 def json_keys(ours, theirs):
@@ -164,6 +203,9 @@ def main(argv=None):
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        if argv[0] == "--digests":
+            print(json.dumps({build(): digests(ROOT, tmp)}, indent=2, sort_keys=True))
+            return 0
         parent = tmp / "parent"
         export(argv[0], parent)
         runs = [(name, 1) for name in CONFIGS] + [(name, 2) for name in TWO_THREADS]
