@@ -117,7 +117,12 @@ def _fits(value, default) -> bool:
     if isinstance(default, int):
         return _is_int(value)
     if isinstance(default, float):
-        return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+        # An int stays as given, but only one that float64 holds: math.isfinite
+        # raises OverflowError for an int past the largest float.
+        try:
+            return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+        except OverflowError:
+            return False
     if isinstance(default, (tuple, list)):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
     return isinstance(value, type(default))
@@ -334,8 +339,14 @@ def _load_config(path):
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except ValueError as exc:
+        # Text that is not UTF-8, or an integer of more digits than Python
+        # converts.
+        raise ConfigError(f"{path}: {exc}")
 
 
 def _parse_seeds(text):
@@ -389,6 +400,12 @@ def main(argv=None) -> int:
         summary = run_experiment(resolved, output_dir, first_dataset)
     except (TrainingAbort, OSError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # Sizes whose first-seed state fits can still outgrow memory in a
+        # run, such as the snapshot's pass over a whole domain.
+        seeds = ", ".join(map(str, resolved["seeds"]))
+        print(f"run failed: seeds {seeds}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     print(json.dumps(summary["final_target_accuracy"], sort_keys=True))
     return 0

@@ -145,7 +145,9 @@ def _ring_modes(modes_per_class, num_classes, radius):
 
 
 def _rotate(points, degrees):
-    rad = np.deg2rad(degrees)
+    # float() first: numpy holds an int past int64 as an object, which
+    # np.deg2rad refuses; an int64 rounds to the same float.
+    rad = np.deg2rad(float(degrees))
     rot = np.array([[np.cos(rad), -np.sin(rad)], [np.sin(rad), np.cos(rad)]])
     return points @ rot.T
 
@@ -194,8 +196,11 @@ def make_multimode_domains(
     for k in range(num_classes):
         mode_centers = list(_rotate(centers[k], rotation_deg))
         if extra_mode:
-            direction = mode_centers[0] / np.linalg.norm(mode_centers[0])
-            mode_centers.append(direction * extra_radius)
+            norm = np.linalg.norm(mode_centers[0])
+            if norm == 0.0:
+                raise ValueError(f"ring_radius must lie far enough from 0 to give the extra "
+                                 f"modes a direction; got {ring_radius!r}")
+            mode_centers.append(mode_centers[0] / norm * extra_radius)
         tgt_blocks.append(sample_class(mode_centers, n_per_mode))
         tgt_labels.append(np.full(len(mode_centers) * n_per_mode, k, np.int64))
 

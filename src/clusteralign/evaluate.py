@@ -1,8 +1,9 @@
 """Evaluation and monitoring: accuracies, k-means probes, divergence proxy.
 
 Everything here works on snapshots without dropout (apart from the Pi
-teacher's seeded pass) and is deterministic for a given seed; this
-module is the only reader of the hidden target labels.
+teacher's pass, which draws its own seeded stream) and is deterministic
+for a given seed; this module is the only reader of the hidden target
+labels.
 """
 
 from dataclasses import dataclass
@@ -143,7 +144,9 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
     RunMetrics and StateView.
 
     state is a trainer.TrainState and cfg its TrainConfig. The Pi
-    teacher's dropout pass is seeded by (cfg.seed, 23, state.iteration).
+    teacher's dropout pass draws the stream of slot 4 in the dropout
+    plan's key layout, seeded_rng(derive_seed(cfg.seed, state.iteration,
+    4)), which no step draws (seeding lists every key).
     The logged l_d applies the current confidence selection; the JSD proxy
     is computed from a separate all-selected pass so the monitor stays
     comparable across training. Both networks make one untraced pass per
@@ -162,8 +165,9 @@ def snapshot(state, cfg, ds) -> tuple[RunMetrics, StateView]:
     if cfg.teacher_mode == "self":
         teacher_probs = tgt.probabilities
     elif cfg.teacher_mode == "pi":
-        teacher_probs = pi_predict(state.student, ds.target_x,
-                                   derive_seed(cfg.seed, 23, state.iteration))
+        count = ds.target_x.shape[0] * sum(state.student.spec.layer_sizes[1:-1])
+        rng = seeded_rng(derive_seed(cfg.seed, state.iteration, 4))
+        teacher_probs = pi_predict(state.student, ds.target_x, rng.random((1, count)))
     else:
         teacher_probs = corrected_probabilities(state.teacher, cfg.decay)
     labels, confidences = pseudo_labels(teacher_probs)

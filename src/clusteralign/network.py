@@ -11,8 +11,10 @@ upstream gradient is supplied at one of three entry points:
     features      - the slice selected by the configured feature tap
 
 A pass drops units exactly when it is handed dropout noise and its spec
-has a dropout rate: the student's training passes and the Pi teacher's
-are handed noise; evaluation and the critic are handed none.
+has a dropout rate. Noise is always the uniforms themselves, one stream
+per (domain, seed) slice, drawn by the caller: the student's training
+passes and the Pi teacher's (in a step and in a snapshot) are handed
+noise; the rest of evaluation and the critic are handed none.
 
 A caller that reads only the features and probabilities (evaluation, the
 Pi teacher, a critic pass without gradients) runs an untraced pass
@@ -249,12 +251,14 @@ def forward(net: Network, x, noise=None, traced: bool = True) -> ForwardTrace:
     per seed, x of shape (seeds, rows, columns), optionally behind a
     leading domain axis, (domains, seeds, rows, columns). A pass drops
     units exactly when it is handed noise and its spec has a dropout rate.
-    noise gives every (domain, seed) slice, domain-major, a stream of
-    uniforms in [0, 1): a key (one slice) or one key per slice, whose
-    generator seeded_rng(key) draws the stream, or the streams themselves,
-    an array of shape (slices, rows * hidden units). A slice's stream
+    noise holds every (domain, seed) slice's stream of uniforms in [0, 1),
+    domain-major: an array of shape (slices, rows * hidden units), one row
+    per slice (one row for a pass without leading axes). A slice's stream
     covers its hidden layers in layer order, each row-major; a unit whose
-    uniform is below the dropout rate is dropped.
+    uniform is below the dropout rate is dropped, and a kept unit is
+    scaled by 1 / (1 - rate). Noise must have that shape even for a spec
+    without a dropout rate. The caller draws the streams (seeding lists
+    their keys).
     """
     x = np.asarray(x, dtype=np.float64)
     spec = net.spec
@@ -271,10 +275,13 @@ def forward(net: Network, x, noise=None, traced: bool = True) -> ForwardTrace:
     if not finite.all():
         first = int(np.argmin(finite.reshape(slices, -1).all(axis=1)))
         raise DomainError("x contains non-finite entries", first % math.prod(lead))
+    count = x.shape[-2] * sum(spec.layer_sizes[1:-1])
+    if noise is not None and np.shape(noise) != (slices, count):
+        raise ShapeError(f"noise has shape {np.shape(noise)}, expected {(slices, count)}")
     use_dropout = noise is not None and spec.dropout_rate > 0.0
     if use_dropout:
-        kept = _keep_masks(noise, slices, x.shape[-2] * sum(spec.layer_sizes[1:-1]),
-                           spec.dropout_rate)
+        # The scaled keep masks, one row per slice.
+        kept = (noise >= spec.dropout_rate) / (1.0 - spec.dropout_rate)
         offset = 0
 
     inputs = [x]
@@ -315,24 +322,6 @@ def forward(net: Network, x, noise=None, traced: bool = True) -> ForwardTrace:
         features=features,
         probabilities=probs,
     )
-
-
-def _keep_masks(noise, slices, count, rate):
-    """The scaled keep masks of every slice's stream of count uniforms (see
-    forward), one row per slice: 1 / (1 - rate) where the uniform is at
-    least the rate, else 0."""
-    if isinstance(noise, np.ndarray):
-        if noise.shape != (slices, count):
-            raise ShapeError(f"noise has shape {noise.shape}, expected {(slices, count)}")
-        draws = noise
-    else:
-        keys = tuple(noise) if isinstance(noise, (tuple, list)) else (noise,)
-        if len(keys) != slices:
-            raise ValueError(f"{len(keys)} noise seeds for {slices} (domain, seed) slices")
-        draws = np.empty((slices, count))
-        for key, row in zip(keys, draws):
-            seeded_rng(key).random(out=row)
-    return (draws >= rate) / (1.0 - rate)
 
 
 def _head_jvp(trace, d_probs, head):

@@ -8,6 +8,28 @@ replay any number of such generators without constructing one: a
 training run hashes its dropout keys a block of iterations at a time this
 way. Both follow numpy's SeedSequence and PCG64 seeding algorithms bit for
 bit (tests pin them against numpy on random keys).
+
+Key registry: every generator of a run starts from one of these keys. s
+is a seed of the config's seeds list, and c = derive_seed(s, 2) is the
+TrainConfig.seed that every training key starts with.
+
+    dataset            seeded_rng(d), d = derive_seed(s, 1); the IDX loader
+                       draws seeded_rng(derive_seed(d, 0)) for the source
+                       and seeded_rng(derive_seed(d, 1)) for the target
+    student init       seeded_rng(derive_seed(c, 11))
+    critic init        seeded_rng(derive_seed(c, 13))
+    batches            seeded_rng(derive_seed(c, 17), epoch, domain)
+    dropout            seeded_rng(derive_seed(c, iteration, slot)): slot 1
+                       the step's source pass, 2 its target pass, 3 its Pi
+                       teacher pass
+    Pi snapshot        seeded_rng(derive_seed(c, iteration, 4))
+    k-means restart r  seeded_rng(derive_seed(derive_seed(c, 29, iteration), r))
+
+SeedSequence pads a key tuple with zero words, so (c, 11) is the key
+(c, 11, 0): only key values keep streams apart, never a tuple's length,
+and no dropout slot is 0. At iterations 1 to 4, k-means' key (c, 29,
+iteration) is the key of iteration 29's slot 1 to 4, but a restart hashes
+it once more, so no k-means generator draws a dropout stream.
 """
 
 from __future__ import annotations

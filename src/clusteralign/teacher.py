@@ -35,7 +35,9 @@ def init_teacher(num_target: int, num_classes: int) -> TeacherState:
 
 def pi_predict(net: Network, target_x, noise) -> np.ndarray:
     """Teacher probabilities from an independent pass whose dropout noise
-    (as in network.forward) is noise.
+    is noise: the uniforms of every (seed) slice, an array of shape
+    (slices, rows * hidden units) as network.forward takes it. A step
+    hands it the streams of dropout slot 3, a snapshot those of slot 4.
 
     Without noise, or with dropout disabled, the pass is deterministic
     and the teacher coincides with the student.

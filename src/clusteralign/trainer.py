@@ -18,11 +18,13 @@ learning, so its divergence estimate is meaningful by the time
 adaptation starts); then all three share one logistic ramp.
 
 A whole run is a pure function of (config, dataset): every random draw is
-seeded from the config seed and the iteration counter. A dropout mask's
-uniforms come from seeded_rng(derive_seed(seed, iteration, slot)); a run
-hashes those keys for a block of _PLAN_BLOCK iterations at once
-(_DropoutPlan, built when run_training starts) and replays each stream
-from its PCG64 state, so no generator is constructed per step.
+seeded from the config seed and the iteration counter (seeding lists
+every key). A dropout mask's uniforms come from
+seeded_rng(derive_seed(seed, iteration, slot)), slots 1 to 3 for a step's
+passes and 4 for a snapshot's Pi teacher; a run hashes the step's keys
+for a block of _PLAN_BLOCK iterations at once (_DropoutPlan, built when
+run_training starts) and replays each stream from its PCG64 state, so no
+generator is constructed per step.
 
 The seeds of one experiment train together as a group: their states,
 momentum buffers, temporal ensembles and batches are stacked along a
@@ -140,6 +142,9 @@ class TrainConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite; "
                                  f"got {getattr(self, name)!r}")
+        if lr_schedule(1.0, self.lr_base) == 0:
+            raise ValueError(f"lr_base must be large enough that the last step's annealed "
+                             f"rate, lr_base / 11**0.75, stays positive; got {self.lr_base!r}")
         for name in ("batch_source", "batch_target", "critic_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -301,7 +306,8 @@ class _DropoutPlan:
 
 def _dropout_plan(state: TrainState, cfg):
     """A plan for the state's seeds, None when the student draws no mask.
-    Slots: 1 keys the source pass, 2 the target pass, 3 the Pi teacher's."""
+    Slots: 1 keys the source pass, 2 the target pass, 3 the Pi teacher's;
+    4, a snapshot's Pi pass (evaluate.snapshot), is never the plan's."""
     if state.student.spec.dropout_rate > 0.0:
         return _DropoutPlan(state.seeds, 3 if cfg.teacher_mode == "pi" else 2)
     return None
@@ -377,12 +383,10 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
         d_feat += alpha * grads.d_clustering
     if cfg.use_alignment:
         d_feat += alpha * grads.d_alignment
-    # A slice whose feature gradient is all zero adds nothing.
-    moving = np.any(d_feat, axis=(-2, -1))
-    if moving.any():
+    # In pretraining every feature gradient is zero and adds nothing.
+    if d_feat.any():
         vector, _ = backward(state.student, trace, d_feat, "features", input_gradient=False)
-        for m, v in zip(moving, vector):
-            student_vector = np.where(m[..., None], student_vector + v, student_vector)
+        student_vector = student_vector + vector[0] + vector[1]
 
     new_student, student_momentum = sgd_step(state.student, state.student_momentum,
                                              student_vector, lr, cfg.momentum)

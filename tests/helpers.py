@@ -19,24 +19,34 @@ from clusteralign.seeding import seeded_rng
 from clusteralign.teacher import TeacherState
 
 
-def min_abs_preactivation(net, x, noise_seed):
-    trace = forward(net, x, noise_seed)
+def key_noise(net, x, keys):
+    """The dropout noise (as network.forward takes it) of a pass of net over
+    x in which each (domain, seed) slice, domain-major, draws the stream of
+    seeded_rng(key): keys is one key, or a tuple or list of one per slice."""
+    keys = tuple(keys) if isinstance(keys, (tuple, list)) else (keys,)
+    count = np.shape(x)[-2] * sum(net.spec.layer_sizes[1:-1])
+    return np.array([seeded_rng(key).random(count) for key in keys])
+
+
+def min_abs_preactivation(net, x, noise):
+    trace = forward(net, x, noise)
     return min(float(np.abs(z).min()) for z in trace.pre_activations)
 
 
 def kink_free_instance(seed, sizes=(3, 6, 4, 2), batch=8, dropout=0.0,
                        feature_tap="logits", head="softmax", guard=1e-3):
-    """A (net, x, noise_seed) triple whose forward pass stays clear of relu
-    kinks, so central differences are trustworthy."""
+    """A (net, x, noise) triple whose forward pass stays clear of relu
+    kinks, so central differences are trustworthy; noise is the stream of
+    a seeded key (key_noise)."""
     keys = list(seed) if isinstance(seed, tuple) else [seed]
     for attempt in range(200):
         rng = seeded_rng(*keys, attempt)
         spec = NetworkSpec(sizes, dropout_rate=dropout, feature_tap=feature_tap, head=head)
         net = init_network(spec, int(rng.integers(2**31)))
         x = rng.normal(scale=1.2, size=(batch, sizes[0]))
-        noise_seed = int(rng.integers(2**31))
-        if min_abs_preactivation(net, x, noise_seed) > guard:
-            return net, x, noise_seed
+        noise = key_noise(net, x, int(rng.integers(2**31)))
+        if min_abs_preactivation(net, x, noise) > guard:
+            return net, x, noise
     raise AssertionError("could not sample a kink-free instance")
 
 
@@ -164,7 +174,7 @@ def finite_diff_check(net: Network, loss_fn, vector, h: float = 1e-5,
     and central differences.
 
     loss_fn maps a Network to a scalar and must be deterministic (fix any
-    noise seeds inside it). A random subset of at most max_coords
+    dropout noise inside it). A random subset of at most max_coords
     coordinates of net.params is probed.
     """
     coords = range(net.params.size)

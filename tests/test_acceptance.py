@@ -41,6 +41,7 @@ from helpers import (
     brute_force_clustering,
     ewma_oracle,
     finite_diff_check,
+    key_noise,
     kink_free_instance,
     margin_safe_labels,
 )
@@ -204,7 +205,7 @@ def test_criterion_3_gradient_correctness():
                                               guard=5e-2)
         for _ in range(50):
             xt = rng.normal(scale=1.2, size=(9, 3))
-            noise_t = int(rng.integers(2 ** 31))
+            noise_t = key_noise(net, xt, int(rng.integers(2 ** 31)))
             if min(float(np.abs(z).min())
                    for z in forward(net, xt, noise_t).pre_activations) > 5e-2:
                 break
@@ -307,7 +308,7 @@ def test_criterion_5_teacher_exactness():
         ))))
 
     net, x, _ = kink_free_instance(9100, sizes=(3, 8, 2), dropout=0.0)
-    pi = pi_predict(net, x, noise=77)
+    pi = pi_predict(net, x, key_noise(net, x, 77))
     student = forward(net, x).probabilities
     exact = np.array_equal(pi, student)
 

@@ -592,3 +592,65 @@ def test_failing_kmeans_exits_1_naming_seed_and_iteration(tmp_path, offset):
         done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+# Each value once passed `validate` and then ended `run` with a traceback
+# (the integers past float64) or part-way through (an lr_base whose
+# annealed rate underflows to 0).
+@pytest.mark.parametrize("field, over", [
+    ("train.alpha_max: must be a finite number", {"train": {"alpha_max": 10**400}}),
+    ("train.lambda_max: must be a finite number", {"train": {"lambda_max": 10**400}}),
+    ("train.lr_base: must be a finite number", {"train": {"lr_base": 10**400}}),
+    ("dataset.rotation_deg: must be a finite number",
+     {"scenario": "multimode", "dataset": {"rotation_deg": 10**400}}),
+    ("train.lr_base must be large enough", {"train": {"lr_base": 5e-324}}),
+], ids=["alpha_max-past-float64", "lambda_max-past-float64", "lr_base-past-float64",
+        "rotation_deg-past-float64", "lr_base-underflowing"])
+def test_hostile_number_exits_2_naming_its_field(tmp_path, capsys, field, over):
+    path = write_config(tmp_path, probe_raw(over))
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid config: {field}")
+
+
+def test_an_integer_rotation_past_int64_validates(tmp_path, capsys):
+    path = write_config(tmp_path, {"scenario": "multimode", "dataset": {"rotation_deg": 10**20}})
+    assert main(["validate", path]) == 0
+    assert json.loads(capsys.readouterr().out)["dataset"]["rotation_deg"] == 10**20
+
+
+@pytest.mark.parametrize("text", ['{"scenario": "multimode", "seeds": [1' + "0" * 5000 + "]}",
+                                  b"\xff\xfe{}", None],
+                         ids=["integer-past-the-digit-limit", "not-utf-8", "a-directory"])
+def test_an_unreadable_config_exits_2_naming_its_path(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    if text is None:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: {path}: ") and err.count("\n") == 1, err
+
+
+def test_a_run_out_of_memory_exits_1_naming_its_seeds(tmp_path):
+    # The student state fits, so `validate` passes; the first snapshot's
+    # pass over the 1100 source rows asks for an (1100, 10**6) array. Under
+    # a 3 GiB address-space limit, set in the child only, the allocation
+    # fails at once.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    path = write_config(tmp_path, {"scenario": "imbalanced_gaussians", "seeds": [0, 1, 2],
+                                   "train": {"hidden_layers": [10**6]}})
+    calls = [subprocess.run([sys.executable, "-m", "clusteralign.cli", *args], capture_output=True,
+                            text=True, env=module_env(), preexec_fn=limit)
+             for args in (["validate", path], ["run", path, "--output-dir", str(tmp_path / "out")])]
+    assert calls[0].returncode == 0, calls[0].stderr
+    assert calls[1].returncode == 1
+    assert calls[1].stderr.startswith("run failed: seeds 0, 1, 2: Unable to allocate "), \
+        calls[1].stderr
+    assert calls[1].stderr.count("\n") == 1 and "Traceback" not in calls[1].stderr

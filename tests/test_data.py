@@ -88,6 +88,22 @@ class TestMultimodeDomains:
         with pytest.raises(ValueError):
             make_multimode_domains(modes_per_class=1)
 
+    @pytest.mark.parametrize("degrees", [36, 2**63, 10**20], ids=["int", "2**63", "10**20"])
+    def test_an_integer_rotation_turns_as_its_float(self, degrees):
+        # numpy holds 10**20 as an object, which np.deg2rad refuses; an
+        # int64 and float() round to the same float.
+        got, want = (make_multimode_domains(rotation_deg=r, n_per_mode=5, seed=6)
+                     for r in (degrees, float(degrees)))
+        assert got.target_x.tobytes() == want.target_x.tobytes()
+
+    @pytest.mark.parametrize("radius", [0.0, 1e-300, -5e-324])
+    def test_a_ring_too_small_to_point_the_extra_modes_is_refused(self, radius):
+        # The extra modes point along a mode center, whose norm is then 0.
+        with pytest.raises(ValueError, match=f"^ring_radius must lie far enough from 0 .*"
+                                             f"got {radius!r}$"):
+            make_multimode_domains(ring_radius=radius, n_per_mode=5)
+        make_multimode_domains(ring_radius=radius, n_per_mode=5, extra_mode=False)
+
 
 class TestIterateBatches:
     def test_full_batch_is_permutation(self):

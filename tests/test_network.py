@@ -20,6 +20,7 @@ from clusteralign.seeding import seeded_rng
 from helpers import (
     finite_diff_check,
     input_finite_diff_check,
+    key_noise,
     kink_free_instance,
     margin_safe_labels,
 )
@@ -33,9 +34,9 @@ def test_zero_network_is_uniform():
 
 
 def test_forward_deterministic_bitwise():
-    net, x, seed = kink_free_instance(0, dropout=0.4)
-    t1 = forward(net, x, seed)
-    t2 = forward(net, x, seed)
+    net, x, noise = kink_free_instance(0, dropout=0.4)
+    t1 = forward(net, x, noise)
+    t2 = forward(net, x, noise)
     assert all(np.array_equal(a, b) for a, b in zip(t1.pre_activations, t2.pre_activations))
     assert np.array_equal(t1.probabilities, t2.probabilities)
     assert all(np.array_equal(a, b) for a, b in zip(t1.masks, t2.masks))
@@ -65,7 +66,8 @@ def test_a_pass_without_noise_drops_nothing():
 def test_dropout_masks_are_inverted():
     spec = NetworkSpec((3, 64, 2), dropout_rate=0.25)
     net = init_network(spec, 5)
-    trace = forward(net, np.ones((2, 3)), 7)
+    x = np.ones((2, 3))
+    trace = forward(net, x, key_noise(net, x, 7))
     values = np.unique(trace.masks[0])
     assert set(values).issubset({0.0, 1.0 / 0.75})
 
@@ -84,8 +86,11 @@ def test_forward_rejects_noise_that_does_not_fit_its_slices():
     x = np.ones((2, 3))
     with pytest.raises(ShapeError, match=r"^noise has shape \(1, 7\), expected \(1, 8\)$"):
         forward(net, x, np.zeros((1, 7)))
-    with pytest.raises(ValueError, match=r"^2 noise seeds for 1 \(domain, seed\) slices$"):
-        forward(net, x, (7, 8))
+    with pytest.raises(ShapeError, match=r"^noise has shape \(2, 8\), expected \(1, 8\)$"):
+        forward(net, x, np.zeros((2, 8)))
+    # Noise is the streams themselves, never a key that names them.
+    with pytest.raises(ShapeError, match=r"^noise has shape \(\), expected \(1, 8\)$"):
+        forward(net, x, 7)
 
 
 def test_stacked_forward_and_backward_hold_each_seed_alone():
@@ -96,10 +101,10 @@ def test_stacked_forward_and_backward_hold_each_seed_alone():
     stacked = Network(spec, np.stack([net.params for net in nets]))
     assert all(w.shape[0] == 2 and np.shares_memory(w, stacked.params)
                for w in stacked.weights + stacked.biases)
-    trace = forward(stacked, x, (7, 8))
+    trace = forward(stacked, x, key_noise(stacked, x, (7, 8)))
     vector, d_input = backward(stacked, trace, probe, "features")
-    for i, (net, noise_seed) in enumerate(zip(nets, (7, 8))):
-        alone = forward(net, x[i], noise_seed)
+    for i, (net, key) in enumerate(zip(nets, (7, 8))):
+        alone = forward(net, x[i], key_noise(net, x[i], key))
         assert np.array_equal(trace.features[i], alone.features)
         single_vector, single_d_input = backward(net, alone, probe[i], "features")
         assert np.array_equal(vector[i], single_vector)
@@ -129,13 +134,13 @@ def test_a_domain_axis_holds_each_domain_alone(seeds):
     x = seeded_rng(25).normal(size=(2, *lead, 5, 3))
     probe = seeded_rng(26).normal(size=(2, *lead, 5, 4))
     keys = tuple(range(7, 7 + x[..., 0, 0].size))
-    trace = forward(net, x, keys)
+    trace = forward(net, x, key_noise(net, x, keys))
     vector, d_input = backward(net, trace, probe, "features")
     assert vector.shape == (2, *lead, spec.num_params)
     per_domain = np.reshape(keys, (2, -1))
     for d in range(2):
         domain_keys = tuple(per_domain[d].tolist()) if seeds else int(per_domain[d, 0])
-        alone = forward(net, x[d], domain_keys)
+        alone = forward(net, x[d], key_noise(net, x[d], domain_keys))
         for got, want in zip(trace[d].inputs + trace[d].pre_activations + trace[d].masks,
                              alone.inputs + alone.pre_activations + alone.masks):
             assert got.tobytes() == want.tobytes()
@@ -157,7 +162,7 @@ def test_a_domain_axis_error_names_the_seed():
         forward(stacked, x[:, :2])
 
 
-# noised: the pass is handed one noise key per slice, or none.
+# noised: the pass is handed the stream of one key per slice, or none.
 @pytest.mark.parametrize("sizes, head, tap, seeds, domains, noised", [
     ((3, 6, 4, 2), "softmax", "logits", 0, False, False),
     ((3, 6, 4, 2), "softmax", "penultimate", 0, False, True),
@@ -177,9 +182,9 @@ def test_an_untraced_pass_holds_the_bits_of_a_traced_one(sizes, head, tap, seeds
     net = Network(spec, np.stack([n.params for n in nets])) if seeds else nets[0]
     lead = ((2,) if domains else ()) + ((seeds,) if seeds else ())
     x = seeded_rng(27).normal(size=(*lead, 5, sizes[0]))
-    keys = tuple(range(7, 7 + x[..., 0, 0].size)) if noised else None
-    traced = forward(net, x, keys)
-    untraced = forward(net, x, keys, traced=False)
+    noise = key_noise(net, x, tuple(range(7, 7 + x[..., 0, 0].size))) if noised else None
+    traced = forward(net, x, noise)
+    untraced = forward(net, x, noise, traced=False)
     assert untraced.inputs is None and untraced.pre_activations is None
     assert untraced.masks is None
     for got, want in ((untraced, traced), (untraced[-1], traced[-1])):
@@ -190,15 +195,15 @@ def test_an_untraced_pass_holds_the_bits_of_a_traced_one(sizes, head, tap, seeds
 
 
 def test_backward_rejects_an_untraced_pass():
-    net, x, seed = kink_free_instance(28, dropout=0.3)
-    trace = forward(net, x, seed, traced=False)
+    net, x, noise = kink_free_instance(28, dropout=0.3)
+    trace = forward(net, x, noise, traced=False)
     with pytest.raises(ValueError, match="traced forward pass"):
         backward(net, trace, np.ones(trace.probabilities.shape), "logits")
 
 
 def test_backward_without_input_gradient_keeps_the_parameter_gradient():
-    net, x, seed = kink_free_instance(23, dropout=0.3)
-    trace = forward(net, x, seed)
+    net, x, noise = kink_free_instance(23, dropout=0.3)
+    trace = forward(net, x, noise)
     probe = seeded_rng(24).normal(size=trace.probabilities.shape)
     full_vector, _ = backward(net, trace, probe, "logits")
     lean_vector, lean_d_input = backward(net, trace, probe, "logits", input_gradient=False)
@@ -226,16 +231,16 @@ def test_parameter_layout():
 
 
 def test_backward_zero_upstream_is_zero():
-    net, x, seed = kink_free_instance(3)
-    trace = forward(net, x, seed)
+    net, x, noise = kink_free_instance(3)
+    trace = forward(net, x, noise)
     vector, _ = backward(net, trace, np.zeros_like(trace.probabilities), "probabilities")
     assert np.all(vector == 0.0)
 
 
 @pytest.mark.parametrize("entry", ["probabilities", "logits", "features"])
 def test_backward_linearity(entry):
-    net, x, seed = kink_free_instance(4, dropout=0.3)
-    trace = forward(net, x, seed)
+    net, x, noise = kink_free_instance(4, dropout=0.3)
+    trace = forward(net, x, noise)
     shape = trace.probabilities.shape if entry == "probabilities" else trace.features.shape
     rng = seeded_rng(9)
     g1 = rng.normal(size=shape)
@@ -246,8 +251,8 @@ def test_backward_linearity(entry):
 
 
 def test_backward_shape_errors():
-    net, x, seed = kink_free_instance(5)
-    trace = forward(net, x, seed)
+    net, x, noise = kink_free_instance(5)
+    trace = forward(net, x, noise)
     with pytest.raises(ShapeError):
         backward(net, trace, np.zeros((1, 1)), "probabilities")
     with pytest.raises(ValueError):
@@ -335,14 +340,14 @@ def test_finite_diff_linear_loss_is_exact():
 
 
 def test_finite_diff_cross_entropy():
-    net, x, seed = kink_free_instance(7, dropout=0.2)
+    net, x, noise = kink_free_instance(7, dropout=0.2)
     y = seeded_rng(8).integers(2, size=x.shape[0])
-    trace = forward(net, x, seed)
+    trace = forward(net, x, noise)
     _, d_logits = cross_entropy(trace.probabilities, y)
     grads, _ = backward(net, trace, d_logits, "logits")
 
     def loss_fn(candidate):
-        probs = forward(candidate, x, seed).probabilities
+        probs = forward(candidate, x, noise).probabilities
         return cross_entropy(probs, y)[0]
 
     assert finite_diff_check(net, loss_fn, grads, h=1e-5, seed=1) <= 1e-4
@@ -352,15 +357,15 @@ def test_finite_diff_clustering_loss_active_margin():
     # Pairwise distances ignore common feature shifts, so final-layer bias
     # gradients are exactly zero; h = 1e-3 keeps difference-quotient noise
     # on those coordinates below the 1e-8 relative-error floor.
-    net, x, seed = kink_free_instance(9, sizes=(3, 6, 3), guard=5e-2)
-    trace = forward(net, x, seed)
+    net, x, noise = kink_free_instance(9, sizes=(3, 6, 3), guard=5e-2)
+    trace = forward(net, x, noise)
     labels = margin_safe_labels(trace.features, seeded_rng(10), 3, margin=3.0, guard=0.15)
     loss, d_feats = clustering_loss(trace.features, labels, 3.0)
     assert loss > 0.0
     grads, _ = backward(net, trace, d_feats, "features")
 
     def loss_fn(candidate):
-        feats = forward(candidate, x, seed).features
+        feats = forward(candidate, x, noise).features
         return clustering_loss(feats, labels, 3.0)[0]
 
     assert finite_diff_check(net, loss_fn, grads, h=1e-3, seed=2) <= 1e-4
@@ -369,16 +374,16 @@ def test_finite_diff_clustering_loss_active_margin():
 # The case ids name the hidden activation: ReLU.
 @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=lambda dropout: f"{dropout}-relu")
 def test_penultimate_tap_backward_matches_finite_differences(dropout):
-    net, x, seed = kink_free_instance(12, sizes=(4, 6, 5, 3), dropout=dropout,
+    net, x, noise = kink_free_instance(12, sizes=(4, 6, 5, 3), dropout=dropout,
                                       feature_tap="penultimate")
-    trace = forward(net, x, seed)
+    trace = forward(net, x, noise)
     assert trace.features.shape == (x.shape[0], 5)
     rng = seeded_rng(13)
     probe = rng.normal(size=trace.features.shape)
     grads, _ = backward(net, trace, probe, "features")
 
     def loss_fn(candidate):
-        feats = forward(candidate, x, seed).features
+        feats = forward(candidate, x, noise).features
         return float((feats * probe).sum())
 
     assert finite_diff_check(net, loss_fn, grads, h=1e-5, seed=3) <= 1e-4
@@ -389,7 +394,7 @@ def test_one_layer_penultimate_tap_passes_the_gradient_to_the_input():
     # parameter receives gradient and d_input is the upstream gradient.
     net = init_network(NetworkSpec((3, 2), feature_tap="penultimate"), 0)
     x = seeded_rng(18).normal(size=(5, 3))
-    trace = forward(net, x, 0)
+    trace = forward(net, x, key_noise(net, x, 0))
     assert np.array_equal(trace.features, x)
     probe = seeded_rng(19).normal(size=x.shape)
     vector, d_input = backward(net, trace, probe, "features")
@@ -405,11 +410,11 @@ def test_one_layer_penultimate_tap_passes_the_gradient_to_the_input():
     ("logits", dict(dropout=0.3)),
 ], ids=["probabilities-sigmoid", "features-penultimate", "logits"])
 def test_backward_d_input_matches_finite_differences(entry, instance):
-    net, x, seed = kink_free_instance(16, **instance)
-    trace = forward(net, x, seed)
+    net, x, noise = kink_free_instance(16, **instance)
+    trace = forward(net, x, noise)
 
     def output(x_in):
-        t = forward(net, x_in, seed)
+        t = forward(net, x_in, noise)
         return {"probabilities": t.probabilities, "features": t.features,
                 "logits": t.pre_activations[-1]}[entry]
 
@@ -421,15 +426,15 @@ def test_backward_d_input_matches_finite_differences(entry, instance):
 
 
 def test_sigmoid_head_backward_matches_finite_differences():
-    net, x, seed = kink_free_instance(14, sizes=(3, 6, 1), head="sigmoid")
-    trace = forward(net, x, seed)
+    net, x, noise = kink_free_instance(14, sizes=(3, 6, 1), head="sigmoid")
+    trace = forward(net, x, noise)
     assert trace.probabilities.shape == (x.shape[0], 1)
     assert np.all((trace.probabilities > 0) & (trace.probabilities < 1))
     probe = seeded_rng(15).normal(size=trace.probabilities.shape)
     grads, _ = backward(net, trace, probe, "probabilities")
 
     def loss_fn(candidate):
-        probs = forward(candidate, x, seed).probabilities
+        probs = forward(candidate, x, noise).probabilities
         return float((probs * probe).sum())
 
     assert finite_diff_check(net, loss_fn, grads, h=1e-5, seed=4) <= 1e-4

@@ -1,9 +1,13 @@
+import collections
+import json
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clusteralign import seeding, trainer as trainer_module
+from clusteralign import cli, seeding, trainer as trainer_module
 from clusteralign.seeding import (
     Streams,
     derive_seed,
@@ -107,3 +111,52 @@ def test_dropout_plan_replays_seeded_rng_of_each_key(seeds):
             expected = [seeded_rng(derive_seed(seed, iteration, slot)).random(11)
                         for slot in slots for seed in seeds]
             assert np.array_equal(draws, expected)
+
+
+def test_no_two_call_sites_of_a_run_start_a_generator_from_one_state(tmp_path, monkeypatch):
+    # Every PCG64 a run makes, or restarts from a stored state, is recorded
+    # with its start state and the innermost clusteralign function outside
+    # seeding that asked for it. A 2-seed Pi run with dropout and a snapshot
+    # after every step makes the keys of every component meet.
+    base = np.random.PCG64
+    seeding_file = Path(seeding.__file__).resolve()
+    callers = {str(path) for path in seeding_file.parent.glob("*.py")} - {str(seeding_file)}
+    made = collections.defaultdict(set)
+
+    def record(bits):
+        state = base.state.__get__(bits)["state"]
+        frame = sys._getframe(2)
+        while str(Path(frame.f_code.co_filename).resolve()) not in callers:
+            frame = frame.f_back
+        function = frame.f_code.co_qualname.split(".<locals>")[0]
+        site = f"{Path(frame.f_code.co_filename).name}:{function}"
+        made[state["state"], state["inc"]].add(site)
+
+    class PCG64(base):
+        # The class name is the one a stored state names.
+        def __init__(self, *args):
+            super().__init__(*args)
+            record(self)
+
+        @property
+        def state(self):
+            return base.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            base.state.__set__(self, value)
+            record(self)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "scenario": "multimode", "seeds": [0, 1], "eval_every": 1,
+        "dataset": {"n_per_mode": 30},
+        "train": {"total_iters": 30, "pretrain_iters": 5, "batch_source": 16,
+                  "batch_target": 16, "teacher_mode": "pi", "dropout_rate": 0.3}}))
+    assert cli.main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+    shared = sorted(sorted(sites) for sites in made.values() if len(sites) > 1)
+    assert not shared, f"{len(shared)} start states made from two call sites: {shared}"
+    assert {"data.py:make_multimode_domains", "data.py:batch_indices",
+            "network.py:init_network", "trainer.py:_DropoutPlan.uniforms",
+            "evaluate.py:snapshot", "evaluate.py:_lloyd"} <= set().union(*made.values())

@@ -12,7 +12,7 @@ from clusteralign.teacher import (
     temporal_step,
 )
 
-from helpers import ewma_oracle, temporal_update
+from helpers import ewma_oracle, key_noise, temporal_update
 
 
 def update(state, indices, probabilities, decay=0.6):
@@ -30,20 +30,21 @@ class TestPiPredict:
     def test_no_dropout_matches_student(self):
         net = init_network(NetworkSpec((3, 8, 2), dropout_rate=0.0), 1)
         x = seeded_rng(0).normal(size=(6, 3))
-        teacher = pi_predict(net, x, noise=99)
+        teacher = pi_predict(net, x, key_noise(net, x, 99))
         student = forward(net, x).probabilities
         assert np.array_equal(teacher, student)
 
     def test_fixed_seed_deterministic(self):
         net = init_network(NetworkSpec((3, 8, 2), dropout_rate=0.5), 1)
         x = seeded_rng(1).normal(size=(6, 3))
-        assert np.array_equal(pi_predict(net, x, 5), pi_predict(net, x, 5))
-        assert not np.array_equal(pi_predict(net, x, 5), pi_predict(net, x, 6))
+        five, six = key_noise(net, x, 5), key_noise(net, x, 6)
+        assert np.array_equal(pi_predict(net, x, five), pi_predict(net, x, five))
+        assert not np.array_equal(pi_predict(net, x, five), pi_predict(net, x, six))
 
     def test_rows_sum_to_one(self):
         net = init_network(NetworkSpec((3, 8, 4), dropout_rate=0.3), 2)
         x = seeded_rng(2).normal(size=(10, 3))
-        probs = pi_predict(net, x, 7)
+        probs = pi_predict(net, x, key_noise(net, x, 7))
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
 
 

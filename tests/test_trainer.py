@@ -34,7 +34,7 @@ from clusteralign.trainer import (
     train_step,
 )
 
-from helpers import iterate_batches, total_objective
+from helpers import iterate_batches, key_noise, total_objective
 
 
 def tiny_dataset(seed=0):
@@ -117,7 +117,8 @@ class TestTrainStep:
         # Reference: apply only the cross-entropy gradient by hand.
         from clusteralign.network import backward, sgd_step
 
-        trace = forward(state.student, batch.source_x, derive_seed(cfg.seed, 0, 1))
+        trace = forward(state.student, batch.source_x,
+                        key_noise(state.student, batch.source_x, derive_seed(cfg.seed, 0, 1)))
         _, d_logits = cross_entropy(trace.probabilities, batch.source_y)
         grads, _ = backward(state.student, trace, d_logits, "logits")
         lr = lr_schedule(0.0, cfg.lr_base)
@@ -413,7 +414,8 @@ class TestDomainAxis:
         stepped, _ = train_step(state, batch, cfgs[0])
         for index, cfg in enumerate(cfgs):
             student = Network(state.student.spec, state.student.params[index])
-            alone = forward(student, batch.target_x[index], derive_seed(cfg.seed, 0, 2))
+            x = batch.target_x[index]
+            alone = forward(student, x, key_noise(student, x, derive_seed(cfg.seed, 0, 2)))
             rows = stepped.teacher.ensemble[index][batch.target_indices[index]]
             assert np.array_equal(rows, (1.0 - cfg.decay) * alone.probabilities)
 
@@ -474,8 +476,9 @@ def test_the_snapshot_and_the_step_combine_the_same_terms():
 def objective_at(student, critic, teacher, batch, cfg, iteration):
     """Mirror of the step's monitored objective with all noise held fixed."""
     alpha, lam = schedule_weights(cfg, iteration)
-    trace_src = forward(student, batch.source_x, derive_seed(cfg.seed, iteration, 1))
-    trace_tgt = forward(student, batch.target_x, derive_seed(cfg.seed, iteration, 2))
+    trace_src, trace_tgt = (
+        forward(student, x, key_noise(student, x, derive_seed(cfg.seed, iteration, slot)))
+        for x, slot in ((batch.source_x, 1), (batch.target_x, 2)))
     labels, conf = pseudo_labels(
         corrected_probabilities(teacher, cfg.decay)[batch.target_indices])
     features = np.stack((trace_src.features, trace_tgt.features))
@@ -527,3 +530,13 @@ def test_composed_gradient_descends_total_objective():
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize("lr_base", [5e-324, 1e-323])
+def test_config_rejects_an_lr_base_whose_last_rate_underflows(lr_base):
+    # The rate anneals to lr_base / 11**0.75 at the last step; at 0,
+    # sgd_step would stop the run part-way.
+    assert lr_schedule(1.0, lr_base) == 0.0
+    with pytest.raises(ValueError, match=f"^lr_base must be large enough .*got {lr_base!r}$"):
+        tiny_config(lr_base=lr_base)
+    assert lr_schedule(1.0, tiny_config(lr_base=2e-323).lr_base) > 0.0
