@@ -115,7 +115,8 @@ def _fits(value, default) -> bool:
     if isinstance(default, bool):
         return isinstance(value, bool)
     if isinstance(default, int):
-        return _is_int(value)
+        # A count past int64 would reach numpy as a size it cannot take.
+        return _is_int(value) and -2**63 <= value < 2**63
     if isinstance(default, float):
         # An int stays as given, but only one that float64 holds: math.isfinite
         # raises OverflowError for an int past the largest float.
@@ -133,8 +134,8 @@ def _kind(default) -> str:
         return "a non-empty path string"
     if isinstance(default, (tuple, list)):
         return f"a list like {json.dumps(default)}"
-    return {bool: "true or false", int: "an integer", float: "a finite number",
-            str: "a string"}[type(default)]
+    return {bool: "true or false", int: "an integer in [-2**63, 2**63)",
+            float: "a finite number", str: "a string"}[type(default)]
 
 
 def _section(raw: dict, name: str, defaults: dict, errors: list) -> dict:
@@ -190,7 +191,8 @@ def _resolve(raw: dict):
             errors.append(f"{key}: unknown top-level key")
 
     seeds = raw.get("seeds", [0, 1, 2])
-    if not (_fits(seeds, [0]) and seeds and min(seeds) >= 0):
+    # Seeds are keys, not sizes: they may take any width.
+    if not (isinstance(seeds, list) and seeds and all(_is_int(s) and s >= 0 for s in seeds)):
         errors.append("seeds: must be a non-empty list of nonnegative integers")
     elif len(set(seeds)) < len(seeds):
         errors.append(f"seeds: must be distinct; got {seeds!r}")
@@ -303,7 +305,10 @@ def run_experiment(resolved: dict, output_dir: str, first_dataset: DomainDataset
         dump_dataset_csv(ds, os.path.join(output_dir, f"dataset_{seed}.csv"))
     cfgs = [build_train_config(resolved, seed) for seed in seeds]
     try:
-        _, logs, views = run_training(cfgs, datasets, resolved["eval_every"])
+        # A run that goes non-finite ends on its own finite checks with one
+        # abort; numpy's warnings on the way there would only add noise.
+        with np.errstate(all="ignore"):
+            _, logs, views = run_training(cfgs, datasets, resolved["eval_every"])
     except TrainingAbort as exc:
         raise TrainingAbort(f"seed {seeds[exc.details['seed_index']]}: {exc}",
                             exc.details) from exc

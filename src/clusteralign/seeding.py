@@ -1,13 +1,14 @@
 """Deterministic seed derivation shared by every randomized component.
 
 derive_seed and seeded_rng hash a tuple of integer keys with numpy's
-SeedSequence. sequence_words is the same hash of many key tuples at once,
-in numpy uint32 arithmetic, and derived_rng_states gives the PCG64 states
-that seeded_rng(derive_seed(*key)) starts from, so a Streams pair can
-replay any number of such generators without constructing one: a
-training run hashes its dropout keys a block of iterations at a time this
-way. Both follow numpy's SeedSequence and PCG64 seeding algorithms bit for
-bit (tests pin them against numpy on random keys).
+SeedSequence. derived_rng_states gives, in numpy uint32 arithmetic, the
+PCG64 states that seeded_rng(derive_seed(seed, iteration, slot)) starts
+from for many (seed, iteration, slot) rows at once, the one key layout a
+training run hashes in bulk: its dropout plan (trainer._DropoutPlan)
+hashes a block of iterations this way and restarts one generator from
+each state, constructing none. It follows numpy's SeedSequence and PCG64
+seeding algorithms bit for bit on that layout (tests pin it against numpy
+on random rows).
 
 Key registry: every generator of a run starts from one of these keys. s
 is a seed of the config's seeds list, and c = derive_seed(s, 2) is the
@@ -21,7 +22,7 @@ TrainConfig.seed that every training key starts with.
     batches            seeded_rng(derive_seed(c, 17), epoch, domain)
     dropout            seeded_rng(derive_seed(c, iteration, slot)): slot 1
                        the step's source pass, 2 its target pass, 3 its Pi
-                       teacher pass
+                       teacher pass; hashed as derived_rng_states rows
     Pi snapshot        seeded_rng(derive_seed(c, iteration, 4))
     k-means restart r  seeded_rng(derive_seed(derive_seed(c, 29, iteration), r))
 
@@ -29,7 +30,9 @@ SeedSequence pads a key tuple with zero words, so (c, 11) is the key
 (c, 11, 0): only key values keep streams apart, never a tuple's length,
 and no dropout slot is 0. At iterations 1 to 4, k-means' key (c, 29,
 iteration) is the key of iteration 29's slot 1 to 4, but a restart hashes
-it once more, so no k-means generator draws a dropout stream.
+it once more, so no k-means generator draws a dropout stream. TrainConfig
+holds c below 2**64 and total_iters below 2**31, so every iteration the
+plan hashes, its block past the last one included, is one word.
 """
 
 from __future__ import annotations
@@ -82,47 +85,22 @@ def _mix(x, y):
     return result
 
 
-def _words(keys):
-    """Each row's keys as SeedSequence entropy: every key split into 32-bit
-    words, least significant first (zero is one word), concatenated in key
-    order. Returns the (rows, max length) uint32 words, zero-padded, and
-    each row's word count."""
-    keys = np.asarray(keys)
-    if keys.ndim != 2:
-        raise ValueError(f"keys must be 2-D (key tuples, keys per tuple); got shape {keys.shape}")
-    if keys.dtype.kind not in "iuO":
-        raise TypeError("SeedSequence keys must be integers")
-    if (keys < 0).any():
-        raise ValueError("expected non-negative integer")
-    if keys.dtype.kind == "i":
-        keys = keys.astype(np.uint64)
-    columns = []
-    for rest in keys.T:
-        # Python ints of any size stay objects; fixed-width ones shift as uint64.
-        words = [rest & _MASK32]
-        count = np.ones(len(rest), np.int64)
-        while True:
-            rest = rest >> 32
-            more = rest > 0
-            if not more.any():
-                break
-            words.append(rest & _MASK32)
-            count += more
-        columns.append((np.array(words, np.uint64).astype(np.uint32), count))
-    starts = np.zeros(len(keys), np.int64)
-    entropy = np.zeros((len(keys), sum(len(w) for w, _ in columns)), np.uint32)
-    rows = np.arange(len(keys))
-    for words, count in columns:
-        for j, word in enumerate(words):
-            held = j < count
-            entropy[rows[held], starts[held] + j] = word[held]
-        starts += count
-    return entropy[:, :max(starts.max(initial=0), 1)], starts
+def _key_words(rows):
+    """SeedSequence's entropy words of each (seed, iteration, slot) row,
+    seed below 2**64 and iteration and slot below 2**32: a seed below 2**32
+    is one word and any other seed two, low word first; then iteration and
+    slot, zero-padded to the 4-word pool. Returns uint32 of shape (rows, 4)."""
+    seed, iteration, slot = np.asarray(rows, np.uint64).T
+    high = seed >> 32
+    wide = high > 0
+    return np.stack([seed & _MASK32, np.where(wide, high, iteration),
+                     np.where(wide, iteration, slot), np.where(wide, slot, 0)],
+                    axis=-1).astype(np.uint32)
 
 
-def _generate(entropy, lengths, n_words):
-    """SeedSequence.generate_state(n_words) of each row of entropy words;
-    a row's words beyond its length are not part of it."""
+def _generate(entropy, n_words):
+    """SeedSequence.generate_state(n_words) of each row of at most 4
+    entropy words."""
     entropy = entropy.T
     consts = _hash_constants(_INIT_A, _MULT_A)
     zero = np.zeros(entropy.shape[1], np.uint32)
@@ -132,21 +110,8 @@ def _generate(entropy, lengths, n_words):
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
-    for src in range(_POOL, len(entropy)):
-        held = lengths > src
-        for dst in range(_POOL):
-            pool[dst] = np.where(held, _mix(pool[dst], _hash(entropy[src], consts)), pool[dst])
     consts = _hash_constants(_INIT_B, _MULT_B)
     return np.stack([_hash(pool[i % _POOL], consts) for i in range(n_words)], axis=-1)
-
-
-def sequence_words(keys, n_words):
-    """np.random.SeedSequence(row).generate_state(n_words) of every row of
-    keys, a 2-D array-like of non-negative integers (key tuples of equal
-    length; a key may take any number of 32-bit words), in one vectorised
-    pass. Returns uint32 words of shape (rows, n_words)."""
-    entropy, lengths = _words(keys)
-    return _generate(entropy, lengths, n_words)
 
 
 def _limbs(value):
@@ -195,35 +160,12 @@ def _pcg64(words):
                      inc[3] << 32 | inc[2], inc[1] << 32 | inc[0]], axis=-1)
 
 
-def derived_rng_states(keys):
-    """The state that seeded_rng(derive_seed(*row)) starts from, for every
-    row of keys as in sequence_words: uint64 of shape (rows, 4), the
-    128-bit PCG64 state and increment as (state high, state low, increment
-    high, increment low)."""
-    seeds = sequence_words(keys, 2)
+def derived_rng_states(rows):
+    """The state that seeded_rng(derive_seed(seed, iteration, slot)) starts
+    from, for every (seed, iteration, slot) row of the layout _key_words
+    takes: uint64 of shape (rows, 4), the 128-bit PCG64 state and increment
+    as (state high, state low, increment high, increment low)."""
+    seeds = _generate(_key_words(rows), 2)
     # SeedSequence takes a derived seed as its words, low first. A zero high
     # word, which it drops, hashes as the zero pad of a short entropy.
-    return _pcg64(_generate(seeds, np.full(len(seeds), 2), 8))
-
-
-class Streams:
-    """One PCG64 bit generator and its Generator, restarted from stored
-    states: each row a generator's uniforms, at about the cost of setting
-    a state."""
-
-    def __init__(self):
-        self._bits = np.random.PCG64(0)
-        self._random = np.random.Generator(self._bits).random
-
-    def fill(self, states, out):
-        """Fill each row of out, a C-contiguous float64 array, with the
-        uniforms in [0, 1) that a generator in the matching row of states
-        (rows of derived_rng_states) draws first."""
-        bits, random = self._bits, self._random
-        for (state_hi, state_lo, inc_hi, inc_lo), row in zip(states.tolist(), out):
-            bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": state_hi << 64 | state_lo,
-                                    "inc": inc_hi << 64 | inc_lo},
-                          "has_uint32": 0, "uinteger": 0}
-            random(out=row)
-        return out
+    return _pcg64(_generate(seeds, 8))

@@ -23,8 +23,9 @@ every key). A dropout mask's uniforms come from
 seeded_rng(derive_seed(seed, iteration, slot)), slots 1 to 3 for a step's
 passes and 4 for a snapshot's Pi teacher; a run hashes the step's keys
 for a block of _PLAN_BLOCK iterations at once (_DropoutPlan, built when
-run_training starts) and replays each stream from its PCG64 state, so no
-generator is constructed per step.
+run_training starts) and restarts one reused PCG64 from each stream's
+state, so no generator is constructed per step. TrainConfig bounds seed
+and total_iters to the one key layout that hash takes.
 
 The seeds of one experiment train together as a group: their states,
 momentum buffers, temporal ensembles and batches are stacked along a
@@ -58,7 +59,7 @@ from clusteralign.network import (
     reverse_gradient,
     sgd_step,
 )
-from clusteralign.seeding import Streams, derive_seed, derived_rng_states
+from clusteralign.seeding import derive_seed, derived_rng_states
 from clusteralign.teacher import (
     TEACHER_MODES,
     TeacherState,
@@ -107,7 +108,9 @@ class TrainConfig:
     its own targets) exist for ablations. batch_target must equal
     batch_source: every step stacks both batches on one domain axis.
     feature_tap picks the student's adaptation features (network.FEATURE_TAPS):
-    its logits by default, or the input of its final layer.
+    its logits by default, or the input of its final layer. seed, in
+    [0, 2**64), keys every random draw of training, and total_iters is below
+    2**31: the dropout plan's key layout holds no more.
     """
 
     total_iters: int = 5000
@@ -133,6 +136,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.pretrain_iters < 0 or self.total_iters <= self.pretrain_iters:
             raise ValueError("pretrain_iters must lie in [0, total_iters)")
+        # The dropout plan hashes each seed as at most two 32-bit words and
+        # each iteration, up to a block past the last, as one.
+        if self.total_iters >= 2**31:
+            raise ValueError(f"total_iters must be below 2**31; got {self.total_iters!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64); got {self.seed!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
         for name in ("decay", "momentum"):
@@ -277,31 +286,40 @@ class _DropoutPlan:
     (iteration, slot, seed) is that of seeded_rng(derive_seed(seed,
     iteration, slot)). The PCG64 states of a block of _PLAN_BLOCK
     iterations, every slot and every seed, are hashed in one vectorised
-    pass; one Streams pair then draws each stream from its state. Only a
-    block's states are held, never its draws."""
+    pass (seeding.derived_rng_states); one reused PCG64 and its Generator
+    then draw each stream from its state, at about the cost of setting a
+    state. Only a block's states are held, never its draws."""
 
     def __init__(self, seeds, slot_count: int):
-        # Config seeds may take 64 bits or more; every key column gets their dtype.
-        self._seeds = np.array(seeds, dtype=np.uint64 if max(seeds) < 2**64 else object)
+        # TrainConfig holds every seed below 2**64.
+        self._seeds = np.array(seeds, dtype=np.uint64)
         self._slots = slot_count
         self._start = self._stop = 0
-        self._streams = Streams()
+        self._bits = np.random.PCG64(0)
+        self._random = np.random.Generator(self._bits).random
 
     def uniforms(self, iteration, slots, count):
         """The first count uniforms of the streams of iteration and the given
         consecutive slots (from 1 to the plan's slot count), slot-major: one
         row per (slot, seed)."""
         if not self._start <= iteration < self._stop:
-            dtype = self._seeds.dtype
             keys = np.broadcast_arrays(
                 self._seeds,
-                np.arange(iteration, iteration + _PLAN_BLOCK).astype(dtype)[:, None, None],
-                np.arange(1, self._slots + 1).astype(dtype)[:, None])
+                np.arange(iteration, iteration + _PLAN_BLOCK, dtype=np.uint64)[:, None, None],
+                np.arange(1, self._slots + 1, dtype=np.uint64)[:, None])
             states = derived_rng_states(np.stack(keys, axis=-1).reshape(-1, 3))
             self._states = states.reshape(_PLAN_BLOCK, self._slots, len(self._seeds), 4)
             self._start, self._stop = iteration, iteration + _PLAN_BLOCK
         states = self._states[iteration - self._start, slots[0] - 1:slots[-1]].reshape(-1, 4)
-        return self._streams.fill(states, np.empty((len(states), count)))
+        bits, random = self._bits, self._random
+        out = np.empty((len(states), count))
+        for (state_hi, state_lo, inc_hi, inc_lo), row in zip(states.tolist(), out):
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": state_hi << 64 | state_lo,
+                                    "inc": inc_hi << 64 | inc_lo},
+                          "has_uint32": 0, "uinteger": 0}
+            random(out=row)
+        return out
 
 
 def _dropout_plan(state: TrainState, cfg):

@@ -280,6 +280,19 @@ class TestRunCommand:
         for name in ("metrics_0.csv", "features_0.csv", "dataset_0.csv", "summary.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    def test_seeds_past_64_bits_run_and_rerun_byte_for_byte(self, tmp_path):
+        # Config seeds take any width; each trains under derive_seed(seed, 2),
+        # a 64-bit TrainConfig.seed, which is what the dropout plan hashes.
+        raw = tiny_raw(seeds=[2**64 + 5, 10**30])
+        raw["train"] = dict(raw["train"], teacher_mode="pi", dropout_rate=0.3)
+        path = write_config(tmp_path, raw)
+        outputs = []
+        for name in ("a", "b"):
+            assert main(["run", path, "--output-dir", str(tmp_path / name)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert f"metrics_{10**30}.csv" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_an_integer_decay_writes_the_bytes_of_a_float_one(self, tmp_path):
         # JSON 0 reaches the temporal teacher's update and bias correction
         # as a Python int.
@@ -568,7 +581,9 @@ def test_overflowing_step_exits_1_naming_its_iteration(tmp_path, seeds):
                            "--output-dir", str(out_dir)],
                           capture_output=True, text=True, env=module_env())
     assert done.returncode == 1
-    named = re.search(r"run failed: seed (\d+): .*at iteration \d+", done.stderr)
+    # The abort's one line, and none of numpy's overflow warnings before it.
+    assert done.stderr.count("\n") == 1, done.stderr
+    named = re.match(r"run failed: seed (\d+): .*at iteration \d+", done.stderr)
     assert named and int(named.group(1)) in seeds, done.stderr
     for seed in seeds:
         assert (out_dir / f"dataset_{seed}.csv").exists()
@@ -594,6 +609,20 @@ def test_failing_kmeans_exits_1_naming_seed_and_iteration(tmp_path, offset):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+# Counts past int64, each with its id. Each once exited 2 naming only its
+# section, with numpy's "Maximum allowed dimension exceeded".
+PAST_INT64 = [
+    (f"{key}-{label}", scenario, section, key, [value] if key == "hidden_layers" else value)
+    for scenario, section, key in (("imbalanced_gaussians", "dataset", "n_major"),
+                                   ("imbalanced_gaussians", "dataset", "n_minor"),
+                                   ("multimode", "dataset", "modes_per_class"),
+                                   ("multimode", "dataset", "n_per_mode"),
+                                   ("imbalanced_gaussians", "train", "critic_hidden"),
+                                   ("imbalanced_gaussians", "train", "hidden_layers"))
+    for label, value in (("10**20", 10**20), ("2**63", 2**63))
+]
+
+
 # Each value once passed `validate` and then ended `run` with a traceback
 # (the integers past float64) or part-way through (an lr_base whose
 # annealed rate underflows to 0).
@@ -604,8 +633,11 @@ def test_failing_kmeans_exits_1_naming_seed_and_iteration(tmp_path, offset):
     ("dataset.rotation_deg: must be a finite number",
      {"scenario": "multimode", "dataset": {"rotation_deg": 10**400}}),
     ("train.lr_base must be large enough", {"train": {"lr_base": 5e-324}}),
-], ids=["alpha_max-past-float64", "lambda_max-past-float64", "lr_base-past-float64",
-        "rotation_deg-past-float64", "lr_base-underflowing"])
+] + [(f"{section}.{key}: must be", {"scenario": scenario, section: {key: value}})
+      for _, scenario, section, key, value in PAST_INT64],
+    ids=["alpha_max-past-float64", "lambda_max-past-float64", "lr_base-past-float64",
+         "rotation_deg-past-float64", "lr_base-underflowing"]
+    + [case[0] for case in PAST_INT64])
 def test_hostile_number_exits_2_naming_its_field(tmp_path, capsys, field, over):
     path = write_config(tmp_path, probe_raw(over))
     assert main(["validate", path]) == 2

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clusteralign import evaluate
 from clusteralign.cli import build_dataset, build_train_config, resolve_config
 from clusteralign.evaluate import (
     cluster_accuracy,
@@ -13,7 +14,7 @@ from clusteralign.evaluate import (
     selection_rate,
     snapshot,
 )
-from clusteralign.seeding import seeded_rng
+from clusteralign.seeding import derive_seed, seeded_rng
 from clusteralign.trainer import init_train_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -97,6 +98,29 @@ class TestKmeans:
         single = inertia_of(kmeans_best(pts, 3, seed=0, restarts=1))
         best = inertia_of(kmeans_best(pts, 3, seed=0, restarts=5))
         assert best <= single + 1e-9
+
+    def test_restarts_tied_on_inertia_keep_the_earliest(self):
+        # Both restarts find the two squares, under swapped cluster ids.
+        square = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        pts = np.vstack([square, square + [10.0, 0.0]])
+        (first, first_inertia), (second, second_inertia) = (
+            evaluate._lloyd(pts, 2, derive_seed(0, r), 100) for r in (0, 1))
+        assert first_inertia == second_inertia
+        assert np.array_equal(first, 1 - second)
+        assert np.array_equal(kmeans_best(pts, 2, seed=0, restarts=2), first)
+
+    def test_an_empty_cluster_is_reseeded_at_the_point_farthest_from_its_center(
+            self, monkeypatch):
+        # The third starting center lies far from every point, so no point
+        # joins it. Reseeded at the outlier (the last row), it keeps the
+        # outlier alone; reseeded at row 0, it would take the first square.
+        square = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        pts = np.vstack([square, square + [10.0, 0.0], [[5.0, 20.0]]])
+        starts = np.array([[0.5, 0.5], [10.5, 0.5], [1000.0, 1000.0]])
+        monkeypatch.setattr(evaluate, "_kmeans_pp_centers", lambda *args: starts.copy())
+        assignments, inertia = evaluate._lloyd(pts, 3, 0, 100)
+        assert assignments.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2]
+        assert inertia == pytest.approx(4.0)
 
 
 class TestClusterAccuracy:

@@ -8,31 +8,25 @@ import numpy as np
 import pytest
 
 from clusteralign import cli, seeding, trainer as trainer_module
-from clusteralign.seeding import (
-    Streams,
-    derive_seed,
-    derived_rng_states,
-    seeded_rng,
-    sequence_words,
-)
+from clusteralign.seeding import derive_seed, derived_rng_states, seeded_rng
 
-# Keys at the word boundaries of SeedSequence's entropy: one word, two
-# words, three words.
-EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 7, 2**96 - 1, 2**96)
+# The word edges of the dropout key layout: a seed of one word and of two,
+# and the plan's last iteration (TrainConfig holds total_iters below 2**31)
+# and the hash's.
+SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+ITERATION_EDGES = (0, 2**31 - 1, 2**32 - 1)
 
 
-def random_keys(rows, width, seed):
-    """Key tuples whose keys take one, two or three 32-bit words, edges
-    included, so one call mixes word counts."""
+def layout_rows(count, seed):
+    """(seed, iteration, slot) rows of the dropout key layout; seeds take
+    one or two 32-bit words, edges included, so one call mixes both."""
     rng = random.Random(seed)
-    bits = (32, 64, 96)
 
-    def key():
-        if rng.random() < 0.25:
-            return rng.choice(EDGES)
-        return rng.getrandbits(rng.choice(bits))
+    def pick(edges, bits):
+        return rng.choice(edges) if rng.random() < 0.25 else rng.getrandbits(bits)
 
-    return [[key() for _ in range(width)] for _ in range(rows)]
+    return [(pick(SEED_EDGES, rng.choice((32, 64))), pick(ITERATION_EDGES, 32), rng.randint(1, 4))
+            for _ in range(count)]
 
 
 def state_of(generator):
@@ -44,40 +38,20 @@ def as_ints(states):
     return [(hi << 64 | lo, inc_hi << 64 | inc_lo) for hi, lo, inc_hi, inc_lo in states.tolist()]
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 5])
-def test_sequence_words_match_numpy_seed_sequence(width):
-    keys = random_keys(1000, width, width)
-    for n_words in (1, 2, 4, 8, 9):
-        expected = np.array([np.random.SeedSequence(k).generate_state(n_words) for k in keys])
-        assert np.array_equal(sequence_words(keys, n_words), expected)
-
-
-def test_sequence_words_take_fixed_width_integer_arrays():
-    keys = np.array([[0, 2**63 - 1, 5], [2**32, 2**32 - 1, 0]], dtype=np.int64)
-    expected = [np.random.SeedSequence([int(k) for k in row]).generate_state(4) for row in keys]
-    assert np.array_equal(sequence_words(keys, 4), expected)
-    unsigned = np.array([[2**64 - 1, 3]], dtype=np.uint64)
-    assert np.array_equal(sequence_words(unsigned, 2),
-                          [np.random.SeedSequence([2**64 - 1, 3]).generate_state(2)])
-
-
-@pytest.mark.parametrize("keys", [[[-1]], [[3, -2**40]], np.array([[1, -1]])])
-def test_negative_keys_raise_value_error_as_numpy_does(keys):
-    with pytest.raises(ValueError):
-        np.random.SeedSequence(list(np.ravel(keys)))
-    with pytest.raises(ValueError):
-        sequence_words(keys, 2)
-
-
 def test_derived_states_and_first_draws_match_seeded_rng_of_derive_seed():
-    # A derived seed is a one- or two-word key of its own; the edges of the
-    # first hash's keys are in the tuples.
-    keys = random_keys(1000, 3, 7)
-    derived = [derive_seed(*k) for k in keys]
-    states = derived_rng_states(keys)
-    assert as_ints(states) == [state_of(seeded_rng(seed)) for seed in derived]
-    draws = Streams().fill(states, np.empty((len(keys), 37)))
-    assert np.array_equal(draws, [seeded_rng(seed).random(37) for seed in derived])
+    # A derived seed is a one- or two-word key of its own.
+    rows = layout_rows(1000, 7)
+    assert {seed for seed, _, _ in rows} >= set(SEED_EDGES)
+    assert {iteration for _, iteration, _ in rows} >= set(ITERATION_EDGES)
+    states = derived_rng_states(rows)
+    assert as_ints(states) == [state_of(seeded_rng(derive_seed(*row))) for row in rows]
+    # The plan draws each stream from its state; its iterations stay below
+    # 2**31.
+    for seed, iteration, slot in rows[:100]:
+        iteration %= 2**31
+        plan = trainer_module._DropoutPlan((seed,), 4)
+        assert np.array_equal(plan.uniforms(iteration, (slot,), 37),
+                              [seeded_rng(derive_seed(seed, iteration, slot)).random(37)])
 
 
 def test_a_zero_high_word_hashes_as_the_pad_of_a_one_word_seed():
@@ -86,26 +60,27 @@ def test_a_zero_high_word_hashes_as_the_pad_of_a_one_word_seed():
     # the pad of a short entropy is a zero word too.
     low = np.array([0, 1, 7, 2**31, 2**32 - 1], dtype=np.uint32)
     words = np.stack([low, np.zeros_like(low)], axis=-1)
-    assert np.array_equal(seeding._generate(words, np.full(len(low), 2), 8),
+    assert np.array_equal(seeding._generate(words, 8),
                           [np.random.SeedSequence(int(w)).generate_state(8) for w in low])
 
 
 def test_streams_restart_at_any_state():
-    streams = Streams()
-    states = derived_rng_states([[1, 2], [3, 4]])
-    first = streams.fill(states, np.empty((2, 5)))
-    streams.fill(derived_rng_states([[9]]), np.empty((1, 1000)))
-    assert np.array_equal(streams.fill(states, np.empty((2, 5))), first)
+    # The plan restarts its one generator from each stream's stored state.
+    plan = trainer_module._DropoutPlan((1, 3), 2)
+    first = plan.uniforms(0, (1, 2), 5)
+    plan.uniforms(9 * trainer_module._PLAN_BLOCK, (1,), 1000)
+    assert np.array_equal(plan.uniforms(0, (1, 2), 5), first)
 
 
-@pytest.mark.parametrize("seeds", [(3, 4, 5), (2**63 + 1, 0), (2**64 + 5,)],
-                         ids=["small", "64-bit", "above-64-bit"])
+@pytest.mark.parametrize("seeds", [(3, 4, 5), (2**63 + 1, 0), SEED_EDGES],
+                         ids=["small", "64-bit", "word-edges"])
 def test_dropout_plan_replays_seeded_rng_of_each_key(seeds):
     # Slot-major rows of (slot, seed); a block boundary falls inside the
-    # iterations asked for.
+    # iterations asked for, and the last asks for the block of the last
+    # iteration TrainConfig allows.
     plan = trainer_module._DropoutPlan(seeds, 3)
     block = trainer_module._PLAN_BLOCK
-    for iteration in (0, 1, block - 1, block, 5 * block + 3, 2):
+    for iteration in (0, 1, block - 1, block, 5 * block + 3, 2, 2**31 - 2):
         for slots in ((1, 2), (1,), (2,), (3,), (1, 2, 3)):
             draws = plan.uniforms(iteration, slots, 11)
             expected = [seeded_rng(derive_seed(seed, iteration, slot)).random(11)

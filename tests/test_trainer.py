@@ -532,6 +532,19 @@ def test_config_rejects_non_finite_values(field, value):
         tiny_config(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, r"seed must lie in \[0, 2\*\*64\); got -1"),
+    ("seed", 2**64, r"seed must lie in \[0, 2\*\*64\); got 18446744073709551616"),
+    ("total_iters", 2**31, r"total_iters must be below 2\*\*31; got 2147483648"),
+], ids=["seed-negative", "seed-past-64-bits", "total_iters-past-31-bits"])
+def test_config_refuses_what_the_dropout_key_layout_cannot_hold(field, value, message):
+    # The dropout plan hashes a seed as at most two 32-bit words and an
+    # iteration, a block past the last included, as one.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**{field: value})
+    assert TrainConfig(seed=2**64 - 1, total_iters=2**31 - 1).seed == 2**64 - 1
+
+
 @pytest.mark.parametrize("lr_base", [5e-324, 1e-323])
 def test_config_rejects_an_lr_base_whose_last_rate_underflows(lr_base):
     # The rate anneals to lr_base / 11**0.75 at the last step; at 0,
