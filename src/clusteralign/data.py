@@ -78,8 +78,8 @@ class BatchPair:
 
 
 def _check_scale(name, value):
-    """Refuse a spread or radius past the coordinates DomainDataset
-    accepts, before sampling with it can overflow."""
+    """Refuse a spread, radius or mean coordinate past the coordinates
+    DomainDataset accepts, before sampling with it can overflow."""
     if abs(value) > _max_coordinate(2):
         raise ValueError(f"{name} must be at most {_max_coordinate(2):.3g} in magnitude")
 
@@ -92,6 +92,7 @@ def _two_points(name, points):
         points = None
     if points is None or points.shape != (2, 2):
         raise ValueError(f"{name} must be two 2-D points")
+    _check_scale(name, np.abs(points).max())
     return points
 
 

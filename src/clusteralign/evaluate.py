@@ -21,6 +21,9 @@ from clusteralign.network import forward
 from clusteralign.seeding import derive_seed, seeded_rng
 from clusteralign.teacher import corrected_probabilities, pi_predict, pseudo_labels
 
+# The most Lloyd updates one k-means restart takes.
+_LLOYD_ITERS = 100
+
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -54,11 +57,11 @@ def _kmeans_pp_centers(features, k, rng):
     return centers
 
 
-def _lloyd(features, k, seed, max_iters):
+def _lloyd(features, k, seed):
     rng = seeded_rng(seed)
     centers = _kmeans_pp_centers(features, k, rng)
     assignments, inertia = kmeans_assign(features, centers)
-    for _ in range(max_iters):
+    for _ in range(_LLOYD_ITERS):
         new_centers = centers.copy()
         for c in range(k):
             members = assignments == c
@@ -82,7 +85,7 @@ def _lloyd(features, k, seed, max_iters):
     return assignments, inertia
 
 
-def kmeans_best(features, k: int, seed: int, restarts: int = 5, max_iters: int = 100):
+def kmeans_best(features, k: int, seed: int, restarts: int = 5):
     """Lowest-inertia assignments over several seeded restarts. Features
     too large for the search raise FloatingPointError: a sum that
     overflows, or a Lloyd update whose rounded centers raise the inertia."""
@@ -91,7 +94,7 @@ def kmeans_best(features, k: int, seed: int, restarts: int = 5, max_iters: int =
     best_inertia = np.inf
     with np.errstate(over="raise"):
         for r in range(restarts):
-            assignments, inertia = _lloyd(features, k, derive_seed(seed, r), max_iters)
+            assignments, inertia = _lloyd(features, k, derive_seed(seed, r))
             if inertia < best_inertia:
                 best, best_inertia = assignments, inertia
     return best

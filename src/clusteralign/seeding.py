@@ -1,14 +1,14 @@
 """Deterministic seed derivation shared by every randomized component.
 
 derive_seed and seeded_rng hash a tuple of integer keys with numpy's
-SeedSequence. derived_rng_states gives, in numpy uint32 arithmetic, the
-PCG64 states that seeded_rng(derive_seed(seed, iteration, slot)) starts
-from for many (seed, iteration, slot) rows at once, the one key layout a
-training run hashes in bulk: its dropout plan (trainer._DropoutPlan)
-hashes a block of iterations this way and restarts one generator from
-each state, constructing none. It follows numpy's SeedSequence and PCG64
-seeding algorithms bit for bit on that layout (tests pin it against numpy
-on random rows).
+SeedSequence. derived_seed_words gives, in numpy uint32 arithmetic, the
+SeedSequence words that seeded_rng(derive_seed(seed, iteration, slot))
+seeds its PCG64 with, for many (seed, iteration, slot) rows at once, the
+one key layout a training run hashes in bulk: its dropout plan
+(trainer._DropoutPlan) hashes a block of iterations this way and hands
+each row's words to numpy's PCG64, which seeds itself from them. It
+follows numpy's SeedSequence hash bit for bit on that layout (tests pin it
+against numpy on random rows).
 
 Key registry: every generator of a run starts from one of these keys. s
 is a seed of the config's seeds list, and c = derive_seed(s, 2) is the
@@ -22,7 +22,7 @@ TrainConfig.seed that every training key starts with.
     batches            seeded_rng(derive_seed(c, 17), epoch, domain)
     dropout            seeded_rng(derive_seed(c, iteration, slot)): slot 1
                        the step's source pass, 2 its target pass, 3 its Pi
-                       teacher pass; hashed as derived_rng_states rows
+                       teacher pass; hashed as derived_seed_words rows
     Pi snapshot        seeded_rng(derive_seed(c, iteration, 4))
     k-means restart r  seeded_rng(derive_seed(derive_seed(c, 29, iteration), r))
 
@@ -46,8 +46,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
-# PCG64's 128-bit LCG multiplier.
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def derive_seed(*keys: int) -> int:
@@ -114,58 +112,11 @@ def _generate(entropy, n_words):
     return np.stack([_hash(pool[i % _POOL], consts) for i in range(n_words)], axis=-1)
 
 
-def _limbs(value):
-    """The four 32-bit limbs of a 128-bit constant, least significant first."""
-    return [(value >> 32 * k) & _MASK32 for k in range(4)]
-
-
-def _add(a, b):
-    out, carry = [], 0
-    for x, y in zip(a, b):
-        total = x + y + carry
-        out.append(total & _MASK32)
-        carry = total >> 32
-    return out
-
-
-def _times(a, constant):
-    """a times a 128-bit constant, modulo 2**128, on uint64 arrays of
-    32-bit limbs."""
-    m = _limbs(constant)
-    out, carry = [], 0
-    for k in range(4):
-        low, high = carry, 0
-        for i in range(k + 1):
-            product = a[i] * m[k - i]
-            low = low + (product & _MASK32)
-            high = high + (product >> 32)
-        out.append(low & _MASK32)
-        carry = high + (low >> 32)
-    return out
-
-
-def _pcg64(words):
-    """PCG64 seeded from each row of SeedSequence words: its 128-bit state
-    and increment as uint64 (state high, state low, increment high,
-    increment low 64 bits)."""
-    words = words.astype(np.uint64).T
-    # generate_state(4, uint64) pairs the words little-endian into
-    # (initstate high, initstate low, initseq high, initseq low).
-    initstate = [words[2], words[3], words[0], words[1]]
-    initseq = [words[6], words[7], words[4], words[5]]
-    inc = [(initseq[k] << 1 | (initseq[k - 1] >> 31 if k else 1)) & _MASK32 for k in range(4)]
-    # pcg64_set_seed: step from state 0, add initstate, step again.
-    state = _add(_times(_add(inc, initstate), _PCG_MULT), inc)
-    return np.stack([state[3] << 32 | state[2], state[1] << 32 | state[0],
-                     inc[3] << 32 | inc[2], inc[1] << 32 | inc[0]], axis=-1)
-
-
-def derived_rng_states(rows):
-    """The state that seeded_rng(derive_seed(seed, iteration, slot)) starts
-    from, for every (seed, iteration, slot) row of the layout _key_words
-    takes: uint64 of shape (rows, 4), the 128-bit PCG64 state and increment
-    as (state high, state low, increment high, increment low)."""
+def derived_seed_words(rows):
+    """SeedSequence(derive_seed(seed, iteration, slot)).generate_state(8),
+    the words that seed seeded_rng's PCG64, for every (seed, iteration,
+    slot) row of the layout _key_words takes: uint32 of shape (rows, 8)."""
     seeds = _generate(_key_words(rows), 2)
     # SeedSequence takes a derived seed as its words, low first. A zero high
     # word, which it drops, hashes as the zero pad of a short entropy.
-    return _pcg64(_generate(seeds, 8))
+    return _generate(seeds, 8)

@@ -23,9 +23,9 @@ every key). A dropout mask's uniforms come from
 seeded_rng(derive_seed(seed, iteration, slot)), slots 1 to 3 for a step's
 passes and 4 for a snapshot's Pi teacher; a run hashes the step's keys
 for a block of _PLAN_BLOCK iterations at once (_DropoutPlan, built when
-run_training starts) and restarts one reused PCG64 from each stream's
-state, so no generator is constructed per step. TrainConfig bounds seed
-and total_iters to the one key layout that hash takes.
+run_training starts), and numpy's PCG64 seeds each stream from its hashed
+words, so no SeedSequence is made per step. TrainConfig bounds seed and
+total_iters to the one key layout that hash takes.
 
 The seeds of one experiment train together as a group: their states,
 momentum buffers, temporal ensembles and batches are stacked along a
@@ -59,7 +59,7 @@ from clusteralign.network import (
     reverse_gradient,
     sgd_step,
 )
-from clusteralign.seeding import derive_seed, derived_rng_states
+from clusteralign.seeding import derive_seed, derived_seed_words
 from clusteralign.teacher import (
     TEACHER_MODES,
     TeacherState,
@@ -69,7 +69,7 @@ from clusteralign.teacher import (
     temporal_step,
 )
 
-# The dropout generator states of this many iterations are hashed at once.
+# The dropout seed words of this many iterations are hashed at once.
 _PLAN_BLOCK = 64
 
 
@@ -284,19 +284,31 @@ def schedule_weights(cfg: TrainConfig, iteration: int):
 class _DropoutPlan:
     """The dropout streams of a group's student passes: the stream of
     (iteration, slot, seed) is that of seeded_rng(derive_seed(seed,
-    iteration, slot)). The PCG64 states of a block of _PLAN_BLOCK
+    iteration, slot)). The SeedSequence words of a block of _PLAN_BLOCK
     iterations, every slot and every seed, are hashed in one vectorised
-    pass (seeding.derived_rng_states); one reused PCG64 and its Generator
-    then draw each stream from its state, at about the cost of setting a
-    state. Only a block's states are held, never its draws."""
+    pass (seeding.derived_seed_words); numpy's PCG64 then seeds itself
+    from each stream's words. Only a block's words are held, never its
+    draws."""
 
     def __init__(self, seeds, slot_count: int):
         # TrainConfig holds every seed below 2**64.
         self._seeds = np.array(seeds, dtype=np.uint64)
         self._slots = slot_count
         self._start = self._stop = 0
-        self._bits = np.random.PCG64(0)
-        self._random = np.random.Generator(self._bits).random
+
+        # PCG64 takes only a subclass of ISeedSequence, and subclassing it
+        # loads numpy.random, which a package import must not.
+        class Words(np.random.bit_generator.ISeedSequence):
+            """A row of the block's words: PCG64 asks for
+            generate_state(4, uint64)."""
+
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                return self.words.view(dtype)[:n_words]
+
+        self._sequence = Words
 
     def uniforms(self, iteration, slots, count):
         """The first count uniforms of the streams of iteration and the given
@@ -307,18 +319,15 @@ class _DropoutPlan:
                 self._seeds,
                 np.arange(iteration, iteration + _PLAN_BLOCK, dtype=np.uint64)[:, None, None],
                 np.arange(1, self._slots + 1, dtype=np.uint64)[:, None])
-            states = derived_rng_states(np.stack(keys, axis=-1).reshape(-1, 3))
-            self._states = states.reshape(_PLAN_BLOCK, self._slots, len(self._seeds), 4)
+            words = derived_seed_words(np.stack(keys, axis=-1).reshape(-1, 3))
+            # numpy pairs SeedSequence words low first into uint64, on any host.
+            words = words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+            self._words = words.reshape(_PLAN_BLOCK, self._slots, len(self._seeds), 4)
             self._start, self._stop = iteration, iteration + _PLAN_BLOCK
-        states = self._states[iteration - self._start, slots[0] - 1:slots[-1]].reshape(-1, 4)
-        bits, random = self._bits, self._random
-        out = np.empty((len(states), count))
-        for (state_hi, state_lo, inc_hi, inc_lo), row in zip(states.tolist(), out):
-            bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": state_hi << 64 | state_lo,
-                                    "inc": inc_hi << 64 | inc_lo},
-                          "has_uint32": 0, "uinteger": 0}
-            random(out=row)
+        words = self._words[iteration - self._start, slots[0] - 1:slots[-1]].reshape(-1, 4)
+        out = np.empty((len(words), count))
+        for row_words, row in zip(words, out):
+            np.random.Generator(np.random.PCG64(self._sequence(row_words))).random(out=row)
         return out
 
 

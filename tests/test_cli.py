@@ -143,8 +143,12 @@ PROBES = [
     ("output_dir", {"output_dir": 5}),
     # Squared distances of these coordinates overflow; once such a config
     # validated, and `run` failed in the first snapshot's k-means.
-    ("dataset: coordinates reach 1e+200",
+    ("dataset.source_means must be at most",
      {"dataset": {"source_means": [[1e200, 0.0], [2.0, 0.0]]}}),
+    # A mean and a spread each within that bound whose samples pass it: no
+    # one key is at fault, so the section is named.
+    ("dataset: coordinates reach",
+     {"dataset": {"source_means": [[4e153, 0.0], [2.0, 0.0]], "sigma": 2e153}}),
     ("dataset.ring_radius", {"scenario": "multimode",
                              "dataset": {"ring_radius": 1e308, "extra_radius": 1e308}}),
     ("dataset.sigma", {"dataset": {"sigma": 1e308}}),
@@ -625,7 +629,8 @@ PAST_INT64 = [
 
 # Each value once passed `validate` and then ended `run` with a traceback
 # (the integers past float64) or part-way through (an lr_base whose
-# annealed rate underflows to 0).
+# annealed rate underflows to 0); a mean past the coordinate bound exited
+# 2 naming only its section.
 @pytest.mark.parametrize("field, over", [
     ("train.alpha_max: must be a finite number", {"train": {"alpha_max": 10**400}}),
     ("train.lambda_max: must be a finite number", {"train": {"lambda_max": 10**400}}),
@@ -633,10 +638,15 @@ PAST_INT64 = [
     ("dataset.rotation_deg: must be a finite number",
      {"scenario": "multimode", "dataset": {"rotation_deg": 10**400}}),
     ("train.lr_base must be large enough", {"train": {"lr_base": 5e-324}}),
+    ("dataset.source_means must be at most",
+     {"dataset": {"source_means": [[1e200, 0.0], [2.0, 0.0]]}}),
+    ("dataset.target_means must be at most",
+     {"dataset": {"target_means": [[-2.0, 2.0], [2.0, -1e200]]}}),
 ] + [(f"{section}.{key}: must be", {"scenario": scenario, section: {key: value}})
       for _, scenario, section, key, value in PAST_INT64],
     ids=["alpha_max-past-float64", "lambda_max-past-float64", "lr_base-past-float64",
-         "rotation_deg-past-float64", "lr_base-underflowing"]
+         "rotation_deg-past-float64", "lr_base-underflowing",
+         "source_means-past-the-coordinate-bound", "target_means-past-the-coordinate-bound"]
     + [case[0] for case in PAST_INT64])
 def test_hostile_number_exits_2_naming_its_field(tmp_path, capsys, field, over):
     path = write_config(tmp_path, probe_raw(over))

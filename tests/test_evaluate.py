@@ -104,7 +104,7 @@ class TestKmeans:
         square = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         pts = np.vstack([square, square + [10.0, 0.0]])
         (first, first_inertia), (second, second_inertia) = (
-            evaluate._lloyd(pts, 2, derive_seed(0, r), 100) for r in (0, 1))
+            evaluate._lloyd(pts, 2, derive_seed(0, r)) for r in (0, 1))
         assert first_inertia == second_inertia
         assert np.array_equal(first, 1 - second)
         assert np.array_equal(kmeans_best(pts, 2, seed=0, restarts=2), first)
@@ -118,7 +118,7 @@ class TestKmeans:
         pts = np.vstack([square, square + [10.0, 0.0], [[5.0, 20.0]]])
         starts = np.array([[0.5, 0.5], [10.5, 0.5], [1000.0, 1000.0]])
         monkeypatch.setattr(evaluate, "_kmeans_pp_centers", lambda *args: starts.copy())
-        assignments, inertia = evaluate._lloyd(pts, 3, 0, 100)
+        assignments, inertia = evaluate._lloyd(pts, 3, 0)
         assert assignments.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2]
         assert inertia == pytest.approx(4.0)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from clusteralign import cli, seeding, trainer as trainer_module
-from clusteralign.seeding import derive_seed, derived_rng_states, seeded_rng
+from clusteralign.seeding import derive_seed, derived_seed_words, seeded_rng
 
 # The word edges of the dropout key layout: a seed of one word and of two,
 # and the plan's last iteration (TrainConfig holds total_iters below 2**31)
@@ -29,23 +29,15 @@ def layout_rows(count, seed):
             for _ in range(count)]
 
 
-def state_of(generator):
-    state = generator.bit_generator.state["state"]
-    return state["state"], state["inc"]
-
-
-def as_ints(states):
-    return [(hi << 64 | lo, inc_hi << 64 | inc_lo) for hi, lo, inc_hi, inc_lo in states.tolist()]
-
-
 def test_derived_states_and_first_draws_match_seeded_rng_of_derive_seed():
     # A derived seed is a one- or two-word key of its own.
     rows = layout_rows(1000, 7)
     assert {seed for seed, _, _ in rows} >= set(SEED_EDGES)
     assert {iteration for _, iteration, _ in rows} >= set(ITERATION_EDGES)
-    states = derived_rng_states(rows)
-    assert as_ints(states) == [state_of(seeded_rng(derive_seed(*row))) for row in rows]
-    # The plan draws each stream from its state; its iterations stay below
+    assert np.array_equal(derived_seed_words(rows),
+                          [np.random.SeedSequence(derive_seed(*row)).generate_state(8)
+                           for row in rows])
+    # The plan seeds each stream from its words; its iterations stay below
     # 2**31.
     for seed, iteration, slot in rows[:100]:
         iteration %= 2**31
@@ -55,7 +47,7 @@ def test_derived_states_and_first_draws_match_seeded_rng_of_derive_seed():
 
 
 def test_a_zero_high_word_hashes_as_the_pad_of_a_one_word_seed():
-    # derived_rng_states hashes every derived seed as two words. A seed under
+    # derived_seed_words hashes every derived seed as two words. A seed under
     # 2**32, too rare to meet by chance, is one word to SeedSequence, and
     # the pad of a short entropy is a zero word too.
     low = np.array([0, 1, 7, 2**31, 2**32 - 1], dtype=np.uint32)
@@ -64,8 +56,8 @@ def test_a_zero_high_word_hashes_as_the_pad_of_a_one_word_seed():
                           [np.random.SeedSequence(int(w)).generate_state(8) for w in low])
 
 
-def test_streams_restart_at_any_state():
-    # The plan restarts its one generator from each stream's stored state.
+def test_plan_replays_a_block_after_leaving_it():
+    # Leaving a block drops its words; coming back hashes them again.
     plan = trainer_module._DropoutPlan((1, 3), 2)
     first = plan.uniforms(0, (1, 2), 5)
     plan.uniforms(9 * trainer_module._PLAN_BLOCK, (1,), 1000)

@@ -20,10 +20,8 @@ sides is named with its differing columns, as in `metrics_0.csv[l_c]`,
 and a differing JSON file with the dotted keys that differ or that only
 one side holds, as in `summary.json[config_hash]`. Each run's line also
 gives the peak resident set of its process on this tree and on the
-revision (ru_maxrss from os.wait4), e.g. `peak 39.71/41.10 MiB`, and its
-minor page faults from the same call (ru_minflt), e.g. `faults
-6.4k/6.4k`: a change that lets the heap trim and regrow between steps
-shows first in that count. `validate` is compared the same way on each
+revision (ru_maxrss from os.wait4), e.g. `peak 39.71/41.10 MiB`.
+`validate` is compared the same way on each
 shipped `configs/*.json`; a printout that differs at the same exit status
 gets its differing keys, as in `differs [train.ramp_length]`. One line is
 printed per run; the exit status is 1 when anything differs.
@@ -104,8 +102,8 @@ def export(revision, dest):
 
 
 def cli(tree, args, cwd, threads=1):
-    """The exit status, the stdout, the peak resident set in MiB and the
-    minor page faults of one CLI call on a tree."""
+    """The exit status, the stdout and the peak resident set in MiB of one
+    CLI call on a tree."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"),
                OPENBLAS_NUM_THREADS=str(threads), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen([sys.executable, "-m", "clusteralign.cli", *args], cwd=cwd,
@@ -116,20 +114,19 @@ def cli(tree, args, cwd, threads=1):
     # ru_maxrss is in KiB on Linux.
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, stdout, usage.ru_maxrss / 1024, usage.ru_minflt
+    return proc.returncode, stdout, usage.ru_maxrss / 1024
 
 
 def outputs(tree, raw, work, threads):
     """The exit status, every byte a run of raw on tree produces, keyed by
-    file name, and the run's peak resident set in MiB and minor faults."""
+    file name, and the run's peak resident set in MiB."""
     work.mkdir()
     path = work / "config.json"
     path.write_text(json.dumps(raw))
-    status, stdout, peak, faults = cli(tree, ["run", str(path), "--output-dir", "out"], work,
-                                       threads)
+    status, stdout, peak = cli(tree, ["run", str(path), "--output-dir", "out"], work, threads)
     out = work / "out"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-    return status, dict(files, stdout=stdout), peak, faults
+    return status, dict(files, stdout=stdout), peak
 
 
 def build():
@@ -152,7 +149,7 @@ def digests(tree, work):
         raw = dict(CONFIGS[name], eval_every=40,
                    train=dict(CONFIGS[name]["train"], total_iters=120, pretrain_iters=30))
         label = f"{name}_{threads}"
-        status, files, _, _ = outputs(tree, raw, work / label, threads)
+        status, files, _ = outputs(tree, raw, work / label, threads)
         if status:
             raise RuntimeError(f"run {label} exited with status {status}")
         table[label] = {file: hashlib.sha256(data).hexdigest() for file, data in files.items()}
@@ -211,9 +208,9 @@ def main(argv=None):
         runs = [(name, 1) for name in CONFIGS] + [(name, 2) for name in TWO_THREADS]
         for name, threads in runs:
             raw, label = CONFIGS[name], f"{name}_{threads}"
-            status, ours, peak, faults = outputs(ROOT, raw, tmp / f"ours_{label}", threads)
-            parent_status, theirs, parent_peak, parent_faults = outputs(
-                parent, raw, tmp / f"theirs_{label}", threads)
+            status, ours, peak = outputs(ROOT, raw, tmp / f"ours_{label}", threads)
+            parent_status, theirs, parent_peak = outputs(parent, raw, tmp / f"theirs_{label}",
+                                                         threads)
             diff = ["exit status"] if status != parent_status else []
             diff += [describe(file, ours.get(file), theirs.get(file))
                      for file in sorted(ours.keys() | theirs.keys())
@@ -222,8 +219,7 @@ def main(argv=None):
             verdict = f"differs: {', '.join(diff)}" if diff else "identical"
             at = "" if threads == 1 else f" at {threads} BLAS threads"
             print(f"({name}){at} exit {status}, {len(ours) - 1} files and stdout, "
-                  f"peak {peak:.2f}/{parent_peak:.2f} MiB, "
-                  f"faults {faults / 1000:.1f}k/{parent_faults / 1000:.1f}k, {verdict}", flush=True)
+                  f"peak {peak:.2f}/{parent_peak:.2f} MiB, {verdict}", flush=True)
         for path in sorted((ROOT / "configs").glob("*.json")):
             ours = cli(ROOT, ["validate", str(path)], tmp)[:2]
             theirs = cli(parent, ["validate", str(path)], tmp)[:2]
