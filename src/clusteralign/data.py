@@ -71,9 +71,13 @@ class DomainDataset:
 
 @dataclass(frozen=True)
 class BatchPair:
-    source_x: np.ndarray
+    """One training step's rows of both domains: x holds them on a leading
+    domain axis, source first, so both domains' batches share one shape;
+    source_y labels the source rows and target_indices are the target
+    rows' positions in their domain (the temporal teacher's keys)."""
+
+    x: np.ndarray
     source_y: np.ndarray
-    target_x: np.ndarray
     target_indices: np.ndarray
 
 

@@ -6,7 +6,8 @@ forward pass records every intermediate needed for backpropagation
 a backward pass reproduces the exact gradient of any scalar loss whose
 upstream gradient is supplied at one of three entry points:
 
-    probabilities - after the softmax (or sigmoid) head
+    probabilities - after the head: the softmax, or the sigmoid of a
+                    one-unit output layer
     logits        - the final pre-activation
     features      - the slice selected by the configured feature tap
 
@@ -51,7 +52,6 @@ import numpy as np
 from clusteralign.seeding import seeded_rng
 
 FEATURE_TAPS = ("penultimate", "logits")
-HEADS = ("softmax", "sigmoid")
 
 
 class ShapeError(ValueError):
@@ -86,14 +86,13 @@ class NetworkSpec:
     layer is ReLU, and dropout applies to its activations only. The
     feature tap picks which activations act as the adaptation features:
     the final pre-activation ("logits") or the input of the final layer
-    ("penultimate"). The head is softmax for classifiers and sigmoid for
-    the 1-unit critic.
+    ("penultimate"). The head follows the output width: a sigmoid on one
+    output unit (the critic), a softmax on more (a classifier).
     """
 
     layer_sizes: tuple
     dropout_rate: float = 0.0
     feature_tap: str = "logits"
-    head: str = "softmax"
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -105,12 +104,6 @@ class NetworkSpec:
         if self.feature_tap not in FEATURE_TAPS:
             raise ValueError(f"feature_tap must be one of {', '.join(FEATURE_TAPS)}; "
                              f"got {self.feature_tap!r}")
-        if self.head not in HEADS:
-            raise ValueError(f"head must be one of {', '.join(HEADS)}; got {self.head!r}")
-        if self.head == "softmax" and sizes[-1] < 2:
-            raise ValueError("softmax head needs at least 2 output units")
-        if self.head == "sigmoid" and sizes[-1] != 1:
-            raise ValueError("sigmoid head needs exactly 1 output unit")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
@@ -307,10 +300,7 @@ def forward(net: Network, x, noise=None, traced: bool = True) -> ForwardTrace:
         # Untraced, a layer's arrays go once the next layer no longer needs them.
         del z
 
-    if spec.head == "softmax":
-        probs = _softmax(z)
-    else:
-        probs = _sigmoid(z)
+    probs = _sigmoid(z) if z.shape[-1] == 1 else _softmax(z)
     features = z if spec.feature_tap == "logits" else a
     if not traced:
         return ForwardTrace(None, None, None, features, probs)
@@ -324,13 +314,13 @@ def forward(net: Network, x, noise=None, traced: bool = True) -> ForwardTrace:
     )
 
 
-def _head_jvp(trace, d_probs, head):
+def _head_jvp(trace, d_probs):
     """Pull an upstream gradient on the head output back to the logits."""
     p = trace.probabilities
-    if head == "softmax":
-        inner = reduce_rows(np.add, d_probs * p)
-        return p * (d_probs - inner)
-    return d_probs * p * (1.0 - p)
+    if p.shape[-1] == 1:
+        return d_probs * p * (1.0 - p)
+    inner = reduce_rows(np.add, d_probs * p)
+    return p * (d_probs - inner)
 
 
 def backward(net: Network, trace: ForwardTrace, upstream, entry: str,
@@ -364,7 +354,7 @@ def backward(net: Network, trace: ForwardTrace, upstream, entry: str,
     # the zero vector untouched.
     top = start = len(net.weights) - 1
     if entry == "probabilities":
-        dz = _head_jvp(trace, upstream, spec.head)
+        dz = _head_jvp(trace, upstream)
     elif entry == "logits" or spec.feature_tap == "logits":
         dz = upstream
     else:

@@ -52,7 +52,6 @@ from clusteralign.network import (
     DomainError,
     Network,
     NetworkSpec,
-    ShapeError,
     backward,
     forward,
     init_network,
@@ -211,12 +210,7 @@ def init_train_state(cfg: TrainConfig, ds: DomainDataset) -> TrainState:
         dropout_rate=cfg.dropout_rate,
         feature_tap=cfg.feature_tap,
     )
-    critic_spec = NetworkSpec(
-        layer_sizes=(student_spec.feature_dim, cfg.critic_hidden, cfg.critic_hidden, 1),
-        dropout_rate=0.0,
-        feature_tap="penultimate",
-        head="sigmoid",
-    )
+    critic_spec = NetworkSpec((student_spec.feature_dim, cfg.critic_hidden, cfg.critic_hidden, 1))
     student = init_network(student_spec, derive_seed(cfg.seed, 11))
     critic = init_network(critic_spec, derive_seed(cfg.seed, 13))
     teacher = None
@@ -355,16 +349,16 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     A group's batch carries the state's seed axis, and one step advances
     every seed; cfg is the configuration all of them share, and each
     seed's dropout is keyed by its own entry of state.seeds: slot 1 on
-    the source pass, 2 on the target pass, 3 on the Pi teacher's. The two
-    domains are stacked on a leading domain axis, so the student and the
-    critic each make one forward and one backward pass (the student one
-    more, the cross-entropy backward on the source logits); a batch whose
-    domains differ in shape raises ShapeError. Order: student pass, critic
-    pass, teacher, objective, critic backward, feature backward, SGD. plan
-    is the run's _dropout_plan (run_training passes one); without one, the
-    step hashes its own. The parameters are checked on entry and the
-    losses after the update; the parameters a step makes are checked when
-    the next step or a snapshot reads them (every run ends on a snapshot).
+    the source pass, 2 on the target pass, 3 on the Pi teacher's. The
+    batch holds both domains on its leading domain axis, so the student
+    and the critic each make one forward and one backward pass (the
+    student one more, the cross-entropy backward on the source logits).
+    Order: student pass, critic pass, teacher, objective, critic
+    backward, feature backward, SGD. plan is the run's _dropout_plan
+    (run_training passes one); without one, the step hashes its own. The
+    parameters are checked on entry and the losses after the update; the
+    parameters a step makes are checked when the next step or a snapshot
+    reads them (every run ends on a snapshot).
     """
     _check_parameters(state)
     it = state.iteration
@@ -373,13 +367,9 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     if plan is None:
         plan = _dropout_plan(state, cfg)
 
-    x = (batch.source_x, batch.target_x)
-    if x[0].shape != x[1].shape:
-        raise ShapeError(f"source_x has shape {x[0].shape}, target_x {x[1].shape}: "
-                         "a step takes domains of one shape")
-    # Both domains in one pass, on a leading domain axis (np.asarray stacks
-    # the pair).
-    trace = forward(state.student, np.asarray(x), _noise(plan, state, x[0].shape[-2], 1, 2))
+    # Both domains in one pass, on the batch's leading domain axis.
+    rows = batch.x.shape[-2]
+    trace = forward(state.student, batch.x, _noise(plan, state, rows, 1, 2))
     critic_trace = forward(state.critic, trace.features)
 
     # The teacher's view of the target batch is read before any update.
@@ -387,8 +377,7 @@ def train_step(state: TrainState, batch: BatchPair, cfg: TrainConfig, plan=None)
     if cfg.teacher_mode == "self":
         teacher_probs = trace.probabilities[1]
     elif cfg.teacher_mode == "pi":
-        teacher_probs = pi_predict(state.student, batch.target_x,
-                                   _noise(plan, state, x[1].shape[-2], 3))
+        teacher_probs = pi_predict(state.student, batch.x[1], _noise(plan, state, rows, 3))
     else:
         teacher_probs, new_teacher = temporal_step(state.teacher, batch.target_indices,
                                                    trace.probabilities[1], cfg.decay)
@@ -512,22 +501,27 @@ def run_training(cfgs, datasets, eval_every: int):
 def _batches(cfgs, datasets):
     """A group's endless stream of batch pairs, epoch after epoch: each
     seed's batches hold the rows at its epoch's batch_indices, gathered
-    for a whole epoch at a time and stacked along the seed axis. The
-    seeds' datasets have one shape, so their epochs hold the same number
-    of batches."""
+    for a whole epoch at a time and stacked along the seed axis, and x
+    stacks the two domains once per epoch. The seeds' datasets have one
+    shape, so their epochs hold the same number of batches."""
     first = datasets[0]
     sizes = (first.source_x.shape[0], first.target_x.shape[0], cfgs[0].batch_source)
     batch_seeds = [derive_seed(c.seed, 17) for c in cfgs]
+
+    def gather(name, domain, indices):
+        # One field of every seed's epoch, of shape (batches, seeds, ...);
+        # np.take gathers rows far faster than fancy indexing by a 2-D
+        # index array.
+        return np.stack([np.take(getattr(d, name), idx[domain], axis=0)
+                         for d, idx in zip(datasets, indices)], axis=1)
+
     for epoch in itertools.count():
         indices = [batch_indices(*sizes, seed, epoch) for seed in batch_seeds]
-        # One array per field, of shape (batches, seeds, ...); np.take gathers
-        # rows far faster than fancy indexing by a 2-D index array.
-        fields = [np.stack([np.take(getattr(d, name), idx[domain], axis=0)
-                            for d, idx in zip(datasets, indices)], axis=1)
-                  for name, domain in (("source_x", 0), ("source_y", 0), ("target_x", 1))]
-        fields.append(np.stack([idx[1] for idx in indices], axis=1))
-        for i in range(len(fields[0])):
-            yield BatchPair(*(field[i] for field in fields))
+        x = np.stack((gather("source_x", 0, indices), gather("target_x", 1, indices)), axis=1)
+        source_y = gather("source_y", 0, indices)
+        target_indices = np.stack([idx[1] for idx in indices], axis=1)
+        for i in range(len(x)):
+            yield BatchPair(x[i], source_y[i], target_indices[i])
 
 
 def _domain_abort(exc, iteration, index):

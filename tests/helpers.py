@@ -34,14 +34,14 @@ def min_abs_preactivation(net, x, noise):
 
 
 def kink_free_instance(seed, sizes=(3, 6, 4, 2), batch=8, dropout=0.0,
-                       feature_tap="logits", head="softmax", guard=1e-3):
+                       feature_tap="logits", guard=1e-3):
     """A (net, x, noise) triple whose forward pass stays clear of relu
     kinks, so central differences are trustworthy; noise is the stream of
     a seeded key (key_noise)."""
     keys = list(seed) if isinstance(seed, tuple) else [seed]
     for attempt in range(200):
         rng = seeded_rng(*keys, attempt)
-        spec = NetworkSpec(sizes, dropout_rate=dropout, feature_tap=feature_tap, head=head)
+        spec = NetworkSpec(sizes, dropout_rate=dropout, feature_tap=feature_tap)
         net = init_network(spec, int(rng.integers(2**31)))
         x = rng.normal(scale=1.2, size=(batch, sizes[0]))
         noise = key_noise(net, x, int(rng.integers(2**31)))
@@ -152,7 +152,8 @@ def iterate_batches(ds, batch, seed, epoch):
     """One seed's batch pairs for one epoch, at the indices of
     data.batch_indices; the batch oracle of the trainer's epoch gather."""
     src, tgt = batch_indices(ds.source_x.shape[0], ds.target_x.shape[0], batch, seed, epoch)
-    return [BatchPair(ds.source_x[src_idx], ds.source_y[src_idx], ds.target_x[tgt_idx], tgt_idx)
+    return [BatchPair(np.stack((ds.source_x[src_idx], ds.target_x[tgt_idx])),
+                      ds.source_y[src_idx], tgt_idx)
             for src_idx, tgt_idx in zip(src, tgt)]
 
 

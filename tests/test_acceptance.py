@@ -227,7 +227,7 @@ def test_criterion_3_gradient_correctness():
 
         # The critic path of the adversarial loss.
         critic, feats_s, _ = kink_free_instance(
-            (6000, i), sizes=(4, 6, 1), batch=6, head="sigmoid", feature_tap="penultimate"
+            (6000, i), sizes=(4, 6, 1), batch=6, feature_tap="penultimate"
         )
         feats_t = rng.normal(scale=1.2, size=(8, 4))
         conf = rng.uniform(size=8)

@@ -596,10 +596,11 @@ def test_overflowing_step_exits_1_naming_its_iteration(tmp_path, seeds):
 
 @pytest.mark.parametrize("offset", [1e20, 4e153], ids=["inertia-rises", "kmeans-pp-overflows"])
 def test_failing_kmeans_exits_1_naming_seed_and_iteration(tmp_path, offset):
-    # Features near 1e20 cancel in the Gram-form k-means scores, so a
-    # Lloyd step raises the inertia; near the dataset bound the k-means++
-    # weights overflow their sum. A subprocess, so that stderr is the
-    # whole of what the run prints.
+    # On features near 1e20 the first Lloyd update's rounded mean of a
+    # cluster lands far from the points it averages, so the inertia rises
+    # (an explicit-difference assignment fails the same way); near the
+    # dataset bound the k-means++ weights overflow their sum. A
+    # subprocess, so that stderr is the whole of what the run prints.
     raw = tiny_raw(dataset={"n_major": 40, "n_minor": 8,
                             "source_means": [[offset, 0.0], [2.0, 0.0]]})
     path = write_config(tmp_path, raw)

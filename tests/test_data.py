@@ -110,21 +110,21 @@ class TestIterateBatches:
         ds = make_imbalanced_gaussians(n_major=30, n_minor=10, seed=0)
         pairs = iterate_batches(ds, 40, seed=1, epoch=0)
         assert len(pairs) == 1
-        assert np.array_equal(np.sort(pairs[0].source_x[:, 0]), np.sort(ds.source_x[:, 0]))
+        assert np.array_equal(np.sort(pairs[0].x[0, :, 0]), np.sort(ds.source_x[:, 0]))
         assert np.array_equal(np.sort(pairs[0].target_indices), np.arange(40))
 
     def test_same_seed_epoch_reproducible(self):
         ds = make_imbalanced_gaussians(n_major=30, n_minor=10, seed=0)
         a = iterate_batches(ds, 8, seed=2, epoch=3)
         b = iterate_batches(ds, 8, seed=2, epoch=3)
-        assert all(np.array_equal(x.source_x, y.source_x) for x, y in zip(a, b))
+        assert all(np.array_equal(x.x, y.x) for x, y in zip(a, b))
         assert all(np.array_equal(x.target_indices, y.target_indices) for x, y in zip(a, b))
 
     def test_partial_batches_dropped(self):
         ds = make_imbalanced_gaussians(n_major=8, n_minor=2, seed=0)  # 10 per domain
         pairs = iterate_batches(ds, 3, seed=0, epoch=0)
         assert len(pairs) == 3
-        assert all(p.source_x.shape[0] == 3 for p in pairs)
+        assert all(p.x.shape == (2, 3, 2) for p in pairs)
 
     def test_epochs_differ(self):
         ds = make_imbalanced_gaussians(n_major=30, n_minor=10, seed=0)

@@ -57,8 +57,9 @@ class TestKmeans:
         assert assignments[0] != assignments[30]
 
     def test_features_too_large_raise_floating_point_error(self):
-        # Spread 1e6 about a point near 6e19: the Gram-form scores cancel
-        # and a Lloyd step raises the inertia.
+        # Spread 1e6 about a point near 6e19: a Lloyd update's means round
+        # at the scale of the points, and the inertia rises (an
+        # explicit-difference assignment raises it too).
         pts = np.array([6e19, -3e19]) + 1e6 * seeded_rng(30).normal(size=(200, 2))
         with pytest.raises(FloatingPointError, match="inertia increased"):
             kmeans_best(pts, 2, seed=0)
@@ -150,6 +151,10 @@ class TestClusterAccuracy:
             assignments[perm], labels[perm]
         )
 
+    def test_unequal_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="^assignments and labels must have the same length$"):
+            cluster_accuracy([0, 0, 1], [0, 1])
+
     def test_matches_brute_force_majority_count(self):
         # Cluster ids drawn from 0..11 with gaps, and clusters where two
         # labels tie for the majority.
@@ -195,3 +200,6 @@ class TestSelectionRate:
 
     def test_hand_case(self):
         assert selection_rate([0.95, 0.5, 0.99, 0.1], 0.9) == 0.5
+
+    def test_no_confidences_select_nothing(self):
+        assert selection_rate(np.empty(0), 0.9) == 0.0

@@ -97,6 +97,11 @@ class TestClusteringLoss:
         loss, _ = clustering_loss(*batch(feats, labels), 2.5)
         assert loss == pytest.approx(brute_force_clustering(feats, labels, 2.5), abs=1e-10)
 
+    @pytest.mark.parametrize("margin", [0.0, -1.0])
+    def test_margin_must_be_positive(self, margin):
+        with pytest.raises(ValueError, match="^margin must be positive$"):
+            clustering_loss(*batch([[0.0, 0.0], [1.0, 0.0]], [0, 1]), margin)
+
     def test_gradient_flag_is_keyword_only(self):
         # A stale positional metric name must not pass for a truthy flag.
         with pytest.raises(TypeError):

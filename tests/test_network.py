@@ -163,21 +163,20 @@ def test_a_domain_axis_error_names_the_seed():
 
 
 # noised: the pass is handed the stream of one key per slice, or none.
-@pytest.mark.parametrize("sizes, head, tap, seeds, domains, noised", [
-    ((3, 6, 4, 2), "softmax", "logits", 0, False, False),
-    ((3, 6, 4, 2), "softmax", "penultimate", 0, False, True),
-    ((3, 6, 4, 2), "softmax", "penultimate", 2, False, True),
-    ((3, 6, 4, 2), "softmax", "logits", 2, True, True),
-    ((4, 8, 8, 1), "sigmoid", "penultimate", 0, True, False),
-    ((4, 8, 8, 1), "sigmoid", "logits", 3, False, True),
-    ((3, 2), "softmax", "logits", 0, False, True),
-    ((3, 2), "softmax", "penultimate", 2, True, False),
+@pytest.mark.parametrize("sizes, tap, seeds, domains, noised", [
+    ((3, 6, 4, 2), "logits", 0, False, False),
+    ((3, 6, 4, 2), "penultimate", 0, False, True),
+    ((3, 6, 4, 2), "penultimate", 2, False, True),
+    ((3, 6, 4, 2), "logits", 2, True, True),
+    ((4, 8, 8, 1), "penultimate", 0, True, False),
+    ((4, 8, 8, 1), "logits", 3, False, True),
+    ((3, 2), "logits", 0, False, True),
+    ((3, 2), "penultimate", 2, True, False),
 ], ids=["plain-logits", "plain-penultimate-train", "seed-axis-train", "domain-axis-train",
         "sigmoid-domain-axis", "sigmoid-seed-axis-train", "no-hidden-logits",
         "no-hidden-penultimate-domain-axis"])
-def test_an_untraced_pass_holds_the_bits_of_a_traced_one(sizes, head, tap, seeds, domains,
-                                                          noised):
-    spec = NetworkSpec(sizes, dropout_rate=0.3, feature_tap=tap, head=head)
+def test_an_untraced_pass_holds_the_bits_of_a_traced_one(sizes, tap, seeds, domains, noised):
+    spec = NetworkSpec(sizes, dropout_rate=0.3, feature_tap=tap)
     nets = [init_network(spec, seed) for seed in range(max(seeds, 1))]
     net = Network(spec, np.stack([n.params for n in nets])) if seeds else nets[0]
     lead = ((2,) if domains else ()) + ((seeds,) if seeds else ())
@@ -405,7 +404,7 @@ def test_one_layer_penultimate_tap_passes_the_gradient_to_the_input():
 
 # d_input is what the gradient reversal hands the student from the critic.
 @pytest.mark.parametrize("entry, instance", [
-    ("probabilities", dict(sizes=(3, 6, 1), head="sigmoid")),
+    ("probabilities", dict(sizes=(3, 6, 1))),
     ("features", dict(sizes=(4, 6, 5, 3), dropout=0.3, feature_tap="penultimate")),
     ("logits", dict(dropout=0.3)),
 ], ids=["probabilities-sigmoid", "features-penultimate", "logits"])
@@ -426,7 +425,7 @@ def test_backward_d_input_matches_finite_differences(entry, instance):
 
 
 def test_sigmoid_head_backward_matches_finite_differences():
-    net, x, noise = kink_free_instance(14, sizes=(3, 6, 1), head="sigmoid")
+    net, x, noise = kink_free_instance(14, sizes=(3, 6, 1))
     trace = forward(net, x, noise)
     assert trace.probabilities.shape == (x.shape[0], 1)
     assert np.all((trace.probabilities > 0) & (trace.probabilities < 1))
@@ -443,13 +442,14 @@ def test_sigmoid_head_backward_matches_finite_differences():
 def test_spec_validation():
     with pytest.raises(ValueError):
         NetworkSpec((3,))
-    with pytest.raises(ValueError):
-        NetworkSpec((3, 1))  # softmax head needs >= 2 outputs
+    with pytest.raises(ValueError, match="^layer sizes must be positive$"):
+        NetworkSpec((3, 0))
     with pytest.raises(ValueError):
         NetworkSpec((3, 2), dropout_rate=1.0)
-    with pytest.raises(ValueError):
-        NetworkSpec((3, 2), head="sigmoid")
-    NetworkSpec((3, 1), head="sigmoid")
+    # The head follows the output width: one unit is a sigmoid net.
+    trace = forward(init_network(NetworkSpec((3, 1)), 0), seeded_rng(5).normal(size=(4, 3)))
+    z = trace.pre_activations[-1]
+    assert np.allclose(trace.probabilities, 1.0 / (1.0 + np.exp(-z)), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("width", range(1, 10))

@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from clusteralign.data import (
 )
 from clusteralign.evaluate import snapshot
 from clusteralign.losses import cross_entropy, objective
-from clusteralign.network import Network, ShapeError, forward
+from clusteralign.network import Network, forward
 from clusteralign.seeding import derive_seed, seeded_rng
 from clusteralign.teacher import corrected_probabilities, pseudo_labels
 from clusteralign.trainer import (
@@ -71,6 +70,13 @@ class TestSchedules:
         # Frozen from direct evaluation of the annealing formula at p=1.
         assert lr_schedule(1.0, 0.01) == pytest.approx(1.6556e-3, abs=1e-7)
 
+    @pytest.mark.parametrize("t", [-0.1, 1.1])
+    def test_ramps_refuse_progress_outside_the_unit_interval(self, t):
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\]$"):
+            alpha_logistic(t)
+        with pytest.raises(ValueError, match=r"^progress must lie in \[0, 1\]$"):
+            lr_schedule(t, 0.01)
+
     def test_lr_strictly_decreasing(self):
         grid = np.linspace(0.0, 1.0, 50)
         values = [lr_schedule(t, 0.01) for t in grid]
@@ -117,8 +123,8 @@ class TestTrainStep:
         # Reference: apply only the cross-entropy gradient by hand.
         from clusteralign.network import backward, sgd_step
 
-        trace = forward(state.student, batch.source_x,
-                        key_noise(state.student, batch.source_x, derive_seed(cfg.seed, 0, 1)))
+        trace = forward(state.student, batch.x[0],
+                        key_noise(state.student, batch.x[0], derive_seed(cfg.seed, 0, 1)))
         _, d_logits = cross_entropy(trace.probabilities, batch.source_y)
         grads, _ = backward(state.student, trace, d_logits, "logits")
         lr = lr_schedule(0.0, cfg.lr_base)
@@ -170,16 +176,6 @@ class TestTrainStep:
         with pytest.raises(TrainingAbort, match=f"non-finite {name} parameters") as err:
             train_step(state, first_batch(ds, cfg), cfg)
         assert err.value.details == {"iteration": 0, "parameter_set": name, "seed_index": 0}
-
-    def test_a_step_refuses_domains_of_different_shapes(self):
-        ds = tiny_dataset()
-        cfg = tiny_config()
-        batch = first_batch(ds, cfg)
-        short = BatchPair(batch.source_x, batch.source_y, batch.target_x[:8],
-                          batch.target_indices[:8])
-        with pytest.raises(ShapeError, match=re.escape("source_x has shape (16, 2), "
-                                                       "target_x (8, 2)")):
-            train_step(init_train_state(cfg, ds), short, cfg)
 
     def test_pretraining_invariant_to_margin_threshold_decay_critic(self):
         ds = tiny_dataset()
@@ -387,12 +383,19 @@ class TestSeedGroup:
         params = states[index].critic.params.copy()
         params[-1] = np.inf
         states[index].critic = Network(states[index].critic.spec, params)
-        pairs = [first_batch(ds, cfg) for cfg, ds in zip(cfgs, datasets)]
-        batch = BatchPair(*(np.stack(parts) for parts in zip(*(vars(p).values() for p in pairs))))
+        batch = stack_pairs([first_batch(ds, cfg) for cfg, ds in zip(cfgs, datasets)])
         with pytest.raises(TrainingAbort, match="non-finite critic parameters") as err:
             train_step(stack_states(states), batch, cfgs[0])
         assert err.value.details == {"iteration": 0, "parameter_set": "critic",
                                      "seed_index": index}
+
+
+def stack_pairs(pairs):
+    """The group batch of per-seed batch pairs: x takes the seed axis
+    behind its domain axis."""
+    return BatchPair(np.stack([p.x for p in pairs], axis=1),
+                     np.stack([p.source_y for p in pairs]),
+                     np.stack([p.target_indices for p in pairs]))
 
 
 def group_step_inputs(seeds, **over):
@@ -400,8 +403,7 @@ def group_step_inputs(seeds, **over):
     cfgs = [tiny_config(seed=seed, **over) for seed in seeds]
     datasets = [tiny_dataset(i) for i in range(len(seeds))]
     state = stack_states([init_train_state(c, d) for c, d in zip(cfgs, datasets)])
-    pairs = [first_batch(d, c) for c, d in zip(cfgs, datasets)]
-    batch = BatchPair(*(np.stack(parts) for parts in zip(*(vars(p).values() for p in pairs))))
+    batch = stack_pairs([first_batch(d, c) for c, d in zip(cfgs, datasets)])
     return state, batch, cfgs
 
 
@@ -414,7 +416,7 @@ class TestDomainAxis:
         stepped, _ = train_step(state, batch, cfgs[0])
         for index, cfg in enumerate(cfgs):
             student = Network(state.student.spec, state.student.params[index])
-            x = batch.target_x[index]
+            x = batch.x[1, index]
             alone = forward(student, x, key_noise(student, x, derive_seed(cfg.seed, 0, 2)))
             rows = stepped.teacher.ensemble[index][batch.target_indices[index]]
             assert np.array_equal(rows, (1.0 - cfg.decay) * alone.probabilities)
@@ -434,7 +436,7 @@ class TestDomainAxis:
             monkeypatch.setattr(module, name, counting)
 
         def role(net):
-            return "student" if net.spec.head == "softmax" else "critic"
+            return "student" if net.spec.layer_sizes[-1] > 1 else "critic"
 
         for name in ("forward", "backward"):
             count(trainer_module, name, lambda net, *_, name=name: (name, role(net)))
@@ -478,7 +480,7 @@ def objective_at(student, critic, teacher, batch, cfg, iteration):
     alpha, lam = schedule_weights(cfg, iteration)
     trace_src, trace_tgt = (
         forward(student, x, key_noise(student, x, derive_seed(cfg.seed, iteration, slot)))
-        for x, slot in ((batch.source_x, 1), (batch.target_x, 2)))
+        for x, slot in zip(batch.x, (1, 2)))
     labels, conf = pseudo_labels(
         corrected_probabilities(teacher, cfg.decay)[batch.target_indices])
     features = np.stack((trace_src.features, trace_tgt.features))
